@@ -8,7 +8,9 @@ reduced-graph assignment. Every edge has a cover endpoint, so the cut
 decomposes into cover-cover edges (a constant per work item) plus, for every
 cover vertex, the sizes of the adjacent subtypes assigned to other parts.
 All work items are solved and the global minimum kept; there is no early
-exit.
+exit, but each work item is solved only for cut values below the best found
+so far, so items that cannot improve on it are refuted without a full
+search.
 """
 
 from __future__ import annotations

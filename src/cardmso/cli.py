@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 property holds / optimum found, 1 property fails, 2 usage or
-input error, 3 budget exceeded. The --json report is a single JSON document
-with fixed field order (status, witness, alpha, stats, cut_value, parts);
-human output is not a machine contract.
+input error, 3 budget exceeded, 4 internal error (any other exception, such
+as MemoryError or RecursionError, reported on one `error:` line). The --json
+report is a single JSON document with fixed field order (status, witness,
+alpha, stats, cut_value, parts); human output is not a machine contract.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class _Dumper:
@@ -125,6 +127,7 @@ def _stats_doc(stats: SolveStats) -> dict:
         "cover_size": stats.cover_size,
         "type_count": stats.type_count,
         "reduced_vertices": stats.reduced_vertices,
+        "ilp_nodes": stats.ilp_nodes,
     }
 
 
@@ -304,6 +307,14 @@ def run(argv: list[str]) -> int:
     except (CardMSOError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(
+            f"error: internal error: {type(exc).__name__}"
+            + (f": {detail}" if detail else ""),
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 def main() -> None:

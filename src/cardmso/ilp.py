@@ -6,11 +6,30 @@ propagation before every branch. Branching picks the variable with the
 smallest remaining domain and tries values lowest-first, so witnesses are
 deterministic. Strict inequalities are never stored; callers encode a > b as
 a >= b + 1.
+
+Propagation is event-driven: a first-in-first-out queue holds each row at
+most once, the root queues every row and a child only the rows of the
+variable it fixed, and a row is queued again only when one of its
+variables' bounds changes. Every tightening rule is monotone, so the
+fixpoint (or wipeout) is the one a sweep over all rows until nothing
+changes would reach, and feasibility search visits the same tree as a
+recursive search with full sweeps: the same witness and the same node
+count. The search runs over an explicit stack of frames that make their
+children one at a time, so depth is not limited by the interpreter's
+recursion limit and memory grows with depth times the number of variables.
+
+Minimisation propagates the row objective <= best - 1 once a solution is
+found, and objective <= below - 1 from the root when the caller passes a
+cut-off `below`. It returns the same optimal value as a search that prunes
+only on the objective's lower bound, though possibly another optimal
+assignment, and usually after fewer nodes.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping, Optional
 
 from .errors import BudgetExceeded
@@ -107,139 +126,160 @@ def format_instance(inst: ILPInstance) -> str:
 
 
 class _Search:
-    """One solve call; all state confined here."""
+    """One solve call; all state confined here.
 
-    def __init__(self, inst: ILPInstance, node_budget: int):
-        self.inst = inst
-        self.index = {name: i for i, (name, _, _) in enumerate(inst.variables)}
+    Rows are stored in <= form as (positive terms, negative terms, rhs) with
+    terms (variable index, coefficient); an equality becomes two rows and a
+    >= row is negated. Rows over one variable are applied once at the root and
+    never indexed by variable, since bounds only shrink below the root. When
+    the instance has an objective, the last row is objective <= cutoff, where
+    the cutoff is one less than the best value found so far or than `below`;
+    before either exists it is the objective's maximum over the root box,
+    which cuts nothing.
+    """
+
+    def __init__(self, inst: ILPInstance, node_budget: int, below: Optional[int] = None):
+        index = {name: i for i, (name, _, _) in enumerate(inst.variables)}
         self.lo = [lo for _, lo, _ in inst.variables]
         self.hi = [hi for _, _, hi in inst.variables]
-        # rows in index form: (idxs, coefs, relation, rhs)
-        self.rows = [
-            (
-                [self.index[v] for v, _ in row.coeffs],
-                [c for _, c in row.coeffs],
-                row.relation,
-                row.rhs,
+        self.rows: list[list] = []
+        for row in inst.rows:
+            terms = [(index[v], c) for v, c in row.coeffs]
+            if row.relation in (LE, EQ):
+                self._add_row(terms, row.rhs)
+            if row.relation in (GE, EQ):
+                self._add_row([(i, -c) for i, c in terms], -row.rhs)
+        self.var_rows: list[list[int]] = [[] for _ in self.lo]
+        for r, (pos, neg, _) in enumerate(self.rows):
+            if len(pos) + len(neg) > 1:
+                for i, _ in pos + neg:
+                    self.var_rows[i].append(r)
+        self.objective: Optional[list[tuple[int, int]]] = None
+        self.obj_row = -1
+        if inst.objective is not None:
+            self.objective = [(index[v], c) for v, c in inst.objective]
+            ceiling = sum(
+                c * (self.hi[i] if c > 0 else self.lo[i]) for i, c in self.objective
             )
-            for row in inst.rows
-        ]
+            if below is not None:
+                ceiling = min(ceiling, below - 1)
+            self.obj_row = len(self.rows)
+            self._add_row(self.objective, ceiling)
+            for i, _ in self.objective:
+                self.var_rows[i].append(self.obj_row)
+        self.cut_active = below is not None
         self.node_budget = node_budget
         self.nodes = 0
         self.best_value: Optional[int] = None
         self.best_assignment: Optional[list[int]] = None
-        self.objective = None
-        if inst.objective is not None:
-            self.objective = (
-                [self.index[v] for v, _ in inst.objective],
-                [c for _, c in inst.objective],
-            )
+
+    def _add_row(self, terms: list[tuple[int, int]], rhs: int) -> None:
+        pos = [(i, c) for i, c in terms if c > 0]
+        neg = [(i, c) for i, c in terms if c < 0]
+        self.rows.append([pos, neg, rhs])
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise BudgetExceeded("ilp-nodes", self.node_budget)
 
-    def propagate(self, lo: list[int], hi: list[int]) -> bool:
-        """Interval tightening to fixpoint. False on wipeout."""
+    def propagate(self, lo: list[int], hi: list[int], queue: deque) -> bool:
+        """Interval tightening to fixpoint over the queued rows and every row
+        whose variables' bounds change on the way. False on wipeout.
 
-        def ceil_div(a: int, b: int) -> int:
-            return -((-a) // b)
-
-        changed = True
-        while changed:
-            changed = False
-            for idxs, coefs, rel, rhs in self.rows:
-                # min/max achievable row value
-                row_lo = row_hi = 0
-                for i, c in zip(idxs, coefs):
-                    if c > 0:
-                        row_lo += c * lo[i]
-                        row_hi += c * hi[i]
-                    else:
-                        row_lo += c * hi[i]
-                        row_hi += c * lo[i]
-                if rel in (LE, EQ) and row_lo > rhs:
-                    return False
-                if rel in (GE, EQ) and row_hi < rhs:
-                    return False
-                for i, c in zip(idxs, coefs):
-                    if c > 0:
-                        self_lo, self_hi = c * lo[i], c * hi[i]
-                    else:
-                        self_lo, self_hi = c * hi[i], c * lo[i]
-                    rest_lo = row_lo - self_lo
-                    rest_hi = row_hi - self_hi
-                    if rel in (LE, EQ):
-                        cap = rhs - rest_lo  # c*x <= cap
-                        if c > 0:
-                            nb = cap // c
-                            if nb < hi[i]:
-                                hi[i] = nb
-                                changed = True
-                        else:
-                            nb = ceil_div(cap, c)  # x >= cap/c with c < 0
-                            if nb > lo[i]:
-                                lo[i] = nb
-                                changed = True
-                    if rel in (GE, EQ):
-                        need = rhs - rest_hi  # c*x >= need
-                        if c > 0:
-                            nb = ceil_div(need, c)
-                            if nb > lo[i]:
-                                lo[i] = nb
-                                changed = True
-                        else:
-                            nb = need // c  # x <= need/c with c < 0
-                            if nb < hi[i]:
-                                hi[i] = nb
-                                changed = True
-                    if lo[i] > hi[i]:
-                        return False
+        A <= row with slack s = rhs - min(row) caps each variable's range at
+        s // |c|, which needs no second pass over the same row; the row is
+        skipped outright when no term's range |c| * (hi - lo) exceeds s.
+        """
+        rows = self.rows
+        var_rows = self.var_rows
+        queued = [False] * len(rows)
+        for r in queue:
+            queued[r] = True
+        while queue:
+            r = queue.popleft()
+            pos, neg, rhs = rows[r]
+            row_lo = span = 0
+            for i, c in pos:
+                low = lo[i]
+                row_lo += c * low
+                width = c * (hi[i] - low)
+                if width > span:
+                    span = width
+            for i, c in neg:
+                high = hi[i]
+                row_lo += c * high
+                width = c * (lo[i] - high)
+                if width > span:
+                    span = width
+            slack = rhs - row_lo
+            if slack < 0:
+                return False
+            if slack >= span:
+                queued[r] = False
+                continue
+            for i, c in pos:
+                if c * (hi[i] - lo[i]) > slack:
+                    hi[i] = lo[i] + slack // c
+                    for j in var_rows[i]:
+                        if not queued[j]:
+                            queued[j] = True
+                            queue.append(j)
+            for i, c in neg:
+                if c * (lo[i] - hi[i]) > slack:
+                    lo[i] = hi[i] - slack // -c
+                    for j in var_rows[i]:
+                        if not queued[j]:
+                            queued[j] = True
+                            queue.append(j)
+            queued[r] = False
         return True
 
-    def objective_bounds(self, lo: list[int], hi: list[int]) -> tuple[int, int]:
-        total_lo = total_hi = 0
-        idxs, coefs = self.objective
-        for i, c in zip(idxs, coefs):
-            if c > 0:
-                total_lo += c * lo[i]
-                total_hi += c * hi[i]
-            else:
-                total_lo += c * hi[i]
-                total_hi += c * lo[i]
-        return total_lo, total_hi
-
-    def run(self, lo: list[int], hi: list[int], first_only: bool) -> bool:
-        """DFS; returns True when feasibility search may stop."""
-        self.tick()
-        lo, hi = lo[:], hi[:]
-        if not self.propagate(lo, hi):
-            return False
-        if self.objective is not None and self.best_value is not None:
-            obj_lo, _ = self.objective_bounds(lo, hi)
-            if obj_lo >= self.best_value:
-                return False
-        open_vars = [i for i in range(len(lo)) if lo[i] < hi[i]]
-        if not open_vars:
-            value = None
-            if self.objective is not None:
-                idxs, coefs = self.objective
-                value = sum(c * lo[i] for i, c in zip(idxs, coefs))
-            if self.objective is None:
-                self.best_assignment = lo
-                return True
-            if self.best_value is None or value < self.best_value:
-                self.best_value = value
-                self.best_assignment = lo
-            return False
-        pick = min(open_vars, key=lambda i: (hi[i] - lo[i], i))
-        for value in range(lo[pick], hi[pick] + 1):
-            child_lo, child_hi = lo[:], hi[:]
-            child_lo[pick] = child_hi[pick] = value
-            if self.run(child_lo, child_hi, first_only):
-                return True
+    def _leaf(self, lo: list[int]) -> bool:
+        """Record a fully fixed point; True when the search may stop."""
+        if self.objective is None:
+            self.best_assignment = lo
+            return True
+        self.best_value = sum(c * lo[i] for i, c in self.objective)
+        self.best_assignment = lo
+        self.rows[self.obj_row][2] = self.best_value - 1
+        self.cut_active = True
         return False
+
+    def run(self) -> None:
+        """Depth-first search over an explicit stack of frames
+        [bounds lo, bounds hi, branching variable, next value]. Children are
+        made one at a time, lowest value first; a frame is dropped as its
+        last child is made."""
+        lo, hi = self.lo[:], self.hi[:]
+        self.tick()
+        if not self.propagate(lo, hi, deque(range(len(self.rows)))):
+            return
+        stack: list[list] = []
+        while True:
+            widths = list(map(sub, hi, lo))
+            if any(widths):
+                pick = widths.index(min(filter(None, widths)))
+                stack.append([lo, hi, pick, lo[pick]])
+            elif self._leaf(lo):
+                return
+            while stack:
+                frame = stack[-1]
+                parent_lo, parent_hi, pick, value = frame
+                if value == parent_hi[pick]:
+                    stack.pop()
+                else:
+                    frame[3] = value + 1
+                lo, hi = parent_lo[:], parent_hi[:]
+                lo[pick] = hi[pick] = value
+                self.tick()
+                queue = deque(self.var_rows[pick])
+                if self.cut_active and self.obj_row not in self.var_rows[pick]:
+                    queue.append(self.obj_row)
+                if self.propagate(lo, hi, queue):
+                    break
+            else:
+                return
 
 
 def _result(search: _Search, inst: ILPInstance, optimal: bool) -> ILPResult:
@@ -258,14 +298,20 @@ def _result(search: _Search, inst: ILPInstance, optimal: bool) -> ILPResult:
 def solve_feasibility(inst: ILPInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> ILPResult:
     """Exact feasibility with a witness, or infeasible."""
     search = _Search(ILPInstance(inst.variables, inst.rows, None), node_budget)
-    search.run(search.lo, search.hi, first_only=True)
+    search.run()
     return _result(search, inst, optimal=False)
 
 
-def solve_min(inst: ILPInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> ILPResult:
-    """Exact minimisation of the objective, or infeasible."""
+def solve_min(
+    inst: ILPInstance,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    below: Optional[int] = None,
+) -> ILPResult:
+    """Exact minimisation of the objective, or infeasible. With `below`, only
+    solutions whose objective is < below count: the result is the minimum
+    when it is below that cut-off and infeasible otherwise."""
     if inst.objective is None:
         raise ValueError("solve_min requires an objective")
-    search = _Search(inst, node_budget)
-    search.run(search.lo, search.hi, first_only=False)
+    search = _Search(inst, node_budget, below)
+    search.run()
     return _result(search, inst, optimal=True)

@@ -11,8 +11,8 @@ can tile the whole vertex set with exactly r parts.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import ilp
@@ -103,11 +103,9 @@ def shape_representative(g: Graph, tp: TypePartition, s: Shape, stats: FormulaSt
     return picked
 
 
-@lru_cache(maxsize=1 << 16)
-def _shape_satisfies_cached(g: Graph, tp: TypePartition, s: Shape, phi, stats) -> bool:
-    vertices = shape_representative(g, tp, s, stats)
-    sub, _ = g.induced(vertices)
-    return mso_check(sub, phi)
+# per graph: (types, shape, sentence, stats) -> truth; an entry dies with
+# its graph, and queries on one live graph (say r = 2, then r = 3) share it
+_SHAPE_CACHE: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
 def shape_satisfies(
@@ -118,9 +116,16 @@ def shape_satisfies(
     stats: FormulaStats,
 ) -> bool:
     """Does a set of this shape induce a model of phi? One representative
-    decides for all sets of the shape (cached: callers sweep r without
-    re-checking shapes)."""
-    return _shape_satisfies_cached(g, tp, s, phi, stats)
+    decides for all sets of the shape (cached per graph: callers sweep r
+    without re-checking shapes)."""
+    cache = _SHAPE_CACHE.setdefault(g, {})
+    key = (tp, s, phi, stats)
+    holds = cache.get(key)
+    if holds is None:
+        vertices = shape_representative(g, tp, s, stats)
+        sub, _ = g.induced(vertices)
+        holds = cache[key] = bool(mso_check(sub, phi))
+    return holds
 
 
 def mso_partition(
@@ -177,6 +182,7 @@ def mso_partition(
         dump(instance)
     stats.ilp_solves += 1
     result = ilp.solve_feasibility(instance, node_budget)
+    stats.ilp_nodes += result.nodes
     stats.elapsed = time.perf_counter() - start
     if result.status != "feasible":
         return PartitionVerdict(False, None, stats)

@@ -40,7 +40,7 @@ from .formula import (
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import (
     PrefixAssignment, ReducedGraph, mso_check, reduce_graph,
-    satisfying_prefix_assignments,
+    satisfying_prefix_assignments, stream_engines,
 )
 from .typed_eval import TypedEvaluator
 
@@ -48,6 +48,7 @@ MAX_PIECE_BITS = 24
 MAX_PIECES = 16
 MAX_FALLBACK_ALPHAS = 1 << 20
 STREAM_WORK_CAP = 1 << 33
+STREAM_ENGINE_CAP = 1 << 16
 TYPED_STATE_BUDGET = 20_000_000
 
 
@@ -60,6 +61,7 @@ class SolveStats:
     cover_size: Optional[int] = None
     type_count: int = 0
     reduced_vertices: int = 0
+    ilp_nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -561,7 +563,11 @@ class _Pipeline:
         body_cells = table_eval.estimate_worst_cells(
             self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
         )
-        if cells <= STREAM_WORK_CAP and body_cells <= table_eval.DEFAULT_CELL_BUDGET:
+        if (
+            cells <= STREAM_WORK_CAP
+            and stream_engines(n, self.m) <= STREAM_ENGINE_CAP
+            and body_cells <= table_eval.DEFAULT_CELL_BUDGET
+        ):
             seen: dict[tuple, int] = {}
             for chi in self._raw_stream(body):
                 counts = _counts_from_chi(self.rg, chi)
@@ -614,8 +620,10 @@ class _Pipeline:
         unit: _WorkUnit,
         alpha_index: int,
         objective: Optional["BetaObjective"],
+        below: Optional[int] = None,
     ) -> tuple[bool, Optional[dict[str, int]], Optional[int]]:
-        """(feasible, assignment, objective value) for one work item."""
+        """(feasible, assignment, objective value) for one work item; with
+        `below`, only objective values < below count as feasible."""
         self.stats.ilp_solves += 1
         if unit.pinned:
             if not unit.group1_ok or alpha_index != unit.alpha_star:
@@ -628,19 +636,20 @@ class _Pipeline:
             value = objective.pinned_value(unit) if objective is not None else None
             if self.dump is not None:
                 self.dump(self.build_instance(unit, alpha_index, objective))
+            if below is not None and value >= below:
+                return False, None, None
             return True, assignment, value
         inst = self.build_instance(unit, alpha_index, objective)
         if self.dump is not None:
             self.dump(inst)
         if objective is None:
             res = ilp.solve_feasibility(inst, self.node_budget)
-            if res.status == "feasible":
-                return True, res.assignment, None
+        else:
+            res = ilp.solve_min(inst, self.node_budget, below=below)
+        self.stats.ilp_nodes += res.nodes
+        if res.status == "infeasible":
             return False, None, None
-        res = ilp.solve_min(inst, self.node_budget)
-        if res.status == "optimal":
-            return True, res.assignment, res.objective_value
-        return False, None, None
+        return True, res.assignment, res.objective_value
 
     # ------------------------------------------------------------- main loop
 
@@ -717,14 +726,16 @@ class _Pipeline:
         return Verdict(False, None, None, self.stats)
 
     def run_minimize(self, objective: "BetaObjective"):
-        """All work pairs solved; returns (best value, witness, alpha) or None."""
+        """All work pairs solved, each only for values below the best found
+        so far; returns (best value, witness, alpha) or None."""
         start = time.perf_counter()
         best: Optional[tuple[int, PrefixAssignment, PreEvaluation]] = None
         for alpha_index, _pos, unit in self._collect_pairs():
-            feasible, assignment, value = self._decide_unit(unit, alpha_index, objective)
-            if not feasible:
-                continue
-            if best is None or value < best[0]:
+            below = best[0] if best is not None else None
+            feasible, assignment, value = self._decide_unit(
+                unit, alpha_index, objective, below
+            )
+            if feasible:
                 witness = extract_witness(unit.chi, assignment, self.rg)
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)

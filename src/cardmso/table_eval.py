@@ -72,9 +72,7 @@ class TableEngine:
         self.axis = {v: i for i, v in enumerate(order)}
         self.naxes = len(order)
 
-        s = np.arange(self.subsets, dtype=np.int64)[:, None]
-        v = np.arange(max(g.n, 1), dtype=np.int64)[None, :]
-        self.member2d = ((s >> v) & 1).astype(bool)[:, : g.n]
+        self._member_columns: dict[int, np.ndarray] = {}
         self.adj = np.zeros((g.n, g.n), dtype=bool)
         for a, b in g.edges:
             self.adj[a, b] = self.adj[b, a] = True
@@ -86,6 +84,17 @@ class TableEngine:
     def _charge(self, cells: int) -> None:
         if cells > self.cell_budget:
             raise BudgetExceeded("mso-cells", self.cell_budget)
+
+    def _membership(self, v: int) -> np.ndarray:
+        """Which of the 2^n subsets contain vertex v. Each column is charged
+        and built on first use: sentences without free set variables read
+        none, so large graphs evaluate them without any subset axis."""
+        column = self._member_columns.get(v)
+        if column is None:
+            self._charge(self.subsets)
+            codes = np.arange(self.subsets, dtype=np.int64)
+            column = self._member_columns[v] = ((codes >> v) & 1).astype(bool)
+        return column
 
     def _const(self, value: bool) -> np.ndarray:
         return np.full((1,) * self.naxes, value, dtype=bool)
@@ -108,7 +117,7 @@ class TableEngine:
             v = venv[node.vertex]
             if node.set in self.fixed_sets:
                 return self._const(bool((self._fixed_masks[node.set] >> v) & 1))
-            return self._place1(self.member2d[:, v], node.set)
+            return self._place1(self._membership(v), node.set)
         if isinstance(node, Adjacent):
             return self._const(bool(self.adj[venv[node.a], venv[node.b]]))
         if isinstance(node, VertexEq):
@@ -165,6 +174,7 @@ class TableEngine:
             return self._const(self._fixed_masks[node.a] == self._fixed_masks[node.b])
         if a_fixed or b_fixed:
             fixed, free = (node.a, node.b) if a_fixed else (node.b, node.a)
+            self._charge(self.subsets)
             column = np.arange(self.subsets, dtype=np.int64) == self._fixed_masks[fixed]
             return self._place1(column, free)
         self._charge(self.subsets * self.subsets)

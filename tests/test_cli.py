@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cardmso import corpus
+from cardmso import cli, corpus
 from cardmso.cli import run
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
@@ -86,6 +86,7 @@ def test_json_field_order_is_stable(files, capsys):
     assert keys == [
         "pre_evaluations", "prefix_assignments", "ilp_solves",
         "elapsed_seconds", "cover_size", "type_count", "reduced_vertices",
+        "ilp_nodes",
     ]
 
 
@@ -162,3 +163,29 @@ def test_no_empty_parts_flag(files):
         "partition", "--graph", files["c4.g"], "--formula", files["independence.cms"],
         "-r", "5",
     ]) == 0
+
+
+def test_partition_with_a_large_part_exits_zero(tmp_path, files, capsys):
+    star = tmp_path / "star40.g"
+    star.write_text("p 41 40\n" + "".join(f"e 1 {i}\n" for i in range(2, 42)))
+    code = run([
+        "partition", "--graph", str(star), "--formula", files["independence.cms"],
+        "-r", "2", "--json",
+    ])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert sorted(len(part) for part in doc["parts"]) == [1, 40]
+    assert doc["stats"]["ilp_nodes"] >= 1
+
+
+@pytest.mark.parametrize("error", [MemoryError(), RecursionError("maximum depth\nexceeded")])
+def test_unexpected_error_exits_four(files, capsys, monkeypatch, error):
+    def broken(args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "check", broken)
+    code = run(["check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"]])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal error: " + type(error).__name__)

@@ -1,8 +1,9 @@
+import gc
 import itertools
 
 import pytest
 
-from cardmso import corpus, oracle
+from cardmso import corpus, oracle, partitioning
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import FormulaStats, analyze, parse_formula
 from cardmso.graph import Graph, TypePartition, min_vertex_cover, type_partition
@@ -107,6 +108,24 @@ class TestShapeSatisfies:
             from cardmso.mso_eval import mso_check
             assert mso_check(sub, INDEP) == base
 
+    def test_cache_entry_dies_with_its_graph(self, monkeypatch):
+        # the cache compares graphs by value: names no other test uses keep
+        # an equal graph from elsewhere from holding the entry
+        c5 = cycle_graph(5)
+        g = Graph.build(tuple(f"probe{v}" for v in range(5)), c5.edges)
+        tp = self._tp(g)
+        stats = analyze(INDEP)
+        shape = enumerate_shapes(tp, stats)[-1]
+        assert not shape_satisfies(g, tp, shape, INDEP, stats)
+        assert g in partitioning._SHAPE_CACHE
+        # while g lives, asking again reuses the entry
+        monkeypatch.setattr(partitioning, "mso_check", None)
+        assert not shape_satisfies(g, tp, shape, INDEP, stats)
+        entries = len(partitioning._SHAPE_CACHE)
+        del g
+        gc.collect()
+        assert len(partitioning._SHAPE_CACHE) == entries - 1
+
 
 class TestMsoPartition:
     def test_c4_two_colours(self):
@@ -126,6 +145,15 @@ class TestMsoPartition:
         assert v.holds
         assert len(v.parts) == 2
         assert set().union(*v.parts) == set(range(5))
+
+    def test_large_part_is_validated_without_a_membership_table(self):
+        # the 40 leaves form one part: validating it must not build a
+        # 2^40-row membership table
+        g = star_graph(40)
+        v = mso_partition(g, PartitionInstance(INDEP, 2))
+        assert v.holds
+        assert sorted(len(p) for p in v.parts) == [1, 40]
+        assert v.stats.ilp_nodes >= 1
 
     def test_chromatic_consistency(self, rng):
         for _ in range(12):

@@ -224,3 +224,24 @@ def test_preevaluation_bit_guard():
     f = parse_formula(f"exists Z. ({constraints})")
     with pytest.raises(BudgetExceeded):
         check(path_graph(2), f)
+
+
+def test_stream_looping_over_every_subset_is_not_used(monkeypatch):
+    from cardmso import solver
+    from cardmso.mso_eval import stream_engines
+
+    # one prefix variable on 29 reduced vertices: the stream would build an
+    # engine per subset (a planted cover k=3, n=40 with ids_k reaches this)
+    assert stream_engines(29, 1) == 1 << 29 > solver.STREAM_ENGINE_CAP
+    assert stream_engines(14, 2) == 1 << 14
+    assert stream_engines(8, 3) == 1
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("raw stream used past the engine cap")
+
+    monkeypatch.setattr(solver, "STREAM_ENGINE_CAP", 0)
+    monkeypatch.setattr(solver, "satisfying_prefix_assignments", no_stream)
+    f = parse_formula(corpus.bipartite_equal())
+    verdict = check(cycle_graph(4), f)
+    assert verdict.holds
+    assert_witness_valid(cycle_graph(4), f, verdict)

@@ -133,7 +133,6 @@ def cbalanced(
     c: int,
     k_max: int = DEFAULT_K_MAX,
     allow_empty: bool = True,
-    dedup: bool = True,
     node_budget: int = ilp.DEFAULT_NODE_BUDGET,
     dump=None,
 ) -> Optional[BalancedResult]:
@@ -147,7 +146,7 @@ def cbalanced(
     if not allow_empty and c > g.n:
         return None
     f = generate_equitable_formula(c)
-    pipeline = _Pipeline(g, f, "vertex-cover", k_max, dedup, node_budget, dump)
+    pipeline = _Pipeline(g, f, "vertex-cover", k_max, node_budget, dump)
     objective = BetaObjective(pipeline)
     start = time.perf_counter()
     best = pipeline.run_minimize(objective)

@@ -56,8 +56,6 @@ def _add_common(p: argparse.ArgumentParser, formula: bool, params: bool) -> None
     p.add_argument("--json", action="store_true")
     p.add_argument("--dump-ilp", metavar="PATH")
     p.add_argument("--no-empty-parts", action="store_true")
-    p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (engines are serial)")
     p.add_argument("--node-budget", type=int, default=ilp.DEFAULT_NODE_BUDGET)
 
 
@@ -135,11 +133,24 @@ def _names(g: Graph, vertices) -> list[str]:
     return [g.names[v] for v in sorted(vertices)]
 
 
-def _report(doc: dict, human: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
+def _report(
+    as_json: bool, human: str, status: str, *, witness=None, alpha=None,
+    stats: SolveStats | None = None, cut_value=None, parts=None,
+) -> None:
+    """Print the human text, or the --json document with its fields in the
+    fixed order (null where not given)."""
+    if not as_json:
         print(human)
+        return
+    doc = {
+        "status": status,
+        "witness": witness,
+        "alpha": alpha,
+        "stats": _stats_doc(stats) if stats is not None else None,
+        "cut_value": cut_value,
+        "parts": parts,
+    }
+    print(json.dumps(doc, indent=2))
 
 
 def _run_check(args) -> int:
@@ -148,7 +159,7 @@ def _run_check(args) -> int:
     dump = _Dumper(args.dump_ilp) if args.dump_ilp else None
     verdict: Verdict = check(
         g, f, mode=_mode_name(args.mode), k_max=args.k_max,
-        dedup=not args.no_dedup, node_budget=args.node_budget, dump=dump,
+        node_budget=args.node_budget, dump=dump,
     )
     witness_doc = None
     human = "does not hold"
@@ -162,15 +173,11 @@ def _run_check(args) -> int:
             for name, s in zip(f.prefix, verdict.witness.sets)
         ]
         human = "holds\n" + "\n".join(lines)
-    doc = {
-        "status": "holds" if verdict.holds else "fails",
-        "witness": witness_doc,
-        "alpha": list(verdict.alpha) if verdict.alpha is not None else None,
-        "stats": _stats_doc(verdict.stats),
-        "cut_value": None,
-        "parts": None,
-    }
-    _report(doc, human, args.json)
+    _report(
+        args.json, human, "holds" if verdict.holds else "fails", witness=witness_doc,
+        alpha=list(verdict.alpha) if verdict.alpha is not None else None,
+        stats=verdict.stats,
+    )
     return EXIT_HOLDS if verdict.holds else EXIT_FAILS
 
 
@@ -188,15 +195,10 @@ def _run_partition(args) -> int:
     if verdict.holds:
         parts_doc = [_names(g, p) for p in verdict.parts]
         human = "holds\n" + "\n".join(" ".join(names) if names else "(empty)" for names in parts_doc)
-    doc = {
-        "status": "holds" if verdict.holds else "fails",
-        "witness": None,
-        "alpha": None,
-        "stats": _stats_doc(verdict.stats),
-        "cut_value": None,
-        "parts": parts_doc,
-    }
-    _report(doc, human, args.json)
+    _report(
+        args.json, human, "holds" if verdict.holds else "fails",
+        stats=verdict.stats, parts=parts_doc,
+    )
     return EXIT_HOLDS if verdict.holds else EXIT_FAILS
 
 
@@ -210,28 +212,19 @@ def _run_cbalance(args) -> int:
     dump = _Dumper(args.dump_ilp) if args.dump_ilp else None
     result = cbalanced(
         g, args.c, k_max=args.k_max, allow_empty=not args.no_empty_parts,
-        dedup=not args.no_dedup, node_budget=args.node_budget, dump=dump,
+        node_budget=args.node_budget, dump=dump,
     )
     if result is None:
-        doc = {
-            "status": "infeasible", "witness": None, "alpha": None,
-            "stats": None, "cut_value": None, "parts": None,
-        }
-        _report(doc, "infeasible (empty parts disallowed)", args.json)
+        _report(args.json, "infeasible (empty parts disallowed)", "infeasible")
         return EXIT_FAILS
     parts_doc = [_names(g, p) for p in result.parts]
     human = f"cut {result.cut_value}\n" + "\n".join(
         " ".join(names) if names else "(empty)" for names in parts_doc
     )
-    doc = {
-        "status": "optimal",
-        "witness": None,
-        "alpha": None,
-        "stats": _stats_doc(result.stats),
-        "cut_value": result.cut_value,
-        "parts": parts_doc,
-    }
-    _report(doc, human, args.json)
+    _report(
+        args.json, human, "optimal", stats=result.stats,
+        cut_value=result.cut_value, parts=parts_doc,
+    )
     return EXIT_HOLDS
 
 
@@ -239,11 +232,7 @@ def _run_oracle_check(args) -> int:
     g = _load_graph(args.graph)
     f = _load_formula(args.formula, args.param)
     holds = oracle.brute_check(g, f)
-    doc = {
-        "status": "holds" if holds else "fails", "witness": None, "alpha": None,
-        "stats": None, "cut_value": None, "parts": None,
-    }
-    _report(doc, "holds" if holds else "does not hold", args.json)
+    _report(args.json, "holds" if holds else "does not hold", "holds" if holds else "fails")
     return EXIT_HOLDS if holds else EXIT_FAILS
 
 
@@ -251,11 +240,7 @@ def _run_oracle_partition(args) -> int:
     g = _load_graph(args.graph)
     f = _load_formula(args.formula, [])
     holds = oracle.brute_partition(g, f, args.r, allow_empty=not args.no_empty_parts)
-    doc = {
-        "status": "holds" if holds else "fails", "witness": None, "alpha": None,
-        "stats": None, "cut_value": None, "parts": None,
-    }
-    _report(doc, "holds" if holds else "does not hold", args.json)
+    _report(args.json, "holds" if holds else "does not hold", "holds" if holds else "fails")
     return EXIT_HOLDS if holds else EXIT_FAILS
 
 
@@ -263,17 +248,9 @@ def _run_oracle_cbalance(args) -> int:
     g = _load_graph(args.graph)
     cut = oracle.brute_cbalanced(g, args.c, allow_empty=not args.no_empty_parts)
     if cut is None:
-        _report(
-            {"status": "infeasible", "witness": None, "alpha": None,
-             "stats": None, "cut_value": None, "parts": None},
-            "infeasible (empty parts disallowed)", args.json,
-        )
+        _report(args.json, "infeasible (empty parts disallowed)", "infeasible")
         return EXIT_FAILS
-    doc = {
-        "status": "optimal", "witness": None, "alpha": None,
-        "stats": None, "cut_value": cut, "parts": None,
-    }
-    _report(doc, f"cut {cut}", args.json)
+    _report(args.json, f"cut {cut}", "optimal", cut_value=cut)
     return EXIT_HOLDS
 
 
@@ -294,8 +271,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise CardMSOError("--threads must be >= 1")
         if getattr(args, "node_budget", 1) < 1:
             raise CardMSOError("--node-budget must be >= 1")
         if getattr(args, "k_max", 0) < 0:

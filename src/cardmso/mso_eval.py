@@ -1,16 +1,17 @@
 """Reduced-graph construction and MSO model checking.
 
-mso_check dispatches between three engines with identical semantics:
+mso_check dispatches between two engines with identical semantics:
 
-  naive  plain recursion, set quantifiers over all 2^n subsets; the
-         correctness baseline, with an optional flag that restricts vertex
-         quantifiers to one representative per same-type class
-  table  vectorised truth tables (table_eval), same enumeration semantics
-  typed  count-state recursion (typed_eval) for graphs too large for raw
-         subset enumeration
+  table  vectorised truth tables (table_eval): set quantifiers range over
+         all 2^n subsets as array axes
+  typed  count-state recursion (typed_eval): same-type vertices are
+         interchangeable, so sets are enumerated as per-class counts
 
-auto picks table when the largest intermediate table fits the cell budget
-and typed otherwise.
+auto picks typed for sentences without set quantifiers (there is no subset
+axis to vectorise, and typed picks one vertex per class where table loops
+over every vertex), table when the largest intermediate table fits the cell
+budget, and typed otherwise. The engine tests compare both against the
+oracle's plain recursion, oracle._LoopEval.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ import numpy as np
 
 from . import table_eval
 from .errors import BudgetExceeded
-from .formula import (
-    Adjacent, And, ConstraintRef, FalseLit, Formula, FormulaStats, Iff,
-    Implies, Member, Node, Not, Or, Quant, SetEq, TrueLit, VertexEq,
-)
-from .graph import Graph, TypePartition, nd_partition
+from .formula import Formula, FormulaStats, Node, Quant, walk
+from .graph import Graph, TypePartition
 from .typed_eval import TypedEvaluator
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -37,10 +35,6 @@ class PrefixAssignment:
     """Values for the prefix variables: one vertex set per variable."""
 
     sets: tuple[frozenset[int], ...]
-    carrier: str = "full"  # "reduced" | "full"
-
-    def sizes(self, prefix: tuple[str, ...]) -> dict[str, int]:
-        return {name: len(s) for name, s in zip(prefix, self.sets)}
 
 
 @dataclass(frozen=True)
@@ -59,10 +53,6 @@ class ReducedGraph:
     kept: tuple[tuple[int, ...], ...]
     full_types: tuple[tuple[int, ...], ...]
     full_to_reduced: dict[int, int]
-
-    @property
-    def reduced_to_full(self) -> dict[int, int]:
-        return {r: f for f, r in self.full_to_reduced.items()}
 
 
 def reduce_graph(g: Graph, tp: TypePartition, stats: FormulaStats) -> ReducedGraph:
@@ -83,97 +73,6 @@ def reduce_graph(g: Graph, tp: TypePartition, stats: FormulaStats) -> ReducedGra
     )
 
 
-# --------------------------------------------------------------------- naive
-
-class _NaiveEvaluator:
-    """Reference semantics. Sets are bitmasks; env maps names to masks or
-    vertex indices."""
-
-    def __init__(self, g: Graph, node_budget: int, symmetry: bool = False):
-        self.g = g
-        self.n = g.n
-        self.adj_bits = [0] * g.n
-        for u, v in g.edges:
-            self.adj_bits[u] |= 1 << v
-            self.adj_bits[v] |= 1 << u
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.symmetry = symmetry
-        if symmetry:
-            self.type_of = nd_partition(g).type_of(g.n)
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise BudgetExceeded("mso-nodes", self.node_budget)
-
-    def _vertex_candidates(self, env: dict) -> list[int]:
-        if not self.symmetry:
-            return list(range(self.n))
-        # bound vertices stay individual; unbound ones collapse to one
-        # representative per (type, bound-set memberships) class
-        bound_vertices = {v for k, v in env.items() if not k.startswith("\x00")}
-        set_masks = [v for k, v in env.items() if k.startswith("\x00")]
-        out = []
-        seen_class: set[tuple] = set()
-        for v in range(self.n):
-            if v in bound_vertices:
-                out.append(v)
-                continue
-            key = (self.type_of[v],) + tuple((mask >> v) & 1 for mask in set_masks)
-            if key in seen_class:
-                continue
-            seen_class.add(key)
-            out.append(v)
-        return out
-
-    def eval(self, node: Node, env: dict) -> bool:
-        self.tick()
-        if isinstance(node, TrueLit):
-            return True
-        if isinstance(node, FalseLit):
-            return False
-        if isinstance(node, ConstraintRef):
-            raise ValueError("naive evaluation requires a constraint-free body")
-        if isinstance(node, Member):
-            return bool((env["\x00" + node.set] >> env[node.vertex]) & 1)
-        if isinstance(node, Adjacent):
-            return bool((self.adj_bits[env[node.a]] >> env[node.b]) & 1)
-        if isinstance(node, VertexEq):
-            return env[node.a] == env[node.b]
-        if isinstance(node, SetEq):
-            return env["\x00" + node.a] == env["\x00" + node.b]
-        if isinstance(node, Not):
-            return not self.eval(node.child, env)
-        if isinstance(node, And):
-            return self.eval(node.left, env) and self.eval(node.right, env)
-        if isinstance(node, Or):
-            return self.eval(node.left, env) or self.eval(node.right, env)
-        if isinstance(node, Implies):
-            return (not self.eval(node.left, env)) or self.eval(node.right, env)
-        if isinstance(node, Iff):
-            return self.eval(node.left, env) == self.eval(node.right, env)
-        if isinstance(node, Quant):
-            want = node.quantifier == "exists"
-            if node.sort == "set":
-                key = "\x00" + node.var
-                for mask in range(1 << self.n):
-                    env[key] = mask
-                    if self.eval(node.child, env) == want:
-                        del env[key]
-                        return want
-                env.pop(key, None)
-                return not want
-            for v in self._vertex_candidates(env):
-                env[node.var] = v
-                if self.eval(node.child, env) == want:
-                    del env[node.var]
-                    return want
-            env.pop(node.var, None)
-            return not want
-        raise TypeError(f"unknown node {node!r}")
-
-
 def _as_sentence(f: Formula | Node) -> Node:
     if isinstance(f, Formula):
         if f.constraints:
@@ -191,24 +90,19 @@ def mso_check(
     method: str = "auto",
     fixed_sets: dict[str, frozenset[int]] | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    symmetry: bool = False,
 ) -> bool:
     """Exact truth of g |= f for a constraint-free sentence.
 
-    fixed_sets binds named set constants (used to re-check witnesses).
+    fixed_sets binds named set constants (used to re-check witnesses);
+    node_budget caps the typed engine's states.
     """
     node = _as_sentence(f)
     if method == "auto":
-        worst = table_eval.estimate_worst_cells(g, node, ())
-        method = "table" if worst <= table_eval.DEFAULT_CELL_BUDGET else "typed"
-    if method == "naive":
-        env: dict = {}
-        for name, vertices in (fixed_sets or {}).items():
-            mask = 0
-            for v in vertices:
-                mask |= 1 << v
-            env["\x00" + name] = mask
-        return _NaiveEvaluator(g, node_budget, symmetry).eval(node, env)
+        if not any(isinstance(sub, Quant) and sub.sort == "set" for sub in walk(node)):
+            method = "typed"
+        else:
+            worst = table_eval.estimate_worst_cells(g, node, ())
+            method = "table" if worst <= table_eval.DEFAULT_CELL_BUDGET else "typed"
     if method == "table":
         return table_eval.evaluate_sentence(g, node, fixed_sets)
     if method == "typed":
@@ -270,9 +164,6 @@ def satisfying_prefix_assignments(
                 masks.append(rest % subsets)
                 rest //= subsets
             masks.reverse()
-            yield PrefixAssignment(
-                tuple(to_set(mask) for mask in fixed_masks + masks),
-                carrier="reduced",
-            )
+            yield PrefixAssignment(tuple(to_set(mask) for mask in fixed_masks + masks))
 
     yield from stream(tuple(prefix), {}, [])

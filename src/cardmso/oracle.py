@@ -4,7 +4,10 @@ Everything here evaluates formulas directly on the input graph: no types, no
 covers, no reduction, no integer programming. Cardinality constraints are
 evaluated numerically from the current prefix sets. Two interchangeable
 implementations guard each other: a plain recursive loop and a vectorised
-pass over the whole assignment space; tests pin them together.
+pass over the whole assignment space; tests pin them together. The loop
+evaluator (_LoopEval) is also the reference the tests compare mso_check's
+table and typed engines against. brute_check defaults to the vector pass,
+the faster of the two on the oracle's graph sizes.
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ pre-evaluations are accounted in bulk. Work items whose extension program is
 fully pinned by the small-subtype equalities are decided arithmetically;
 everything else goes through the branch-and-bound ILP solver.
 
-With dedup enabled (default) prefix assignments are enumerated directly as
-subtype-cardinality states: assignments with identical per-subtype counts
-induce identical extension programs, so one representative per state is
-solved. dedup=False enumerates raw assignments (the correctness baseline).
+Prefix assignments are enumerated as subtype-cardinality states: assignments
+with identical per-subtype counts induce identical extension programs
+(same-type vertices are interchangeable), so one representative per state is
+solved. The states come from the raw truth-table stream, collapsed by count,
+while its tables stay small, and from the count-state engine beyond that.
 """
 
 from __future__ import annotations
@@ -175,9 +176,6 @@ class _PieceSpace:
     def reachable_values(self) -> list[bool]:
         return [value for value in (False, True) if len(self.patterns[value])]
 
-    def min_alpha(self, value: bool) -> int:
-        return self.spread(int(self.patterns[value][0]))
-
     def count(self, value: bool) -> int:
         return len(self.patterns[value])
 
@@ -290,14 +288,6 @@ class _WorkUnit:
     alpha_candidates: Optional[frozenset[int]] = None  # unpinned: achievable alphas
 
 
-class _ProfileWork:
-    """Work items of one folded body, in enumeration order."""
-
-    def __init__(self, units: list[_WorkUnit]):
-        self.units = units
-
-
-
 def _prepare_group3_rows(f: Formula, type_count: int):
     """Per constraint: coefficient map over all (type, sig) variables and the
     constant, in lhs - rhs <= const form."""
@@ -336,7 +326,7 @@ def _canonical_chi_from_counts(rg: ReducedGraph, m: int, counts) -> PrefixAssign
                     if (sig >> i) & 1:
                         sets[i].add(v)
             pos += c
-    return PrefixAssignment(tuple(frozenset(s) for s in sets), "reduced")
+    return PrefixAssignment(tuple(frozenset(s) for s in sets))
 
 
 def _unit_from_counts(
@@ -491,7 +481,6 @@ class _Pipeline:
         f: Formula,
         mode: str = "vertex-cover",
         k_max: int = DEFAULT_K_MAX,
-        dedup: bool = True,
         node_budget: int = ilp.DEFAULT_NODE_BUDGET,
         dump: Optional[Callable[[ilp.ILPInstance], None]] = None,
     ):
@@ -500,7 +489,6 @@ class _Pipeline:
         self.g = g
         self.f = f
         self.mode = mode
-        self.dedup = dedup
         self.node_budget = node_budget
         self.dump = dump
         self.stats = SolveStats()
@@ -532,31 +520,25 @@ class _Pipeline:
         ]
 
         self.group3_rows = _prepare_group3_rows(f, self.tp.count)
-        self._unit_cache: dict[tuple[bool, ...], _ProfileWork] = {}
+        # work units of each piece-value profile, in enumeration order
+        self._unit_cache: dict[tuple[bool, ...], list[_WorkUnit]] = {}
 
     # ---------------------------------------------------------------- units
 
-    def _work_for_profile(self, values: tuple[bool, ...]) -> "_ProfileWork":
+    def _units_for_profile(self, values: tuple[bool, ...]) -> list[_WorkUnit]:
         cached = self._unit_cache.get(values)
         if cached is not None:
             return cached
         folded = _fold(self.skeleton, values)
-        if isinstance(folded, FalseLit):
-            units: list[_WorkUnit] = []
-        elif self.dedup:
-            units = self._enumerate_states(folded)
-        else:
-            units = self._enumerate_raw(folded)
-        work = _ProfileWork(units)
-        self._unit_cache[values] = work
+        units = [] if isinstance(folded, FalseLit) else self._enumerate_states(folded)
+        self._unit_cache[values] = units
         self.stats.prefix_assignments += sum(u.raw_count for u in units)
-        return work
+        return units
 
     def _enumerate_states(self, body: Node) -> list[_WorkUnit]:
-        """Deduplicated enumeration: one unit per subtype-cardinality state,
-        represented by its first raw assignment. Uses the (chunked) truth
-        table while total table work stays sane and falls back to count-state
-        recursion for fat types."""
+        """One unit per subtype-cardinality state, represented by its first
+        raw assignment. Uses the (chunked) truth table while total table work
+        stays sane and falls back to count-state recursion for fat types."""
         n = self.rg.graph.n
         cells = (1 << n) ** self.m if self.m else 1
         units: list[_WorkUnit] = []
@@ -592,16 +574,9 @@ class _Pipeline:
     def _raw_stream(self, body: Node):
         if self.m == 0:
             if mso_check(self.rg.graph, body, method="auto"):
-                yield PrefixAssignment((), "reduced")
+                yield PrefixAssignment(())
             return
         yield from satisfying_prefix_assignments(self.rg.graph, body, self.f.prefix)
-
-    def _enumerate_raw(self, body: Node) -> list[_WorkUnit]:
-        units = []
-        for chi in self._raw_stream(body):
-            counts = _counts_from_chi(self.rg, chi)
-            units.append(_unit_from_counts(self.f, self.fstats, self.rg, counts, chi=chi))
-        return units
 
     # ------------------------------------------------------------------ ILP
 
@@ -690,11 +665,8 @@ class _Pipeline:
         across profiles cannot happen."""
         pairs: list[tuple[int, int, _WorkUnit]] = []
         for values in self._profiles():
-            work = self._work_for_profile(values)
-            if not work.units:
-                continue
             fallback: Optional[list[int]] = None
-            for pos, unit in enumerate(work.units):
+            for pos, unit in enumerate(self._units_for_profile(values)):
                 if unit.pinned:
                     if unit.group1_ok and self._alpha_member(unit.alpha_star, values):
                         pairs.append((unit.alpha_star, pos, unit))
@@ -818,7 +790,7 @@ def extract_witness(
                     if (sig >> i) & 1:
                         full_sets[i].add(v)
             pos += amount
-    return PrefixAssignment(tuple(frozenset(s) for s in full_sets), "full")
+    return PrefixAssignment(tuple(frozenset(s) for s in full_sets))
 
 
 def check(
@@ -826,10 +798,9 @@ def check(
     f: Formula,
     mode: str = "vertex-cover",
     k_max: int = DEFAULT_K_MAX,
-    dedup: bool = True,
     node_budget: int = ilp.DEFAULT_NODE_BUDGET,
     dump: Optional[Callable[[ilp.ILPInstance], None]] = None,
 ) -> Verdict:
     """Does g model the sentence? Exact; witness returned when it holds."""
-    pipeline = _Pipeline(g, f, mode, k_max, dedup, node_budget, dump)
+    pipeline = _Pipeline(g, f, mode, k_max, node_budget, dump)
     return pipeline.run_decision()

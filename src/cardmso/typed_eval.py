@@ -16,6 +16,8 @@ without the cover convention) have this shape; it is validated on entry.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import BudgetExceeded
 from .formula import (
     Adjacent, And, ConstraintRef, FalseLit, Iff, Implies, Member, Node, Not,
@@ -112,16 +114,19 @@ class TypedEvaluator:
         self._memo: dict[int, dict] = {}
 
     def _validate_uniform(self) -> None:
-        for members in self.base_members:
-            inner = {self.g.has_edge(u, v) for i, u in enumerate(members)
-                     for v in members[i + 1:]}
-            if len(inner) > 1:
-                raise ValueError("class without uniform internal adjacency")
-        for i, a in enumerate(self.base_members):
-            for b in self.base_members[i + 1:]:
-                outer = {self.g.has_edge(u, v) for u in a for v in b}
-                if len(outer) > 1:
-                    raise ValueError("class pair without uniform adjacency")
+        """Adjacency is uniform exactly when every vertex is adjacent to none
+        or all of each class (itself excepted): were u adjacent to all of C
+        and v in u's class to none of it, a member of C would see part of
+        that class. Linear in vertices plus edges."""
+        class_of = {v: b for b, members in enumerate(self.base_members) for v in members}
+        for v, b in class_of.items():
+            counts = Counter(class_of[w] for w in self.g.adj[v] if w in class_of)
+            for c, count in counts.items():
+                if count != len(self.base_members[c]) - (c == b):
+                    raise ValueError(
+                        "class without uniform internal adjacency" if c == b
+                        else "class pair without uniform adjacency"
+                    )
 
     # ------------------------------------------------------------------ state
 
@@ -324,13 +329,3 @@ class TypedEvaluator:
 
         classes, _ = self.initial_state()
         yield from descend(0, classes)
-
-
-def typed_check(
-    g: Graph,
-    node: Node,
-    classes: list[tuple[int, ...]] | None = None,
-    fixed_sets: dict[str, frozenset[int]] | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> bool:
-    return TypedEvaluator(g, classes, fixed_sets, state_budget).check(node)

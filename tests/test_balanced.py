@@ -61,10 +61,10 @@ class TestCbalanced:
         g = cycle_graph(5)
         assert cbalanced(g, 1).cut_value == 0
 
-    def test_dedup_off_agrees(self, rng):
+    def test_brute_oracle_agrees_c2(self, rng):
         for _ in range(6):
             g = random_graph(rng, rng.randint(1, 5))
-            assert cbalanced(g, 2).cut_value == cbalanced(g, 2, dedup=False).cut_value
+            assert cbalanced(g, 2).cut_value == oracle.brute_cbalanced(g, 2)
 
 
 def test_beta_decomposition_matches_direct_count(rng):
@@ -79,8 +79,7 @@ def test_beta_decomposition_matches_direct_count(rng):
         pipeline = _Pipeline(g, f)
         objective = BetaObjective(pipeline)
         all_true = tuple(space.value_at(0) for space in pipeline.spaces)
-        work = pipeline._work_for_profile(all_true)
-        for unit in work.units[:10]:
+        for unit in pipeline._units_for_profile(all_true)[:10]:
             parts = [set() for _ in range(c)]
             for v in range(pipeline.rg.graph.n):
                 for i, s in enumerate(unit.chi.sets):

@@ -72,6 +72,14 @@ def test_oracle_subcommands_mirror(files):
     assert run(["oracle-cbalance", "--graph", files["p4.g"], "-c", "2"]) == 0
 
 
+FIELDS = ["status", "witness", "alpha", "stats", "cut_value", "parts"]
+STATS_KEYS = [
+    "pre_evaluations", "prefix_assignments", "ilp_solves",
+    "elapsed_seconds", "cover_size", "type_count", "reduced_vertices",
+    "ilp_nodes",
+]
+
+
 def test_json_field_order_is_stable(files, capsys):
     code = run([
         "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"], "--json",
@@ -79,15 +87,33 @@ def test_json_field_order_is_stable(files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     doc = json.loads(out)
-    assert list(doc.keys()) == ["status", "witness", "alpha", "stats", "cut_value", "parts"]
+    assert list(doc.keys()) == FIELDS
     assert doc["status"] == "holds"
     assert doc["alpha"] == [True, True]
-    keys = list(doc["stats"].keys())
-    assert keys == [
-        "pre_evaluations", "prefix_assignments", "ilp_solves",
-        "elapsed_seconds", "cover_size", "type_count", "reduced_vertices",
-        "ilp_nodes",
-    ]
+    assert list(doc["stats"].keys()) == STATS_KEYS
+
+    assert run([
+        "partition", "--graph", files["c4.g"], "--formula", files["independence.cms"],
+        "-r", "2", "--json",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc.keys()) == FIELDS
+    assert (doc["status"], doc["witness"], doc["alpha"], doc["cut_value"]) == ("holds", None, None, None)
+    assert sorted(doc["parts"]) == [["1", "3"], ["2", "4"]]
+    assert list(doc["stats"].keys()) == STATS_KEYS
+
+    assert run(["cbalance", "--graph", files["p4.g"], "-c", "2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc.keys()) == FIELDS
+    assert (doc["status"], doc["witness"], doc["alpha"], doc["cut_value"]) == ("optimal", None, None, 1)
+    assert sorted(len(part) for part in doc["parts"]) == [2, 2]
+    assert list(doc["stats"].keys()) == STATS_KEYS
+
+    assert run([
+        "oracle-check", "--graph", files["p3.g"], "--formula", files["bipartite_equal.cms"], "--json",
+    ]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == dict.fromkeys(FIELDS) | {"status": "fails"}
 
 
 def test_json_witness_reverifies_with_oracle(files, capsys):
@@ -143,15 +169,12 @@ def test_budget_exit_three(files):
     assert code == 3
 
 
-def test_threads_flag_accepted(files):
-    assert run([
-        "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
-        "--threads", "4",
-    ]) == 0
-    assert run([
-        "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
-        "--threads", "0",
-    ]) == 2
+def test_removed_flags_rejected(files):
+    for flags in (["--threads", "4"], ["--no-dedup"]):
+        assert run([
+            "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
+            *flags,
+        ]) == 2
 
 
 def test_no_empty_parts_flag(files):

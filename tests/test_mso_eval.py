@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardmso import corpus
+from cardmso import corpus, oracle, table_eval
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import (
     Adjacent, And, FalseLit, Iff, Implies, Member, Not, Or, Quant,
@@ -12,9 +12,10 @@ from cardmso.graph import Graph, min_vertex_cover, nd_partition, type_partition
 from cardmso.mso_eval import (
     mso_check, reduce_graph, satisfying_prefix_assignments,
 )
+from cardmso.typed_eval import TypedEvaluator
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 
-ENGINES = ("naive", "table", "typed")
+ENGINES = ("table", "typed")
 
 
 # ------------------------------------------------------------ random formulas
@@ -80,8 +81,9 @@ small_graphs = st.integers(0, 5).flatmap(
 @settings(max_examples=120, deadline=None)
 @given(small_graphs, formula_nodes(3))
 def test_engines_agree(g, node):
+    want = oracle._LoopEval(g, ()).eval(node, {}, {})
     results = {m: mso_check(g, node, method=m) for m in ENGINES}
-    assert len(set(results.values())) == 1, results
+    assert set(results.values()) == {want}, (want, results)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,11 +107,14 @@ class TestMsoCheckExamples:
             "exists X. ((forall u. forall v. ((u in X & v in X) -> !adj(u, v)))"
             " & (exists w. w in X))"
         )
+        k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert oracle.brute_check(k3, f, method="loop")
         for m in ENGINES:
-            assert mso_check(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), f, method=m)
+            assert mso_check(k3, f, method=m)
 
     def test_empty_graph_vacuous_forall(self):
         f = parse_formula("forall x. false")
+        assert oracle.brute_check(Graph.from_edges(0, []), f, method="loop")
         for m in ENGINES:
             assert mso_check(Graph.from_edges(0, []), f, method=m)
 
@@ -118,21 +123,40 @@ class TestMsoCheckExamples:
         sentence = pre_evaluate(bip, (True, True))
         assert mso_check(cycle_graph(4), sentence)
 
-    def test_naive_budget(self):
+    def test_typed_state_budget(self):
         f = parse_formula("exists X. exists Y. (X = Y & !(X = Y))")
         with pytest.raises(BudgetExceeded):
-            mso_check(star_graph(5), f, method="naive", node_budget=50)
+            mso_check(star_graph(5), f, method="typed", node_budget=50)
 
-    def test_symmetry_flag_agrees(self, rng):
-        f = parse_formula(
-            "exists X. (forall u. forall v. ((u in X & v in X) -> !adj(u, v))"
-            " & (exists w. (w in X & adj(w, u))))"
-        )
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(1, 5))
-            plain = mso_check(g, f, method="naive")
-            pruned = mso_check(g, f, method="naive", symmetry=True)
-            assert plain == pruned
+    def test_auto_sends_set_free_sentences_to_typed(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("TableEngine built for a set-free sentence")
+
+        monkeypatch.setattr(table_eval, "TableEngine", no_table)
+        f = parse_formula("exists u. forall v. (u = v | adj(u, v))")
+        assert mso_check(star_graph(40), f)
+        assert not mso_check(path_graph(4), f)
+
+
+class TestTypedClasses:
+    def test_mixed_internal_adjacency_rejected(self):
+        # unequal neighbour counts inside the class, then equal but partial
+        for g in (path_graph(3), cycle_graph(4)):
+            with pytest.raises(ValueError, match="internal"):
+                TypedEvaluator(g, classes=[tuple(range(g.n))])
+
+    def test_mixed_pair_adjacency_rejected(self):
+        for g, classes in (
+            (Graph.from_edges(3, [(0, 2)]), [(0, 1), (2,)]),
+            (Graph.from_edges(4, [(0, 2), (1, 3)]), [(0, 1), (2, 3)]),
+        ):
+            with pytest.raises(ValueError, match="class pair"):
+                TypedEvaluator(g, classes=classes)
+
+    def test_uniform_classes_accepted(self):
+        g = star_graph(5)
+        ev = TypedEvaluator(g, classes=[(0,), (1, 2, 3, 4, 5)])
+        assert ev.cross[0][1] and not ev.intra[1]
 
 
 class TestReduceGraph:
@@ -204,14 +228,12 @@ class TestSatisfyingAssignments:
         }
         assert (frozenset({1}), frozenset({0, 2})) in stream
         assert (frozenset({0, 2}), frozenset({1})) in stream
-        # brute-force with the naive engine over all 4^3 assignments
-        from cardmso.mso_eval import _NaiveEvaluator
+        # brute force with the oracle's loop evaluator over all 8^2 assignments
         brute = set()
         for m1 in range(8):
             for m2 in range(8):
-                ev = _NaiveEvaluator(p3, 10 ** 7)
-                env = {"\x00X1": m1, "\x00X2": m2}
-                if ev.eval(bip.body, env):
+                ev = oracle._LoopEval(p3, ())
+                if ev.eval(bip.body, {"X1": m1, "X2": m2}, {}):
                     brute.add((
                         frozenset(v for v in range(3) if (m1 >> v) & 1),
                         frozenset(v for v in range(3) if (m2 >> v) & 1),
@@ -226,11 +248,10 @@ class TestSatisfyingAssignments:
             a.sets[0]
             for a in satisfying_prefix_assignments(g, body, ("Zfree",))
         }
-        from cardmso.mso_eval import _NaiveEvaluator
         want = set()
         for mask in range(1 << g.n):
-            ev = _NaiveEvaluator(g, 10 ** 7)
-            if ev.eval(body, {"\x00Zfree": mask}):
+            ev = oracle._LoopEval(g, ())
+            if ev.eval(body, {"Zfree": mask}, {}):
                 want.add(frozenset(v for v in range(g.n) if (mask >> v) & 1))
         assert out == want
 

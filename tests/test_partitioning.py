@@ -147,13 +147,14 @@ class TestMsoPartition:
         assert set().union(*v.parts) == set(range(5))
 
     def test_large_part_is_validated_without_a_membership_table(self):
-        # the 40 leaves form one part: validating it must not build a
-        # 2^40-row membership table
-        g = star_graph(40)
-        v = mso_partition(g, PartitionInstance(INDEP, 2))
-        assert v.holds
-        assert sorted(len(p) for p in v.parts) == [1, 40]
-        assert v.stats.ilp_nodes >= 1
+        # the leaves form one part: validating it must neither build a
+        # 2^leaves-row membership table nor visit every pair of leaves
+        for leaves in (40, 2000):
+            g = star_graph(leaves)
+            v = mso_partition(g, PartitionInstance(INDEP, 2))
+            assert v.holds
+            assert sorted(len(p) for p in v.parts) == [1, leaves]
+            assert v.stats.ilp_nodes >= 1
 
     def test_chromatic_consistency(self, rng):
         for _ in range(12):

@@ -27,7 +27,7 @@ class TestBuildExtensionIlp:
         tp = type_partition(g, VertexCover(frozenset()))
         rg = reduce_graph(g, tp, stats)
         assert rg.graph.n == 2  # reduce threshold 2 (q_v clamped to 1)
-        chi = PrefixAssignment((frozenset(),), "reduced")
+        chi = PrefixAssignment((frozenset(),))
         return g, f, stats, tp, rg, chi
 
     def test_alpha_true_structure_and_feasibility(self):
@@ -53,7 +53,7 @@ class TestBuildExtensionIlp:
         stats = analyze(f)
         tp = type_partition(g, min_vertex_cover(g, 4))
         rg = reduce_graph(g, tp, stats)
-        chi = PrefixAssignment((frozenset(), frozenset()), "reduced")
+        chi = PrefixAssignment((frozenset(), frozenset()))
         inst = build_extension_ilp(g, tp, chi, (True, True), f, stats)
         assert len(inst.variables) == tp.count * (1 << f.m)
 
@@ -64,7 +64,7 @@ class TestBuildExtensionIlp:
         stats = analyze(f)
         tp = type_partition(g, min_vertex_cover(g, 6))
         rg = reduce_graph(g, tp, stats)
-        chi = PrefixAssignment((frozenset({0, 2, 4}), frozenset({1, 3, 5})), "reduced")
+        chi = PrefixAssignment((frozenset({0, 2, 4}), frozenset({1, 3, 5})))
         inst = build_extension_ilp(g, tp, chi, (True, True), f, stats)
         assert ilp.solve_feasibility(inst).status == "feasible"
 
@@ -76,7 +76,7 @@ class TestExtractWitness:
         tp = type_partition(g, min_vertex_cover(g, 4))
         rg = reduce_graph(g, tp, analyze(f))
         assert rg.graph.n == g.n
-        chi = PrefixAssignment((frozenset({0, 2}), frozenset({1, 3})), "reduced")
+        chi = PrefixAssignment((frozenset({0, 2}), frozenset({1, 3})))
         counts = {}
         type_of = rg.types.type_of(4)
         for v in range(4):
@@ -91,7 +91,7 @@ class TestExtractWitness:
         stats = analyze(f)
         tp = type_partition(g, VertexCover(frozenset()))
         rg = reduce_graph(g, tp, stats)
-        chi = PrefixAssignment((frozenset(),), "reduced")
+        chi = PrefixAssignment((frozenset(),))
         full = extract_witness(chi, {"x_t0_s0": 5, "x_t0_s1": 0}, rg)
         assert full.sets == (frozenset(),)
 
@@ -153,7 +153,7 @@ class TestCheck:
                     == check(g, f, mode="neighborhood-diversity").holds
                 )
 
-    def test_dedup_off_matches(self, rng):
+    def test_brute_oracle_agrees_with_witnesses(self, rng):
         formulas = [
             parse_formula(corpus.bipartite_equal()),
             substitute_params(parse_formula(corpus.independent_dominating()), {"k": 1}),
@@ -161,11 +161,10 @@ class TestCheck:
         for _ in range(20):
             g = random_graph(rng, rng.randint(0, 5))
             for f in formulas:
-                on = check(g, f, dedup=True)
-                off = check(g, f, dedup=False)
-                assert on.holds == off.holds
-                if on.holds:
-                    assert_witness_valid(g, f, off)
+                got = check(g, f)
+                assert got.holds == oracle.brute_check(g, f)
+                if got.holds:
+                    assert_witness_valid(g, f, got)
 
     def test_false_verdict_tries_all_pre_evaluations(self):
         f = parse_formula(corpus.bipartite_equal())

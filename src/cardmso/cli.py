@@ -126,6 +126,7 @@ def _stats_doc(stats: SolveStats) -> dict:
         "type_count": stats.type_count,
         "reduced_vertices": stats.reduced_vertices,
         "ilp_nodes": stats.ilp_nodes,
+        "count_states": stats.count_states,
     }
 
 

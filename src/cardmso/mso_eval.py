@@ -110,17 +110,6 @@ def mso_check(
     raise ValueError(f"unknown method {method!r}")
 
 
-def stream_engines(n: int, m: int, cell_budget: int = table_eval.DEFAULT_CELL_BUDGET) -> int:
-    """Truth-table engines satisfying_prefix_assignments builds for m prefix
-    variables on n vertices: it fixes leading variables one subset at a time
-    until the rest fit one table, and builds one engine per fixed choice."""
-    engines = 1
-    while m and (1 << n) ** m > cell_budget:
-        engines <<= n
-        m -= 1
-    return engines
-
-
 def satisfying_prefix_assignments(
     g: Graph,
     body: Node,

@@ -18,7 +18,8 @@ Prefix assignments are enumerated as subtype-cardinality states: assignments
 with identical per-subtype counts induce identical extension programs
 (same-type vertices are interchangeable), so one representative per state is
 solved. The states come from the raw truth-table stream, collapsed by count,
-while its tables stay small, and from the count-state engine beyond that.
+while the whole prefix fits one table, and from the count-state engine
+beyond that.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ from .formula import (
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import (
     PrefixAssignment, ReducedGraph, mso_check, reduce_graph,
-    satisfying_prefix_assignments, stream_engines,
+    satisfying_prefix_assignments,
 )
 from .typed_eval import TypedEvaluator
 
 MAX_PIECE_BITS = 24
 MAX_PIECES = 16
 MAX_FALLBACK_ALPHAS = 1 << 20
-STREAM_WORK_CAP = 1 << 33
-STREAM_ENGINE_CAP = 1 << 16
 TYPED_STATE_BUDGET = 20_000_000
 
 
@@ -63,6 +62,7 @@ class SolveStats:
     type_count: int = 0
     reduced_vertices: int = 0
     ilp_nodes: int = 0
+    count_states: int = 0  # leaves the count-state enumeration evaluated
 
 
 @dataclass(frozen=True)
@@ -537,18 +537,15 @@ class _Pipeline:
 
     def _enumerate_states(self, body: Node) -> list[_WorkUnit]:
         """One unit per subtype-cardinality state, represented by its first
-        raw assignment. Uses the (chunked) truth table while total table work
-        stays sane and falls back to count-state recursion for fat types."""
-        n = self.rg.graph.n
-        cells = (1 << n) ** self.m if self.m else 1
+        raw assignment. Uses the truth table while the whole prefix and the
+        body fit one table and count-state recursion beyond that."""
+        budget = table_eval.DEFAULT_CELL_BUDGET
         units: list[_WorkUnit] = []
-        body_cells = table_eval.estimate_worst_cells(
-            self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
-        )
         if (
-            cells <= STREAM_WORK_CAP
-            and stream_engines(n, self.m) <= STREAM_ENGINE_CAP
-            and body_cells <= table_eval.DEFAULT_CELL_BUDGET
+            1 << (self.rg.graph.n * self.m) <= budget
+            and table_eval.estimate_worst_cells(
+                self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
+            ) <= budget
         ):
             seen: dict[tuple, int] = {}
             for chi in self._raw_stream(body):
@@ -569,6 +566,7 @@ class _Pipeline:
         for classes in ev.satisfying_states(self.f.prefix, body):
             counts = {(base, sig): count for base, sig, count in classes}
             units.append(_unit_from_counts(self.f, self.fstats, self.rg, counts))
+        self.stats.count_states += ev.leaves
         return units
 
     def _raw_stream(self, body: Node):

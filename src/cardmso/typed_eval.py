@@ -9,6 +9,12 @@ and vertex quantifiers enumerate picks per class plus aliases to earlier
 picks. With memoisation on the state projected to each node's free variables
 this decides sentences on graphs far beyond raw 2^n enumeration.
 
+Count-state enumeration (satisfying_states) first reads the conjuncts
+`forall v. psi(v)` on the body's top-level And spine whose psi is a Boolean
+combination of `v in X` for prefix sets X, and never gives vertices to a
+signature that such a conjunct rules out (Knop, Koutecky, Masarik, Toufar,
+"Simplified algorithmic metatheorems beyond MSO", LMCS 2019).
+
 Classes must have uniform adjacency: inside a class all pairs adjacent or
 none, and between two classes all pairs or none. Type partitions (with or
 without the cover convention) have this shape; it is validated on entry.
@@ -62,6 +68,58 @@ def _free_vars(node: Node, memo: dict) -> tuple[frozenset[str], frozenset[str]]:
     return out
 
 
+def _local_mask(node: Node, var: str, bit_of: dict[str, int], full: int) -> int | None:
+    """Bit s set <=> node holds for a vertex var of signature s, when node is
+    a Boolean combination of `var in X` for prefix sets X; None otherwise."""
+    if isinstance(node, TrueLit):
+        return full
+    if isinstance(node, FalseLit):
+        return 0
+    if isinstance(node, Member):
+        if node.vertex != var or node.set not in bit_of:
+            return None
+        bit = bit_of[node.set]
+        return sum(1 << s for s in range(full.bit_length()) if (s >> bit) & 1)
+    if isinstance(node, Not):
+        child = _local_mask(node.child, var, bit_of, full)
+        return None if child is None else full ^ child
+    if isinstance(node, (And, Or, Implies, Iff)):
+        a = _local_mask(node.left, var, bit_of, full)
+        b = _local_mask(node.right, var, bit_of, full)
+        if a is None or b is None:
+            return None
+        if isinstance(node, And):
+            return a & b
+        if isinstance(node, Or):
+            return a | b
+        if isinstance(node, Implies):
+            return (full ^ a) | b
+        return full ^ a ^ b
+    return None
+
+
+def _allowed_signatures(prefix: tuple[str, ...], body: Node) -> frozenset[int] | None:
+    """The signatures (bit i = membership in prefix[i]) a vertex may carry
+    in a state satisfying body: those that every vertex-local conjunct
+    `forall v. psi(v)` on body's top-level And spine accepts. None when there
+    is no such conjunct."""
+    bit_of = {name: i for i, name in enumerate(prefix)}
+    full = (1 << (1 << len(prefix))) - 1
+    allowed = None
+    spine = [body]
+    while spine:
+        node = spine.pop()
+        if isinstance(node, And):
+            spine += (node.right, node.left)
+        elif isinstance(node, Quant) and node.quantifier == "forall" and node.sort == "vertex":
+            mask = _local_mask(node.child, node.var, bit_of, full)
+            if mask is not None:
+                allowed = mask if allowed is None else allowed & mask
+    if allowed is None:
+        return None
+    return frozenset(s for s in range(1 << len(prefix)) if (allowed >> s) & 1)
+
+
 class TypedEvaluator:
     def __init__(
         self,
@@ -73,6 +131,7 @@ class TypedEvaluator:
         self.g = g
         self.state_budget = state_budget
         self.calls = 0
+        self.leaves = 0  # candidate states satisfying_states evaluated
         fixed_sets = fixed_sets or {}
         self.fixed_names = tuple(sorted(fixed_sets))
 
@@ -257,9 +316,10 @@ class TypedEvaluator:
                 del self.vertex_pick[node.var]
         return not want
 
-    def _set_choices(self, bit: int, classes, picks):
+    def _set_choices(self, bit: int, classes, picks, keep=None):
         """All ways to put the current classes/picks into a fresh set, lazily:
-        per class the in-count runs 0..count, per pick out then in."""
+        per class the in-count runs 0..count, per pick out then in. With
+        keep, a split giving vertices to a signature keep rejects is skipped."""
         mark = 1 << bit
 
         def class_splits(i: int, acc: tuple):
@@ -267,7 +327,13 @@ class TypedEvaluator:
                 yield from pick_splits(0, acc, ())
                 return
             base, sig, count = classes[i]
-            for k in range(count + 1):
+            lo, hi = 0, count
+            if keep is not None:
+                if not keep(sig):
+                    lo = count
+                if not keep(sig | mark):
+                    hi = 0
+            for k in range(lo, hi + 1):
                 entry: tuple = ()
                 if count - k:
                     entry += ((base, sig, count - k),)
@@ -305,12 +371,21 @@ class TypedEvaluator:
     def satisfying_states(self, prefix: tuple[str, ...], body: Node):
         """Bind the prefix sets in order (variable i on sig bit i) and yield
         every class-count state whose body evaluates true, in deterministic
-        enumeration order. States carry no picks."""
+        enumeration order. States carry no picks. A class part whose
+        signature has no completion among _allowed_signatures gets no
+        vertices, which skips only states whose body is false."""
         if any(name in self.set_bits for name in prefix):
             raise ValueError("prefix variable already bound")
+        allowed = _allowed_signatures(prefix, body)
+        # keep[i]: the signatures on bits 0..i some allowed signature extends
+        keep = [None] * len(prefix)
+        if allowed is not None:
+            for i in range(len(prefix)):
+                keep[i] = frozenset(s & ((2 << i) - 1) for s in allowed).__contains__
 
         def descend(i: int, classes):
             if i == len(prefix):
+                self.leaves += 1
                 self.calls += 1  # candidate states count against the budget
                 if self.calls > self.state_budget:
                     raise BudgetExceeded("mso-states", self.state_budget)
@@ -321,7 +396,7 @@ class TypedEvaluator:
             self.set_bits[prefix[i]] = bit
             self.nbits += 1
             try:
-                for cls, _ in self._set_choices(bit, classes, ()):
+                for cls, _ in self._set_choices(bit, classes, (), keep[i]):
                     yield from descend(i + 1, cls)
             finally:
                 del self.set_bits[prefix[i]]

@@ -76,7 +76,7 @@ FIELDS = ["status", "witness", "alpha", "stats", "cut_value", "parts"]
 STATS_KEYS = [
     "pre_evaluations", "prefix_assignments", "ilp_solves",
     "elapsed_seconds", "cover_size", "type_count", "reduced_vertices",
-    "ilp_nodes",
+    "ilp_nodes", "count_states",
 ]
 
 

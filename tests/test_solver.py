@@ -226,21 +226,56 @@ def test_preevaluation_bit_guard():
 
 
 def test_stream_looping_over_every_subset_is_not_used(monkeypatch):
-    from cardmso import solver
-    from cardmso.mso_eval import stream_engines
+    from cardmso import solver, table_eval
 
-    # one prefix variable on 29 reduced vertices: the stream would build an
-    # engine per subset (a planted cover k=3, n=40 with ids_k reaches this)
-    assert stream_engines(29, 1) == 1 << 29 > solver.STREAM_ENGINE_CAP
-    assert stream_engines(14, 2) == 1 << 14
-    assert stream_engines(8, 3) == 1
-
-    def no_stream(*args, **kwargs):
-        raise AssertionError("raw stream used past the engine cap")
-
-    monkeypatch.setattr(solver, "STREAM_ENGINE_CAP", 0)
-    monkeypatch.setattr(solver, "satisfying_prefix_assignments", no_stream)
+    # the stream runs only while the whole prefix fits one table: two prefix
+    # variables on the 4 vertices of C4 need (2^4)^2 = 256 cells
+    real_stream = solver.satisfying_prefix_assignments
     f = parse_formula(corpus.bipartite_equal())
-    verdict = check(cycle_graph(4), f)
+    for budget, streamed in ((255, False), (256, True)):
+        calls = []
+
+        def stream(*args, **kwargs):
+            if not streamed:
+                raise AssertionError("raw stream used for a prefix past one table")
+            calls.append(1)
+            return real_stream(*args, **kwargs)
+
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", budget)
+        monkeypatch.setattr(solver, "satisfying_prefix_assignments", stream)
+        verdict = check(cycle_graph(4), f)
+        assert verdict.holds
+        assert_witness_valid(cycle_graph(4), f, verdict)
+        assert bool(calls) == streamed
+        assert (verdict.stats.count_states == 0) == streamed
+
+
+def cover_with_leaves(leaves: int, isolated: int) -> Graph:
+    """Cover vertex 0 joined to vertices 1..leaves, then isolated vertices."""
+    return Graph.from_edges(1 + leaves + isolated, [(0, i) for i in range(1, leaves + 1)])
+
+
+def test_sixteen_reduced_vertices_take_count_states(monkeypatch):
+    from cardmso import solver
+
+    # types of 1, 7 and 32 vertices reduce to 16: with two prefix variables
+    # the stream would build 2^16 truth-table engines, one per subset
+    def no_stream(*args, **kwargs):
+        raise AssertionError("raw stream used for a prefix past one table")
+
+    monkeypatch.setattr(solver, "satisfying_prefix_assignments", no_stream)
+    g = cover_with_leaves(7, 32)
+    f = parse_formula(corpus.bipartite_equal())
+    verdict = check(g, f)
+    assert verdict.stats.reduced_vertices == 16
     assert verdict.holds
-    assert_witness_valid(cycle_graph(4), f, verdict)
+    assert_witness_valid(g, f, verdict)
+
+
+def test_count_states_counts_filtered_leaves():
+    # the exactly-one conjunct leaves signatures X1-only and X2-only, so the
+    # classes of 1, 8 and 8 reduced vertices split 2 * 9 * 9 ways
+    g = cover_with_leaves(20, 40)
+    verdict = check(g, parse_formula(corpus.bipartite_equal()))
+    assert verdict.stats.reduced_vertices == 17
+    assert verdict.stats.count_states == 162

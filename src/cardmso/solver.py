@@ -563,10 +563,13 @@ class _Pipeline:
             self.rg.graph, classes=list(self.rg.types.types),
             state_budget=TYPED_STATE_BUDGET,
         )
-        for classes in ev.satisfying_states(self.f.prefix, body):
+        # collect every state before any bookkeeping, so a run that ends in
+        # an mso-states refusal has not paid for units it never uses
+        states = list(ev.satisfying_states(self.f.prefix, body))
+        self.stats.count_states += ev.leaves
+        for classes in states:
             counts = {(base, sig): count for base, sig, count in classes}
             units.append(_unit_from_counts(self.f, self.fstats, self.rg, counts))
-        self.stats.count_states += ev.leaves
         return units
 
     def _raw_stream(self, body: Node):

@@ -1,13 +1,30 @@
-"""Vectorised MSO evaluation over explicit truth tables.
+"""Vectorised MSO evaluation over explicit truth tables, kept factored.
 
 Set variables get one array axis each (size 2^n, subsets encoded as bitmasks
-with vertex 0 in the least significant bit); arrays keep size-1 axes for set
-variables a node does not mention, so numpy broadcasting aligns subformulas
-and set quantifiers become any/all folds. Vertex variables are never
-materialised as axes: a vertex quantifier loops over the domain with the
-variable fixed, which keeps every intermediate bounded by the product of the
-live set-variable domains. Semantics are exactly those of naive recursion,
-including the empty-domain conventions.
+with vertex 0 in the least significant bit). A formula evaluates to a
+conjunction of factors: a dict from a span (a bitmask of the set axes the
+factor depends on) to a bool array with full size on those axes and size 1 on
+every other axis, so numpy broadcasting aligns factors of different spans.
+The empty dict is true; the span-0 entry only ever holds false, and then it
+stands alone.
+
+Polarity: eval(node, venv, negate) returns the factors of node, or of its
+negation when negate is set. `!` flips the polarity and De Morgan swaps And
+with Or (`A -> B` is `!A | B`), so negation reaches the atoms and a negated
+disjunction stays a conjunction of small factors.
+
+Conjunction merges factors, ANDing those with the same span. `forall X`
+folds each factor that spans X on its own, because it distributes over the
+conjunction; `exists X` joins only the factors that span X into one array
+and folds that. A disjunction and `<->` join each side into one array. An
+operand without free set variables (adj, `=`, fixed sets) is evaluated
+first: its scalar decides the node or drops the operand. The one table over
+every prefix variable is joined once, at the end of prefix_table.
+
+Vertex variables are never axes: a vertex quantifier loops over the domain
+with the variable fixed. Every array the engine builds, merged, joined or
+folded, is charged to the cell budget before it is allocated. Semantics are
+exactly those of naive recursion, including the empty-domain conventions.
 """
 
 from __future__ import annotations
@@ -22,6 +39,9 @@ from .formula import (
 from .graph import Graph
 
 DEFAULT_CELL_BUDGET = 1 << 27
+
+# span bitmask -> factor; see the module docstring
+Factors = dict[int, np.ndarray]
 
 
 def collect_set_vars(node: Node, acc: dict[str, bool]) -> None:
@@ -40,6 +60,11 @@ def collect_set_vars(node: Node, acc: dict[str, bool]) -> None:
     elif isinstance(node, SetEq):
         acc.setdefault(node.a, True)
         acc.setdefault(node.b, True)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class TableEngine:
@@ -80,10 +105,19 @@ class TableEngine:
             name: sum(1 << x for x in vs) for name, vs in self.fixed_sets.items()
         }
         self._seq_cache: np.ndarray | None = None
+        # shared arrays are read-only, so no in-place update can reach them
+        self._true = _frozen(np.ones((1,) * self.naxes, dtype=bool))
+        self._false = _frozen(np.zeros((1,) * self.naxes, dtype=bool))
+        # id(node) -> (node, free set variables); the node is held so its id
+        # cannot be reused while the engine lives
+        self._free_memo: dict[int, tuple[Node, frozenset[str]]] = {}
 
     def _charge(self, cells: int) -> None:
         if cells > self.cell_budget:
             raise BudgetExceeded("mso-cells", self.cell_budget)
+
+    def _cells(self, span: int) -> int:
+        return self.subsets ** span.bit_count()
 
     def _membership(self, v: int) -> np.ndarray:
         """Which of the 2^n subsets contain vertex v. Each column is charged
@@ -92,99 +126,235 @@ class TableEngine:
         column = self._member_columns.get(v)
         if column is None:
             self._charge(self.subsets)
-            codes = np.arange(self.subsets, dtype=np.int64)
-            column = self._member_columns[v] = ((codes >> v) & 1).astype(bool)
+            column = np.tile(np.repeat([False, True], 1 << v), self.subsets >> (v + 1))
+            self._member_columns[v] = column = _frozen(column)
         return column
-
-    def _const(self, value: bool) -> np.ndarray:
-        return np.full((1,) * self.naxes, value, dtype=bool)
 
     def _place1(self, column: np.ndarray, var: str) -> np.ndarray:
         shape = [1] * self.naxes
         shape[self.axis[var]] = column.shape[0]
         return column.reshape(shape)
 
+    def _free_sets(self, node: Node) -> frozenset[str]:
+        """Set variables free in node, fixed sets excepted."""
+        known = self._free_memo.get(id(node))
+        if known is not None:
+            return known[1]
+        if isinstance(node, Member):
+            free = frozenset([node.set])
+        elif isinstance(node, SetEq):
+            free = frozenset([node.a, node.b])
+        elif isinstance(node, Not):
+            free = self._free_sets(node.child)
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            free = self._free_sets(node.left) | self._free_sets(node.right)
+        elif isinstance(node, Quant):
+            free = self._free_sets(node.child)
+            if node.sort == "set":
+                free = free - {node.var}
+        else:
+            free = frozenset()
+        free = free.difference(self.fixed_sets)
+        self._free_memo[id(node)] = (node, free)
+        return free
+
+    # ----------------------------------------------------------------- factors
+
+    def _scalar(self, value: bool) -> Factors:
+        return {} if value else {0: self._false}
+
+    def _combine(self, op, span: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """op(x, y) as a factor over span, charged first. Both operands are
+        consumed: one the engine allocated itself (writeable, not a view)
+        with the result's size takes the result in place."""
+        cells = self._cells(span)
+        self._charge(cells)
+        for out in (x, y):
+            if out.base is None and out.flags.writeable and out.size == cells:
+                return op(x, y, out=out)
+        return op(x, y)
+
+    def _add(self, factors: Factors, span: int, table: np.ndarray) -> Factors:
+        """AND one factor into a conjunction, in place."""
+        if 0 in factors:
+            return factors
+        if span == 0:
+            if not table.reshape(-1)[0]:
+                factors.clear()
+                factors[0] = self._false
+            return factors
+        old = factors.get(span)
+        factors[span] = (
+            table if old is None else self._combine(np.logical_and, span, old, table)
+        )
+        return factors
+
+    def _conj(self, a: Factors, b: Factors) -> Factors:
+        for span, table in b.items():
+            self._add(a, span, table)
+        return a
+
+    def _join(self, factors: Factors) -> tuple[int, np.ndarray]:
+        """AND every factor into one array (widest first, so a buffer the
+        engine owns can take the rest in place)."""
+        if not factors:
+            return 0, self._true
+        items = sorted(factors.items(), key=lambda item: -item[0].bit_count())
+        span, table = items[0]
+        for other, factor in items[1:]:
+            span |= other
+            table = self._combine(np.logical_and, span, table, factor)
+        return span, table
+
+    def _disj(self, a: Factors, b: Factors) -> Factors:
+        if not a or not b:
+            return {}
+        if 0 in a:
+            return b
+        if 0 in b:
+            return a
+        sa, ta = self._join(a)
+        sb, tb = self._join(b)
+        return self._add({}, sa | sb, self._combine(np.logical_or, sa | sb, ta, tb))
+
+    def _connective(
+        self, node, venv: dict[str, int], negate_left: bool, negate_right: bool,
+        conjunction: bool,
+    ) -> Factors:
+        """(left & right) or (left | right) with each side's polarity given;
+        an operand without free set variables goes first and may decide."""
+        left, right = node.left, node.right
+        if self._free_sets(left) and not self._free_sets(right):
+            left, right = right, left
+            negate_left, negate_right = negate_right, negate_left
+        first = self.eval(left, venv, negate_left)
+        if conjunction:
+            if 0 in first:
+                return first
+            return self._conj(first, self.eval(right, venv, negate_right))
+        if not first:
+            return first
+        return self._disj(first, self.eval(right, venv, negate_right))
+
     # -------------------------------------------------------------- evaluation
 
-    def eval(self, node: Node, venv: dict[str, int]) -> np.ndarray:
+    def eval(self, node: Node, venv: dict[str, int], negate: bool = False) -> Factors:
+        """Factors of node, or of its negation when negate is set."""
         if isinstance(node, TrueLit):
-            return self._const(True)
+            return self._scalar(not negate)
         if isinstance(node, FalseLit):
-            return self._const(False)
+            return self._scalar(negate)
         if isinstance(node, ConstraintRef):
             raise ValueError("table evaluation requires a constraint-free body")
         if isinstance(node, Member):
             v = venv[node.vertex]
             if node.set in self.fixed_sets:
-                return self._const(bool((self._fixed_masks[node.set] >> v) & 1))
-            return self._place1(self._membership(v), node.set)
+                return self._scalar(bool((self._fixed_masks[node.set] >> v) & 1) != negate)
+            column = self._place1(self._membership(v), node.set)
+            if negate:
+                self._charge(self.subsets)
+                column = ~column
+            return {1 << self.axis[node.set]: column}
         if isinstance(node, Adjacent):
-            return self._const(bool(self.adj[venv[node.a], venv[node.b]]))
+            return self._scalar(bool(self.adj[venv[node.a], venv[node.b]]) != negate)
         if isinstance(node, VertexEq):
-            return self._const(venv[node.a] == venv[node.b])
+            return self._scalar((venv[node.a] == venv[node.b]) != negate)
         if isinstance(node, SetEq):
-            return self._set_eq(node)
+            return self._set_eq(node, negate)
         if isinstance(node, Not):
-            return ~self.eval(node.child, venv)
-        if isinstance(node, (And, Or, Implies, Iff)):
-            left = self.eval(node.left, venv)
-            right = self.eval(node.right, venv)
-            self._charge(
-                int(np.prod(np.broadcast_shapes(left.shape, right.shape), dtype=np.int64))
-            )
-            if isinstance(node, And):
-                return left & right
-            if isinstance(node, Or):
-                return left | right
-            if isinstance(node, Implies):
-                return ~left | right
-            return left == right
+            return self.eval(node.child, venv, not negate)
+        if isinstance(node, And):
+            return self._connective(node, venv, negate, negate, not negate)
+        if isinstance(node, Or):
+            return self._connective(node, venv, negate, negate, negate)
+        if isinstance(node, Implies):
+            return self._connective(node, venv, not negate, negate, negate)
+        if isinstance(node, Iff):
+            return self._iff(node, venv, negate)
         if isinstance(node, Quant):
+            universal = (node.quantifier == "forall") != negate
             if node.sort == "set":
-                child = self.eval(node.child, venv)
-                ax = self.axis[node.var]
-                # a size-1 axis means the child ignores the variable; folding
-                # it is still correct because the value is constant over the
-                # (never empty) subset domain
-                if node.quantifier == "forall":
-                    return child.all(axis=ax, keepdims=True)
-                return child.any(axis=ax, keepdims=True)
+                child = self.eval(node.child, venv, negate)
+                if universal:
+                    return self._fold_all(child, self.axis[node.var])
+                return self._fold_any(child, self.axis[node.var])
             if self.n == 0:
-                return self._const(node.quantifier == "forall")
-            acc: np.ndarray | None = None
+                return self._scalar(universal)
+            acc: Factors | None = None
             for v in range(self.n):
                 venv[node.var] = v
-                value = self.eval(node.child, venv)
+                value = self.eval(node.child, venv, negate)
                 if acc is None:
                     acc = value
-                elif node.quantifier == "forall":
-                    acc = acc & value
+                elif universal:
+                    acc = self._conj(acc, value)
                 else:
-                    acc = acc | value
+                    acc = self._disj(acc, value)
+                if (0 in acc) if universal else not acc:
+                    break
             del venv[node.var]
             return acc
         raise TypeError(f"unknown node {node!r}")
 
-    def _set_eq(self, node: SetEq) -> np.ndarray:
+    def _iff(self, node: Iff, venv: dict[str, int], negate: bool) -> Factors:
+        left, right = node.left, node.right
+        if self._free_sets(left) and not self._free_sets(right):
+            left, right = right, left
+        first = self.eval(left, venv)
+        if not self._free_sets(left):
+            # a true scalar passes the other side through, a false one negates it
+            return self.eval(right, venv, negate == (not first))
+        sa, ta = self._join(first)
+        sb, tb = self._join(self.eval(right, venv))
+        op = np.not_equal if negate else np.equal
+        return self._add({}, sa | sb, self._combine(op, sa | sb, ta, tb))
+
+    def _fold_all(self, child: Factors, ax: int) -> Factors:
+        """forall over axis ax, one factor at a time. Factors without the axis
+        pass unchanged, since the subset domain is never empty."""
+        bit = 1 << ax
+        out: Factors = {}
+        for span, table in child.items():
+            if span & bit:
+                self._charge(self._cells(span & ~bit))
+                span, table = span & ~bit, table.all(axis=ax, keepdims=True)
+            self._add(out, span, table)
+        return out
+
+    def _fold_any(self, child: Factors, ax: int) -> Factors:
+        """exists over axis ax: only the factors spanning it are joined."""
+        bit = 1 << ax
+        inside = {span: t for span, t in child.items() if span & bit}
+        if not inside:
+            return child
+        out = {span: t for span, t in child.items() if not span & bit}
+        span, table = self._join(inside)
+        self._charge(self._cells(span & ~bit))
+        return self._add(out, span & ~bit, table.any(axis=ax, keepdims=True))
+
+    def _set_eq(self, node: SetEq, negate: bool) -> Factors:
         a_fixed = node.a in self.fixed_sets
         b_fixed = node.b in self.fixed_sets
         if node.a == node.b:
-            return self._const(True)
+            return self._scalar(not negate)
         if a_fixed and b_fixed:
-            return self._const(self._fixed_masks[node.a] == self._fixed_masks[node.b])
+            same = self._fixed_masks[node.a] == self._fixed_masks[node.b]
+            return self._scalar(same != negate)
         if a_fixed or b_fixed:
             fixed, free = (node.a, node.b) if a_fixed else (node.b, node.a)
             self._charge(self.subsets)
-            column = np.arange(self.subsets, dtype=np.int64) == self._fixed_masks[fixed]
-            return self._place1(column, free)
+            column = np.full(self.subsets, negate, dtype=bool)
+            column[self._fixed_masks[fixed]] = not negate
+            return {1 << self.axis[free]: self._place1(column, free)}
         self._charge(self.subsets * self.subsets)
         if self._seq_cache is None:
-            self._seq_cache = np.eye(self.subsets, dtype=bool)
+            self._seq_cache = _frozen(np.eye(self.subsets, dtype=bool))
         ax_a, ax_b = self.axis[node.a], self.axis[node.b]
         shape = [1] * self.naxes
         shape[min(ax_a, ax_b)] = self.subsets
         shape[max(ax_a, ax_b)] = self.subsets
-        return self._seq_cache.reshape(shape)
+        table = self._seq_cache.reshape(shape)
+        return {(1 << ax_a) | (1 << ax_b): ~table if negate else table}
 
 
 def evaluate_sentence(
@@ -195,10 +365,10 @@ def evaluate_sentence(
 ) -> bool:
     """Truth of a closed formula (all variables quantified or fixed)."""
     engine = TableEngine(g, node, (), fixed_sets, cell_budget)
-    out = engine.eval(node, {})
-    if out.size != 1:
+    factors = engine.eval(node, {})
+    if any(table.size != 1 for table in factors.values()):
         raise ValueError("sentence has free variables")
-    return bool(out.reshape(-1)[0])
+    return bool(engine._join(factors)[1].reshape(-1)[0])
 
 
 def prefix_table(
@@ -213,15 +383,20 @@ def prefix_table(
 
     Shape is (2^n,) * m with the first prefix variable on the first axis, so
     flat C-order enumerates assignments with the last variable as the fastest
-    binary counter.
+    binary counter. The body's factors are joined into this one table last.
     """
     engine = TableEngine(g, body, tuple(prefix), fixed_sets, cell_budget)
     m = len(prefix)
-    engine._charge(engine.subsets ** m)
-    out = engine.eval(body, {})
-    target_shape = tuple([engine.subsets] * m + [1] * (engine.naxes - m))
-    out = np.broadcast_to(out, np.broadcast_shapes(out.shape, target_shape))
-    return out.reshape(tuple([engine.subsets] * m)).copy()
+    factors = engine.eval(body, {})
+    cells = engine.subsets ** m
+    engine._charge(cells)
+    span, table = engine._join(factors)
+    if span >> m:
+        raise ValueError("body has free set variables beyond the prefix")
+    if not (table.base is None and table.flags.writeable and table.size == cells):
+        target_shape = (engine.subsets,) * m + (1,) * (engine.naxes - m)
+        table = np.broadcast_to(table, target_shape).copy()
+    return table.reshape((engine.subsets,) * m)
 
 
 def estimate_worst_cells(

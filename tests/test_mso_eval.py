@@ -20,8 +20,9 @@ ENGINES = ("table", "typed")
 
 # ------------------------------------------------------------ random formulas
 
-def formula_nodes(max_depth: int):
-    """Hypothesis strategy for closed MSO node trees."""
+def formula_nodes(max_depth: int, free_sets: tuple[str, ...] = ()):
+    """Hypothesis strategy for MSO node trees whose only free variables are
+    the given set variables (closed trees by default)."""
 
     def build(depth, sets, vertices, counter):
         atom_opts = []
@@ -64,7 +65,7 @@ def formula_nodes(max_depth: int):
             st.booleans().flatmap(quantified),
         )
 
-    return build(max_depth, [], [], 0)
+    return build(max_depth, list(free_sets), [], 0)
 
 
 small_graphs = st.integers(0, 5).flatmap(

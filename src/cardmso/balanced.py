@@ -24,7 +24,7 @@ from .errors import CardMSOError
 from .formula import Formula, parse_formula
 from .graph import DEFAULT_K_MAX, Graph
 from .mso_eval import PrefixAssignment
-from .solver import SolveStats, _Pipeline, _WorkUnit, _var_name
+from .solver import SolveStats, _Pipeline, _var_name
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,10 @@ def generate_equitable_formula(c: int) -> Formula:
 class BetaObjective:
     """Cut-size variable for one pipeline run.
 
-    part(v) for a cover vertex is read off the work item (cover types are
-    singletons and survive reduction); a non-cover subtype's contribution is
-    its cardinality times the number of adjacent cover vertices in other
-    parts.
+    part(v) for a cover vertex is read off the work item's count row (cover
+    types are singletons and survive reduction); a non-cover subtype's
+    contribution is its cardinality times the number of adjacent cover
+    vertices in other parts.
     """
 
     def __init__(self, pipeline: _Pipeline):
@@ -80,12 +80,11 @@ class BetaObjective:
             return sig.bit_length() - 1
         return None
 
-    def _cover_parts(self, unit: _WorkUnit) -> dict[int, int]:
+    def _cover_parts(self, counts: tuple[int, ...]) -> dict[int, int]:
         parts = {}
         for ct in self.cover_types:
-            sig = next(
-                sig for (t, sig), c in unit.counts.items() if t == ct and c > 0
-            )
+            block = counts[ct << self.m : (ct + 1) << self.m]
+            sig = next(sig for sig, c in enumerate(block) if c > 0)
             part = self._part_of(sig)
             if part is None:
                 raise AssertionError("cover vertex without one-hot membership")
@@ -108,8 +107,8 @@ class BetaObjective:
             1 for ct in self.type_adjacent_covers[t] if cover_parts[ct] != part
         )
 
-    def augment(self, unit: _WorkUnit):
-        cover_parts = self._cover_parts(unit)
+    def augment(self, counts: tuple[int, ...]):
+        cover_parts = self._cover_parts(counts)
         coeffs = {"beta": 1}
         for t in self.type_adjacent_covers:
             for sig in range(1 << self.m):
@@ -119,12 +118,13 @@ class BetaObjective:
         row = ilp.Row.of(coeffs, ilp.EQ, self._const0(cover_parts))
         return [row], ("beta", 0, self.edge_count), {"beta": 1}
 
-    def pinned_value(self, unit: _WorkUnit) -> int:
-        cover_parts = self._cover_parts(unit)
+    def pinned_value(self, counts: tuple[int, ...]) -> int:
+        cover_parts = self._cover_parts(counts)
         total = self._const0(cover_parts)
-        for (t, sig), count in unit.counts.items():
-            if t in self.type_adjacent_covers and count:
-                total += self._const_for(t, sig, cover_parts) * count
+        for t in self.type_adjacent_covers:
+            for sig, count in enumerate(counts[t << self.m : (t + 1) << self.m]):
+                if count:
+                    total += self._const_for(t, sig, cover_parts) * count
         return total
 
 

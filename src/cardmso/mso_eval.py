@@ -22,7 +22,6 @@ from typing import Iterator
 import numpy as np
 
 from . import table_eval
-from .errors import BudgetExceeded
 from .formula import Formula, FormulaStats, Node, Quant, walk
 from .graph import Graph, TypePartition
 from .typed_eval import TypedEvaluator
@@ -118,7 +117,8 @@ def satisfying_prefix_assignments(
 ) -> Iterator[PrefixAssignment]:
     """Every assignment of the prefix variables making the body true, streamed
     in binary-counter order (vertex 0 is the least significant bit and the
-    last prefix variable is the fastest counter)."""
+    last prefix variable is the fastest counter) from one truth table; a
+    table past cell_budget is refused with BudgetExceeded("mso-cells")."""
     m = len(prefix)
     if m == 0:
         raise ValueError("no prefix variables to assign")
@@ -129,30 +129,13 @@ def satisfying_prefix_assignments(
     if stray:
         raise ValueError(f"body has free variables beyond the prefix: {sorted(stray)}")
     subsets = 1 << g.n
-    body_cells = table_eval.estimate_worst_cells(g, body, (), fixed=frozenset(prefix))
-    if body_cells > cell_budget:
-        raise BudgetExceeded("mso-cells", cell_budget)
-
-    def to_set(mask: int) -> frozenset[int]:
-        return frozenset(v for v in range(g.n) if (mask >> v) & 1)
-
-    def stream(open_vars: tuple[str, ...], fixed: dict[str, frozenset[int]], fixed_masks: list[int]):
-        # fix leading variables one at a time until the rest fits in one table
-        if subsets ** len(open_vars) > cell_budget and open_vars:
-            var = open_vars[0]
-            for mask in range(subsets):
-                fixed[var] = to_set(mask)
-                yield from stream(open_vars[1:], fixed, fixed_masks + [mask])
-                del fixed[var]
-            return
-        table = table_eval.prefix_table(g, body, open_vars, cell_budget, fixed or None)
-        for idx in np.flatnonzero(table.reshape(-1)):
-            masks = []
-            rest = int(idx)
-            for _ in range(len(open_vars)):
-                masks.append(rest % subsets)
-                rest //= subsets
-            masks.reverse()
-            yield PrefixAssignment(tuple(to_set(mask) for mask in fixed_masks + masks))
-
-    yield from stream(tuple(prefix), {}, [])
+    table = table_eval.prefix_table(g, body, prefix, cell_budget)
+    for idx in np.flatnonzero(table.reshape(-1)):
+        masks = []
+        rest = int(idx)
+        for _ in range(m):
+            masks.append(rest % subsets)
+            rest //= subsets
+        yield PrefixAssignment(tuple(
+            frozenset(v for v in range(g.n) if (mask >> v) & 1) for mask in reversed(masks)
+        ))

@@ -14,12 +14,17 @@ pre-evaluations are accounted in bulk. Work items whose extension program is
 fully pinned by the small-subtype equalities are decided arithmetically;
 everything else goes through the branch-and-bound ILP solver.
 
-Prefix assignments are enumerated as subtype-cardinality states: assignments
-with identical per-subtype counts induce identical extension programs
-(same-type vertices are interchangeable), so one representative per state is
-solved. The states come from the raw truth-table stream, collapsed by count,
-while the whole prefix fits one table, and from the count-state engine
-beyond that.
+Prefix assignments are enumerated as subtype-cardinality states, and a work
+item is nothing but its row of counts, one per (type, signature) column:
+assignments with identical counts induce identical extension programs
+(same-type vertices are interchangeable). The states come from the raw
+truth-table stream, collapsed by count, while the whole prefix fits one
+table, and from the count-state engine beyond that. Set sizes, pinning,
+type completeness and the achievable pre-evaluations of all the states of a
+profile come from products with a few integer matrices built once per
+pipeline, and the extension program's constraint rows come from the same
+matrix. A solved row lifts to the full graph canonically, with no
+representative assignment.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -278,197 +283,124 @@ def _var_name(t: int, sig: int) -> str:
 
 @dataclass
 class _WorkUnit:
-    chi: PrefixAssignment  # representative, on the reduced graph
-    counts: dict[tuple[int, int], int]  # (type, sig) -> |S_phi|
+    counts: tuple[int, ...]  # [(t << m) | sig] -> |S_phi| of reduced type t
     raw_count: int
     pinned: bool
-    group1_ok: bool
     alpha_star: Optional[int]  # pinned units: the only complying alpha index
-    sizes: dict[str, int]  # |Z_i| under the pinned values
     alpha_candidates: Optional[frozenset[int]] = None  # unpinned: achievable alphas
-
-
-def _prepare_group3_rows(f: Formula, type_count: int):
-    """Per constraint: coefficient map over all (type, sig) variables and the
-    constant, in lhs - rhs <= const form."""
-    rows = []
-    m = f.m
-    prefix_bit = {name: i for i, name in enumerate(f.prefix)}
-    all_pairs = [(t, sig) for t in range(type_count) for sig in range(1 << m)]
-    for c in f.constraints:
-        coeffs: dict[str, int] = {}
-        for name in c.lhs.sets:
-            bit = prefix_bit[name]
-            for t, sig in all_pairs:
-                if (sig >> bit) & 1:
-                    var = _var_name(t, sig)
-                    coeffs[var] = coeffs.get(var, 0) + 1
-        for name in c.rhs.sets:
-            bit = prefix_bit[name]
-            for t, sig in all_pairs:
-                if (sig >> bit) & 1:
-                    var = _var_name(t, sig)
-                    coeffs[var] = coeffs.get(var, 0) - 1
-        const = c.rhs.const - c.lhs.const
-        rows.append((coeffs, const))
-    return rows
-
-
-def _canonical_chi_from_counts(rg: ReducedGraph, m: int, counts) -> PrefixAssignment:
-    """Members in index order get signatures in ascending order."""
-    sets: list[set[int]] = [set() for _ in range(m)]
-    for t, members in enumerate(rg.types.types):
-        pos = 0
-        for sig in range(1 << m):
-            c = counts.get((t, sig), 0)
-            for v in members[pos : pos + c]:
-                for i in range(m):
-                    if (sig >> i) & 1:
-                        sets[i].add(v)
-            pos += c
-    return PrefixAssignment(tuple(frozenset(s) for s in sets))
-
-
-def _unit_from_counts(
-    f: Formula,
-    fstats: FormulaStats,
-    rg: ReducedGraph,
-    counts,
-    chi: PrefixAssignment | None = None,
-) -> _WorkUnit:
-    m = f.m
-    if chi is None:
-        chi = _canonical_chi_from_counts(rg, m, counts)
-    raw = 1
-    for t, members in enumerate(rg.types.types):
-        rest = len(members)
-        for sig in range(1 << m):
-            c = counts.get((t, sig), 0)
-            raw *= math.comb(rest, c)
-            rest -= c
-    small = fstats.small_threshold
-    pinned = all(c <= small for c in counts.values())
-    group1_ok = all(
-        sum(counts.get((t, sig), 0) for sig in range(1 << m)) == orig_size
-        for t, (_, orig_size) in enumerate(rg.origin)
-    )
-    sizes = {
-        name: sum(c for (t, sig), c in counts.items() if (sig >> i) & 1)
-        for i, name in enumerate(f.prefix)
-    }
-    alpha_star = None
-    candidates = None
-    if pinned:
-        truths = constraint_truths(f, sizes)
-        alpha_star = sum((0 if truth else 1) << i for i, truth in enumerate(truths))
-    else:
-        candidates = _achievable_alphas(f, fstats, rg, counts)
-    return _WorkUnit(chi, counts, raw, pinned, group1_ok, alpha_star, sizes, candidates)
 
 
 _CANDIDATE_BOX_CAP = 300_000
 
 
-def _achievable_alphas(
-    f: Formula, fstats: FormulaStats, rg: ReducedGraph, counts
-) -> Optional[frozenset[int]]:
-    """Pre-evaluations the unit can possibly comply with: constraint truth
-    depends on x only through the per-variable totals |Z_i|, so sweeping an
-    interval box around the achievable totals covers every feasible truth
-    vector. None when the box is too large to sweep (solver falls back to
-    trying the unit under every pre-evaluation)."""
-    m = f.m
-    lo = [0] * m
-    hi = [0] * m
-    for t, (_, orig_size) in enumerate(rg.origin):
-        total_min = sum(counts.get((t, sig), 0) for sig in range(1 << m))
-        for i in range(m):
-            in_min = sum(
-                counts.get((t, sig), 0) for sig in range(1 << m) if (sig >> i) & 1
+class _Columns:
+    """Integer matrices over the columns of a count row. Column (t << m) | sig
+    is the extension variable x_{t,sig}, in the order the program declares
+    them.
+
+    sig_bits (columns x m) turns rows into the set sizes |Z_i| and
+    type_member (columns x types) into type totals. Constraint j holds when
+    coeffs[j] . sizes <= consts[j]; the same matrix over the columns gives
+    the group-3 rows of the extension program.
+    """
+
+    def __init__(self, f: Formula, fstats: FormulaStats, type_sizes: list[int]):
+        if f.free_params:
+            raise ValueError(f"formula has unbound parameters {sorted(f.free_params)}")
+        m, k = f.m, len(f.constraints)
+        self.m = m
+        self.small = fstats.small_threshold
+        self.type_sizes = np.array(type_sizes, dtype=np.int64)
+        cols = np.arange(len(type_sizes) << m)
+        self.sig_bits = (cols[:, None] >> np.arange(m)) & 1
+        self.type_member = ((cols[:, None] >> m) == np.arange(len(type_sizes))).astype(np.int64)
+        self.names = [_var_name(c >> m, c & ((1 << m) - 1)) for c in range(len(cols))]
+        bit = {name: i for i, name in enumerate(f.prefix)}
+        self.coeffs = np.zeros((k, m), dtype=np.int64)
+        for j, c in enumerate(f.constraints):
+            for name in c.lhs.sets:
+                self.coeffs[j, bit[name]] += 1
+            for name in c.rhs.sets:
+                self.coeffs[j, bit[name]] -= 1
+        self.consts = np.array(
+            [c.rhs.const - c.lhs.const for c in f.constraints], dtype=np.int64
+        )
+        # alpha index bit j set <=> constraint j false; past 62 bits the
+        # index outgrows int64
+        self._weights = np.array(
+            [1 << j for j in range(k)], dtype=np.int64 if k < 63 else object
+        )
+        self.variables = [
+            (name, 0, size)
+            for t, size in enumerate(type_sizes)
+            for name in self.names[t << m : (t + 1) << m]
+        ]
+        self.group1 = [
+            ilp.Row.of(dict.fromkeys(self.names[t << m : (t + 1) << m], 1), ilp.EQ, size)
+            for t, size in enumerate(type_sizes)
+        ]
+        # per constraint: the row guessed true, and the reversed row
+        self.group3 = []
+        for coeffs, const in zip((self.sig_bits @ self.coeffs.T).T.tolist(), self.consts.tolist()):
+            terms = dict(zip(self.names, coeffs))
+            self.group3.append(
+                (ilp.Row.of(terms, ilp.LE, const), ilp.Row.of(terms, ilp.GE, const + 1))
             )
-            lo[i] += in_min
-            hi[i] += orig_size - (total_min - in_min)
-    box = 1
-    for i in range(m):
-        if hi[i] < lo[i]:
-            return frozenset()
-        box *= hi[i] - lo[i] + 1
-        if box > _CANDIDATE_BOX_CAP:
+        self._boxes: dict[int, np.ndarray] = {}  # slack -> offsets in [0, slack]^m
+
+    def alphas(self, sizes: np.ndarray) -> np.ndarray:
+        """Pre-evaluation index of every row of set sizes."""
+        return (sizes @ self.coeffs.T > self.consts) @ self._weights
+
+    def achievable(self, sizes: np.ndarray, slack: int) -> Optional[frozenset[int]]:
+        """Pre-evaluations a unit with set sizes `sizes` can possibly comply
+        with: its extensions place `slack` more vertices, so every |Z_i| lies
+        in [sizes_i, sizes_i + slack], and sweeping that box covers every
+        feasible truth vector. None when the box is too large to sweep (the
+        solver then tries the unit under every pre-evaluation)."""
+        if (slack + 1) ** self.m > _CANDIDATE_BOX_CAP:
             return None
-    # linear form per constraint: truth(y) = (sum coef_i * y_i <= const)
-    prefix_index = {name: i for i, name in enumerate(f.prefix)}
-    linear = []
-    for c in f.constraints:
-        coefs = [0] * m
-        for name in c.lhs.sets:
-            coefs[prefix_index[name]] += 1
-        for name in c.rhs.sets:
-            coefs[prefix_index[name]] -= 1
-        linear.append((coefs, c.rhs.const - c.lhs.const))
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(m)]
-    grids = np.meshgrid(*axes, indexing="ij") if m else []
-    ys = (
-        np.stack([grid.reshape(-1) for grid in grids], axis=1)
-        if m
-        else np.zeros((1, 0), dtype=np.int64)
-    )
-    alphas = np.zeros(ys.shape[0], dtype=np.int64)
-    for bit, (coefs, const) in enumerate(linear):
-        value = ys @ np.asarray(coefs, dtype=np.int64) if m else np.zeros(1, dtype=np.int64)
-        alphas |= (value > const).astype(np.int64) << bit
-    return frozenset(int(a) for a in np.unique(alphas))
+        box = self._boxes.get(slack)
+        if box is None:
+            cells = (slack + 1) ** self.m
+            box = np.indices((slack + 1,) * self.m).reshape(self.m, cells).T
+            self._boxes[slack] = box
+        # one constraint at a time keeps the temporaries at one value per cell
+        alphas = np.zeros(len(box), dtype=self._weights.dtype)
+        for coeffs, const, weight in zip(
+            self.coeffs, self.consts - sizes @ self.coeffs.T, self._weights
+        ):
+            alphas[box @ coeffs > const] += weight
+        return frozenset(np.unique(alphas).tolist())
 
 
-def _counts_from_chi(rg: ReducedGraph, chi: PrefixAssignment):
-    type_of = rg.types.type_of(rg.graph.n)
-    counts: dict[tuple[int, int], int] = {}
-    for v in range(rg.graph.n):
-        sig = 0
-        for i, s in enumerate(chi.sets):
-            if v in s:
-                sig |= 1 << i
-        key = (type_of[v], sig)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _counts_from_chi(rg: ReducedGraph, chi: PrefixAssignment) -> tuple[int, ...]:
+    m = len(chi.sets)
+    sig = [0] * rg.graph.n
+    for i, s in enumerate(chi.sets):
+        for v in s:
+            sig[v] |= 1 << i
+    row = [0] * (len(rg.origin) << m)
+    for v, t in enumerate(rg.types.type_of(rg.graph.n)):
+        row[(t << m) | sig[v]] += 1
+    return tuple(row)
 
 
 def _build_instance(
-    f: Formula,
-    fstats: FormulaStats,
-    rg: ReducedGraph,
-    group3_rows,
-    unit: _WorkUnit,
+    cols: _Columns,
+    counts: tuple[int, ...],
     alpha_index: int,
     objective: Optional["BetaObjective"] = None,
 ) -> ilp.ILPInstance:
-    m = f.m
-    small = fstats.small_threshold
-    variables = []
-    rows = []
-    for t, (_, orig_size) in enumerate(rg.origin):
-        for sig in range(1 << m):
-            variables.append((_var_name(t, sig), 0, orig_size))
-        rows.append(
-            ilp.Row.of(
-                {_var_name(t, sig): 1 for sig in range(1 << m)}, ilp.EQ, orig_size
-            )
-        )
-    for t in range(len(rg.origin)):
-        for sig in range(1 << m):
-            c = unit.counts.get((t, sig), 0)
-            if c <= small:
-                rows.append(ilp.Row.of({_var_name(t, sig): 1}, ilp.EQ, c))
-            else:
-                rows.append(ilp.Row.of({_var_name(t, sig): 1}, ilp.GE, c))
-    for i, (coeffs, const) in enumerate(group3_rows):
-        guessed_true = ((alpha_index >> i) & 1) == 0
-        if guessed_true:
-            rows.append(ilp.Row.of(coeffs, ilp.LE, const))
-        else:
-            rows.append(ilp.Row.of(coeffs, ilp.GE, const + 1))
+    variables = list(cols.variables)
+    rows = list(cols.group1)
+    for name, c in zip(cols.names, counts):
+        rows.append(ilp.Row.of({name: 1}, ilp.EQ if c <= cols.small else ilp.GE, c))
+    for j, (guessed_true, reversed_row) in enumerate(cols.group3):
+        rows.append(reversed_row if (alpha_index >> j) & 1 else guessed_true)
     obj = None
     if objective is not None:
-        beta_rows, beta_var, obj = objective.augment(unit)
+        beta_rows, beta_var, obj = objective.augment(counts)
         variables.append(beta_var)
         rows.extend(beta_rows)
     return ilp.ILPInstance.build(variables, rows, obj)
@@ -484,8 +416,6 @@ class _Pipeline:
         node_budget: int = ilp.DEFAULT_NODE_BUDGET,
         dump: Optional[Callable[[ilp.ILPInstance], None]] = None,
     ):
-        if f.free_params:
-            raise ValueError(f"formula has unbound parameters {sorted(f.free_params)}")
         self.g = g
         self.f = f
         self.mode = mode
@@ -502,6 +432,7 @@ class _Pipeline:
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.fstats = analyze(f)
+        self.cols = _Columns(f, self.fstats, [len(members) for members in self.tp.types])
         self.rg = reduce_graph(g, self.tp, self.fstats)
         self.stats.type_count = self.tp.count
         self.stats.reduced_vertices = self.rg.graph.n
@@ -519,7 +450,10 @@ class _Pipeline:
             for piece in self.pieces
         ]
 
-        self.group3_rows = _prepare_group3_rows(f, self.tp.count)
+        # multinomial numerator of a count state's raw assignments
+        self._arrangements = math.prod(
+            math.factorial(len(members)) for members in self.rg.types.types
+        )
         # work units of each piece-value profile, in enumeration order
         self._unit_cache: dict[tuple[bool, ...], list[_WorkUnit]] = {}
 
@@ -532,33 +466,24 @@ class _Pipeline:
         folded = _fold(self.skeleton, values)
         units = [] if isinstance(folded, FalseLit) else self._enumerate_states(folded)
         self._unit_cache[values] = units
-        self.stats.prefix_assignments += sum(u.raw_count for u in units)
         return units
 
     def _enumerate_states(self, body: Node) -> list[_WorkUnit]:
-        """One unit per subtype-cardinality state, represented by its first
-        raw assignment. Uses the truth table while the whole prefix and the
-        body fit one table and count-state recursion beyond that."""
+        """One unit per subtype-cardinality state. Uses the truth table while
+        the whole prefix and the body fit one table and count-state
+        recursion beyond that."""
         budget = table_eval.DEFAULT_CELL_BUDGET
-        units: list[_WorkUnit] = []
         if (
             1 << (self.rg.graph.n * self.m) <= budget
             and table_eval.estimate_worst_cells(
                 self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
             ) <= budget
         ):
-            seen: dict[tuple, int] = {}
+            seen: dict[tuple[int, ...], int] = {}
             for chi in self._raw_stream(body):
-                counts = _counts_from_chi(self.rg, chi)
-                key = tuple(sorted(counts.items()))
-                if key in seen:
-                    units[seen[key]].raw_count += 1
-                else:
-                    seen[key] = len(units)
-                    unit = _unit_from_counts(self.f, self.fstats, self.rg, counts, chi=chi)
-                    unit.raw_count = 1
-                    units.append(unit)
-            return units
+                row = _counts_from_chi(self.rg, chi)
+                seen[row] = seen.get(row, 0) + 1
+            return self._units(list(seen), list(seen.values()))
         ev = TypedEvaluator(
             self.rg.graph, classes=list(self.rg.types.types),
             state_budget=TYPED_STATE_BUDGET,
@@ -567,9 +492,41 @@ class _Pipeline:
         # an mso-states refusal has not paid for units it never uses
         states = list(ev.satisfying_states(self.f.prefix, body))
         self.stats.count_states += ev.leaves
+        rows = []
+        raw_counts = []
         for classes in states:
-            counts = {(base, sig): count for base, sig, count in classes}
-            units.append(_unit_from_counts(self.f, self.fstats, self.rg, counts))
+            row = [0] * len(self.cols.names)
+            for base, sig, count in classes:
+                row[(base << self.m) | sig] = count
+            rows.append(tuple(row))
+            raw_counts.append(
+                self._arrangements // math.prod(math.factorial(c) for _, _, c in classes)
+            )
+        return self._units(rows, raw_counts)
+
+    def _units(self, rows: list[tuple[int, ...]], raw_counts: list[int]) -> list[_WorkUnit]:
+        """Work units for count rows of the reduced graph, all read off the
+        column matrices at once. A pinned row whose type totals fall short of
+        the original sizes extends to no assignment of the full graph, so it
+        gets no unit; its raw assignments still count."""
+        self.stats.prefix_assignments += sum(raw_counts)
+        if not rows:
+            return []
+        cols = self.cols
+        counts = np.array(rows, dtype=np.int64)
+        sizes = counts @ cols.sig_bits
+        totals = counts @ cols.type_member
+        pinned = (counts <= cols.small).all(axis=1)
+        complete = (totals == cols.type_sizes).all(axis=1)
+        alphas = cols.alphas(sizes)
+        slack = (cols.type_sizes.sum() - totals.sum(axis=1)).tolist()
+        units = []
+        for i, row in enumerate(rows):
+            if not pinned[i]:
+                candidates = cols.achievable(sizes[i], slack[i])
+                units.append(_WorkUnit(row, raw_counts[i], False, None, candidates))
+            elif complete[i]:
+                units.append(_WorkUnit(row, raw_counts[i], True, int(alphas[i])))
         return units
 
     def _raw_stream(self, body: Node):
@@ -581,41 +538,26 @@ class _Pipeline:
 
     # ------------------------------------------------------------------ ILP
 
-    def build_instance(
-        self,
-        unit: _WorkUnit,
-        alpha_index: int,
-        objective: Optional["BetaObjective"] = None,
-    ) -> ilp.ILPInstance:
-        return _build_instance(
-            self.f, self.fstats, self.rg, self.group3_rows, unit, alpha_index, objective
-        )
-
     def _decide_unit(
         self,
         unit: _WorkUnit,
         alpha_index: int,
         objective: Optional["BetaObjective"],
         below: Optional[int] = None,
-    ) -> tuple[bool, Optional[dict[str, int]], Optional[int]]:
-        """(feasible, assignment, objective value) for one work item; with
-        `below`, only objective values < below count as feasible."""
+    ) -> tuple[bool, Optional[tuple[int, ...]], Optional[int]]:
+        """(feasible, solved count row, objective value) for one work item;
+        with `below`, only objective values < below count as feasible."""
         self.stats.ilp_solves += 1
         if unit.pinned:
-            if not unit.group1_ok or alpha_index != unit.alpha_star:
+            if alpha_index != unit.alpha_star:
                 return False, None, None
-            assignment = {
-                _var_name(t, sig): unit.counts.get((t, sig), 0)
-                for t in range(self.tp.count)
-                for sig in range(1 << self.m)
-            }
-            value = objective.pinned_value(unit) if objective is not None else None
+            value = objective.pinned_value(unit.counts) if objective is not None else None
             if self.dump is not None:
-                self.dump(self.build_instance(unit, alpha_index, objective))
+                self.dump(_build_instance(self.cols, unit.counts, alpha_index, objective))
             if below is not None and value >= below:
                 return False, None, None
-            return True, assignment, value
-        inst = self.build_instance(unit, alpha_index, objective)
+            return True, unit.counts, value
+        inst = _build_instance(self.cols, unit.counts, alpha_index, objective)
         if self.dump is not None:
             self.dump(inst)
         if objective is None:
@@ -625,7 +567,8 @@ class _Pipeline:
         self.stats.ilp_nodes += res.nodes
         if res.status == "infeasible":
             return False, None, None
-        return True, res.assignment, res.objective_value
+        counts = tuple(res.assignment[name] for name in self.cols.names)
+        return True, counts, res.objective_value
 
     # ------------------------------------------------------------- main loop
 
@@ -669,7 +612,7 @@ class _Pipeline:
             fallback: Optional[list[int]] = None
             for pos, unit in enumerate(self._units_for_profile(values)):
                 if unit.pinned:
-                    if unit.group1_ok and self._alpha_member(unit.alpha_star, values):
+                    if self._alpha_member(unit.alpha_star, values):
                         pairs.append((unit.alpha_star, pos, unit))
                 elif unit.alpha_candidates is not None:
                     for alpha in unit.alpha_candidates:
@@ -686,9 +629,9 @@ class _Pipeline:
     def run_decision(self) -> Verdict:
         start = time.perf_counter()
         for alpha_index, _pos, unit in self._collect_pairs():
-            feasible, assignment, _ = self._decide_unit(unit, alpha_index, None)
+            feasible, counts, _ = self._decide_unit(unit, alpha_index, None)
             if feasible:
-                witness = extract_witness(unit.chi, assignment, self.rg)
+                witness = extract_witness(counts, self.m, self.tp.types)
                 self.stats.pre_evaluations = alpha_index + 1
                 self.stats.elapsed = time.perf_counter() - start
                 alpha = self.alpha_bools(alpha_index)
@@ -705,11 +648,11 @@ class _Pipeline:
         best: Optional[tuple[int, PrefixAssignment, PreEvaluation]] = None
         for alpha_index, _pos, unit in self._collect_pairs():
             below = best[0] if best is not None else None
-            feasible, assignment, value = self._decide_unit(
+            feasible, counts, value = self._decide_unit(
                 unit, alpha_index, objective, below
             )
             if feasible:
-                witness = extract_witness(unit.chi, assignment, self.rg)
+                witness = extract_witness(counts, self.m, self.tp.types)
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)
                 best = (value, witness, alpha)
@@ -738,60 +681,32 @@ def build_extension_ilp(
     small-subtype pins / large-subtype lower bounds, and the pre-evaluated
     cardinality constraints (reversed with a +1 shift where guessed false)."""
     rg = reduce_graph(g, tp, stats)
-    counts = _counts_from_chi(rg, chi_phi)
-    unit = _unit_from_counts(f, stats, rg, counts, chi=chi_phi)
-    group3_rows = _prepare_group3_rows(f, tp.count)
+    cols = _Columns(f, stats, [len(members) for members in tp.types])
     alpha_index = sum((0 if a else 1) << i for i, a in enumerate(alpha))
-    return _build_instance(f, stats, rg, group3_rows, unit, alpha_index, None)
+    return _build_instance(cols, _counts_from_chi(rg, chi_phi), alpha_index)
 
 
 def extract_witness(
-    chi_phi: PrefixAssignment,
-    assignment: dict[str, int],
-    rg: ReducedGraph,
+    counts: Sequence[int], m: int, types: Sequence[Sequence[int]]
 ) -> PrefixAssignment:
-    """Lift a reduced-graph assignment to the full graph: kept vertices keep
-    their memberships, deleted vertices fill each subtype up to its solved
-    cardinality (vertex-index order, signatures ascending)."""
-    m = len(chi_phi.sets)
-    full_sets: list[set[int]] = [set() for _ in range(m)]
-    for t, kept in enumerate(rg.kept):
-        counts: dict[int, int] = {}
-        for orig in kept:
-            red = rg.full_to_reduced[orig]
-            sig = 0
-            for i, s in enumerate(chi_phi.sets):
-                if red in s:
-                    sig |= 1 << i
-            counts[sig] = counts.get(sig, 0) + 1
-            for i in range(m):
-                if (sig >> i) & 1:
-                    full_sets[i].add(orig)
-        kept_set = set(kept)
-        deleted = [v for v in rg.full_types[t] if v not in kept_set]
-        needed: list[tuple[int, int]] = []
-        for sig in range(1 << m):
-            want = assignment.get(_var_name(t, sig), counts.get(sig, 0))
-            have = counts.get(sig, 0)
-            if want < have:
-                raise WitnessError(
-                    f"type {t} signature {sig}: solved cardinality {want} below reduced {have}"
-                )
-            if want > have:
-                needed.append((sig, want - have))
-        total_needed = sum(c for _, c in needed)
-        if total_needed != len(deleted):
+    """Lift solved counts to the full graph: counts[(t << m) | sig] members of
+    type t get prefix-membership signature sig, members in index order
+    taking the signatures in ascending order. Same-type vertices are twins,
+    so every placement with these counts satisfies the same sentences."""
+    sets: list[set[int]] = [set() for _ in range(m)]
+    for t, members in enumerate(types):
+        block = counts[t << m : (t + 1) << m]
+        if sum(block) != len(members):
             raise WitnessError(
-                f"type {t}: {len(deleted)} deleted vertices but {total_needed} to assign"
+                f"type {t}: {len(members)} vertices but counts add up to {sum(block)}"
             )
         pos = 0
-        for sig, amount in needed:
-            for v in deleted[pos : pos + amount]:
-                for i in range(m):
-                    if (sig >> i) & 1:
-                        full_sets[i].add(v)
-            pos += amount
-    return PrefixAssignment(tuple(frozenset(s) for s in full_sets))
+        for sig, c in enumerate(block):
+            for i in range(m):
+                if (sig >> i) & 1:
+                    sets[i].update(members[pos : pos + c])
+            pos += c
+    return PrefixAssignment(tuple(frozenset(s) for s in sets))
 
 
 def check(

@@ -2,7 +2,7 @@ from cardmso import oracle
 from cardmso.balanced import BetaObjective, cbalanced, generate_equitable_formula
 from cardmso.formula import analyze
 from cardmso.graph import Graph
-from cardmso.solver import _Pipeline
+from cardmso.solver import _Pipeline, extract_witness
 from conftest import (
     complete_graph, cycle_graph, path_graph, random_graph, star_graph,
 )
@@ -69,8 +69,8 @@ class TestCbalanced:
 
 def test_beta_decomposition_matches_direct_count(rng):
     """const0 plus the weighted subtype sizes equals the directly counted cut
-    of the representative assignment: valid because every edge has a cover
-    endpoint."""
+    of an assignment of the reduced graph with the unit's counts: valid
+    because every edge has a cover endpoint."""
     checked = 0
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 7))
@@ -80,12 +80,8 @@ def test_beta_decomposition_matches_direct_count(rng):
         objective = BetaObjective(pipeline)
         all_true = tuple(space.value_at(0) for space in pipeline.spaces)
         for unit in pipeline._units_for_profile(all_true)[:10]:
-            parts = [set() for _ in range(c)]
-            for v in range(pipeline.rg.graph.n):
-                for i, s in enumerate(unit.chi.sets):
-                    if v in s:
-                        parts[i].add(v)
+            parts = extract_witness(unit.counts, c, pipeline.rg.types.types).sets
             want = pipeline.rg.graph.cut_size(parts)
-            assert objective.pinned_value(unit) == want
+            assert objective.pinned_value(unit.counts) == want
             checked += 1
     assert checked >= 100

@@ -256,6 +256,14 @@ class TestSatisfyingAssignments:
                 want.add(frozenset(v for v in range(g.n) if (mask >> v) & 1))
         assert out == want
 
+    def test_prefix_past_the_cell_budget_is_refused(self):
+        # two prefix variables on the 4 vertices of C4 need (2^4)^2 = 256 cells
+        bip = pre_evaluate(parse_formula(corpus.bipartite_equal()), (True, True))
+        with pytest.raises(BudgetExceeded) as refusal:
+            list(satisfying_prefix_assignments(cycle_graph(4), bip.body, bip.prefix, 255))
+        assert refusal.value.kind == "mso-cells"
+        assert list(satisfying_prefix_assignments(cycle_graph(4), bip.body, bip.prefix, 256))
+
 
 def test_shrinking_preserves_verdicts_small(rng):
     """Deleting one vertex from a type above the sentence's set-count

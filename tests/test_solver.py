@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardmso import corpus, ilp, oracle
-from cardmso.errors import CoverBudgetExceeded
-from cardmso.formula import analyze, parse_formula, substitute_params
+from cardmso.errors import CoverBudgetExceeded, WitnessError
+from cardmso.formula import analyze, constraint_truths, parse_formula, substitute_params
 from cardmso.graph import Graph, VertexCover, min_vertex_cover, type_partition
 from cardmso.mso_eval import PrefixAssignment, reduce_graph
-from cardmso.solver import build_extension_ilp, check, extract_witness
+from cardmso.solver import _Pipeline, build_extension_ilp, check, extract_witness
 from conftest import (
     assert_witness_valid, complete_bipartite, complete_graph, cycle_graph,
     path_graph, random_graph, star_graph,
@@ -69,6 +72,38 @@ class TestBuildExtensionIlp:
         assert ilp.solve_feasibility(inst).status == "feasible"
 
 
+def full_counts(tp, m: int, chi: PrefixAssignment) -> list[int]:
+    """Per-(type, signature) counts of an assignment of the full graph, in
+    the column order (t << m) | sig."""
+    counts = [0] * (tp.count << m)
+    for t, members in enumerate(tp.types):
+        for v in members:
+            sig = sum(1 << i for i, s in enumerate(chi.sets) if v in s)
+            counts[(t << m) | sig] += 1
+    return counts
+
+
+_side = st.lists(
+    st.one_of(st.sampled_from(["|X|", "|Y|", "|Z|"]), st.integers(0, 5).map(str)),
+    min_size=1, max_size=4,
+).map(" + ".join)
+_constraint = st.tuples(_side, st.sampled_from(["<=", "=", "<"]), _side).map(
+    lambda parts: f"[{parts[0]} {parts[1]} {parts[2]}]"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_constraint, min_size=1, max_size=4), st.tuples(*[st.integers(0, 12)] * 3))
+def test_constraint_matrix_matches_constraint_truths(constraints, sizes):
+    """Sides may repeat a set (|X| + |X|) or be constant; = and < desugar
+    into several <= rows, some negated."""
+    f = parse_formula("exists X. exists Y. exists Z. (" + " & ".join(constraints) + ")")
+    pipeline = _Pipeline(edgeless(1), f)
+    truths = constraint_truths(f, dict(zip(f.prefix, sizes)))
+    want = sum((0 if truth else 1) << j for j, truth in enumerate(truths))
+    assert int(pipeline.cols.alphas(np.array([sizes]))[0]) == want
+
+
 class TestExtractWitness:
     def test_identity_when_no_deletions(self):
         g = cycle_graph(4)
@@ -77,23 +112,37 @@ class TestExtractWitness:
         rg = reduce_graph(g, tp, analyze(f))
         assert rg.graph.n == g.n
         chi = PrefixAssignment((frozenset({0, 2}), frozenset({1, 3})))
-        counts = {}
-        type_of = rg.types.type_of(4)
-        for v in range(4):
-            sig = (1 if v in chi.sets[0] else 0) | (2 if v in chi.sets[1] else 0)
-            counts[f"x_t{type_of[v]}_s{sig}"] = counts.get(f"x_t{type_of[v]}_s{sig}", 0) + 1
-        full = extract_witness(chi, counts, rg)
+        # each type puts all its members on one signature, so the canonical
+        # placement is the assignment itself
+        full = extract_witness(full_counts(tp, f.m, chi), f.m, tp.types)
         assert full.sets == chi.sets
 
     def test_edgeless_fill(self):
         g = edgeless(5)
-        f = parse_formula("exists Z1. [|Z1| <= 0]")
-        stats = analyze(f)
         tp = type_partition(g, VertexCover(frozenset()))
-        rg = reduce_graph(g, tp, stats)
-        chi = PrefixAssignment((frozenset(),))
-        full = extract_witness(chi, {"x_t0_s0": 5, "x_t0_s1": 0}, rg)
+        full = extract_witness((5, 0), 1, tp.types)
         assert full.sets == (frozenset(),)
+
+    def test_lift_keeps_the_solved_counts(self, rng):
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 8))
+            tp = type_partition(g, min_vertex_cover(g, 8))
+            m = rng.randint(0, 3)
+            counts = []
+            for members in tp.types:
+                block = [0] * (1 << m)
+                for _ in members:
+                    block[rng.randrange(1 << m)] += 1
+                counts.extend(block)
+            full = extract_witness(counts, m, tp.types)
+            assert len(full.sets) == m
+            assert full_counts(tp, m, full) == counts
+
+    def test_counts_not_matching_a_type_size_raise(self):
+        tp = type_partition(edgeless(5), VertexCover(frozenset()))
+        for counts in ((4, 0), (3, 3)):
+            with pytest.raises(WitnessError):
+                extract_witness(counts, 1, tp.types)
 
     def test_star9_bipartite_has_no_witness(self):
         verdict = check(star_graph(9), parse_formula(corpus.bipartite_equal()))
@@ -223,6 +272,21 @@ def test_preevaluation_bit_guard():
     f = parse_formula(f"exists Z. ({constraints})")
     with pytest.raises(BudgetExceeded):
         check(path_graph(2), f)
+
+
+def test_pre_evaluation_index_past_63_bits():
+    # 66 constraints in three pieces: alpha indices outgrow int64
+    pieces = []
+    for p in range(3):
+        bounds = " & ".join(f"[{(p * 22 + i) % 4} <= |Z|]" for i in range(22))
+        pieces.append(f"(({bounds}) | (forall v. v in Z))")
+    f = parse_formula("exists Z. (" + " & ".join(pieces) + ")")
+    for n in (3, 5):
+        g = Graph.from_edges(n, [(0, 1)])
+        verdict = check(g, f)
+        assert verdict.holds == oracle.brute_check(g, f)
+        if verdict.holds:
+            assert_witness_valid(g, f, verdict)
 
 
 def test_stream_looping_over_every_subset_is_not_used(monkeypatch):

@@ -1,23 +1,51 @@
 """The benchmark's tracer wraps library functions by name from outside
-(bench/tracing.py); deleting or renaming one of them must fail here too."""
+(bench/tracing.py); deleting or renaming one of them, or a refactor that
+stops calling it by that name, must fail here too."""
 
 import importlib.util
 from pathlib import Path
 
-from cardmso import solver
+from cardmso import corpus, solver
+from cardmso.formula import parse_formula
+from cardmso.graph import Graph
+from conftest import cycle_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
     original = solver.mso_check
-    tracer = tracing.Tracer()
+    tracer = load_tracer()
     try:
         tracer.install()
         assert solver.mso_check is not original
     finally:
         tracer.uninstall()
     assert solver.mso_check is original
+
+
+def test_traced_layers_are_reached():
+    f = parse_formula(corpus.bipartite_equal())
+    # cover vertex 0 joined to 7 leaves, plus 32 isolated vertices: 16
+    # reduced vertices take the count-state path; C4 takes the table stream
+    leaves = Graph.from_edges(40, [(0, i) for i in range(1, 8)])
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        assert solver.check(cycle_graph(4), f).stats.count_states == 0
+        assert solver.check(leaves, f).stats.count_states > 0
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    for name in (
+        "mso_eval.satisfying_prefix_assignments", "table_eval.prefix_table",
+        "typed_eval.satisfying_states", "solver.extract_witness",
+    ):
+        assert name in recorded, name

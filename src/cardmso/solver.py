@@ -11,7 +11,8 @@ pre-evaluations it could possibly comply with (one for a fully pinned item,
 the achievable truth vectors otherwise). Pairs are processed in the
 all-true-first binary-counter order the plain loop would visit, and skipped
 pre-evaluations are accounted in bulk. Work items whose extension program is
-fully pinned by the small-subtype equalities are decided arithmetically;
+fully pinned, by the small-subtype equalities or by type totals that
+already equal the original type sizes, are decided arithmetically;
 everything else goes through the branch-and-bound ILP solver.
 
 Prefix assignments are enumerated as subtype-cardinality states, and a work
@@ -506,9 +507,11 @@ class _Pipeline:
 
     def _units(self, rows: list[tuple[int, ...]], raw_counts: list[int]) -> list[_WorkUnit]:
         """Work units for count rows of the reduced graph, all read off the
-        column matrices at once. A pinned row whose type totals fall short of
-        the original sizes extends to no assignment of the full graph, so it
-        gets no unit; its raw assignments still count."""
+        column matrices at once. A row whose type totals equal the original
+        sizes is pinned whatever its counts: the type sums leave every
+        lower-bounded variable at its bound. An all-small row whose totals
+        fall short extends to no assignment of the full graph, so it gets no
+        unit; its raw assignments still count."""
         self.stats.prefix_assignments += sum(raw_counts)
         if not rows:
             return []
@@ -516,17 +519,17 @@ class _Pipeline:
         counts = np.array(rows, dtype=np.int64)
         sizes = counts @ cols.sig_bits
         totals = counts @ cols.type_member
-        pinned = (counts <= cols.small).all(axis=1)
+        small = (counts <= cols.small).all(axis=1)
         complete = (totals == cols.type_sizes).all(axis=1)
         alphas = cols.alphas(sizes)
         slack = (cols.type_sizes.sum() - totals.sum(axis=1)).tolist()
         units = []
         for i, row in enumerate(rows):
-            if not pinned[i]:
+            if complete[i]:
+                units.append(_WorkUnit(row, raw_counts[i], True, int(alphas[i])))
+            elif not small[i]:
                 candidates = cols.achievable(sizes[i], slack[i])
                 units.append(_WorkUnit(row, raw_counts[i], False, None, candidates))
-            elif complete[i]:
-                units.append(_WorkUnit(row, raw_counts[i], True, int(alphas[i])))
         return units
 
     def _raw_stream(self, body: Node):

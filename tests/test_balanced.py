@@ -66,6 +66,15 @@ class TestCbalanced:
             g = random_graph(rng, rng.randint(1, 5))
             assert cbalanced(g, 2).cut_value == oracle.brute_cbalanced(g, 2)
 
+    def test_unreduced_twins_are_minimised_without_the_ilp(self):
+        # the leaves of a 4-leaf star are one type that reduction keeps
+        # whole: every unit is pinned by its type sums
+        g = star_graph(4)
+        result = cbalanced(g, 3)
+        assert result.stats.reduced_vertices == g.n
+        assert result.cut_value == oracle.brute_cbalanced(g, 3)
+        assert result.stats.ilp_nodes == 0
+
 
 def test_beta_decomposition_matches_direct_count(rng):
     """const0 plus the weighted subtype sizes equals the directly counted cut

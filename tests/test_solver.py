@@ -173,6 +173,17 @@ class TestCheck:
         assert v.holds
         assert_witness_valid(complete_bipartite(3, 3), f, v)
 
+    def test_complete_type_totals_are_decided_without_the_ilp(self):
+        # nothing is reduced away, so the type sums pin the large subtype of
+        # the three twins at its count and no branch-and-bound node is spent
+        g = complete_bipartite(3, 3)
+        f = parse_formula(corpus.bipartite_equal())
+        v = check(g, f)
+        assert v.stats.reduced_vertices == 6
+        assert v.holds
+        assert_witness_valid(g, f, v)
+        assert v.stats.ilp_nodes == 0
+
     def test_reduction_paths_give_witnesses_on_big_stars(self):
         f = substitute_params(parse_formula(corpus.independent_dominating()), {"k": 1})
         v = check(star_graph(40), f)

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Sweep a random graph family and compare the solvers with the brute-force
 references. Handy for shaking out regressions at sizes beyond the unit tests.
+Every other graph is a planted vertex cover of size at most 2, whose large
+twin classes the solvers shrink; the rest are dense random graphs.
 
 Examples:
   python scripts/family_sweep.py --problem check --max-n 7 --count 50
@@ -26,6 +28,14 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def planted_cover(rng: random.Random, n: int) -> Graph:
+    """Vertices 0..k-1 (k <= 2) cover every edge; each pair touching them is
+    an edge with probability 1/2."""
+    k = rng.randint(0, min(2, n))
+    edges = [(u, v) for u in range(k) for v in range(u + 1, n) if rng.random() < 0.5]
+    return Graph.from_edges(n, edges)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--problem", choices=["check", "partition", "cbalance"], default="check")
@@ -46,7 +56,8 @@ def main() -> int:
     start = time.time()
     mismatches = instances = 0
     for i in range(args.count):
-        g = random_graph(rng, rng.randint(1, args.max_n))
+        draw = planted_cover if i % 2 else random_graph
+        g = draw(rng, rng.randint(1, args.max_n))
         if args.problem == "check":
             for name, f in formulas.items():
                 want = oracle.brute_check(g, f)

@@ -38,38 +38,21 @@ class PrefixAssignment:
 
 @dataclass(frozen=True)
 class ReducedGraph:
-    """Result of shrinking each type to the reduce threshold.
-
-    Types keep their original order (one reduced type per original type);
-    origin maps a reduced type to (original type index, original size), kept
-    holds the surviving original vertex ids per type, and full_types the
-    complete original member lists.
-    """
+    """Result of shrinking each type to the reduce threshold: the induced
+    subgraph and its types, one reduced type per original type, in the
+    original order."""
 
     graph: Graph
     types: TypePartition
-    origin: tuple[tuple[int, int], ...]
-    kept: tuple[tuple[int, ...], ...]
-    full_types: tuple[tuple[int, ...], ...]
-    full_to_reduced: dict[int, int]
 
 
 def reduce_graph(g: Graph, tp: TypePartition, stats: FormulaStats) -> ReducedGraph:
     """Keep the lexicographically-first min(|T|, threshold) vertices of every
     type and take the induced subgraph."""
-    threshold = stats.reduce_threshold
-    kept = tuple(members[:threshold] for members in tp.types)
-    survivors = sorted(v for members in kept for v in members)
-    reduced, remap = g.induced(survivors)
+    kept = tuple(members[: stats.reduce_threshold] for members in tp.types)
+    reduced, remap = g.induced(v for members in kept for v in members)
     new_types = tuple(tuple(remap[v] for v in members) for members in kept)
-    return ReducedGraph(
-        graph=reduced,
-        types=TypePartition(new_types, tp.cover_types, tp.mode),
-        origin=tuple((i, len(members)) for i, members in enumerate(tp.types)),
-        kept=kept,
-        full_types=tp.types,
-        full_to_reduced=remap,
-    )
+    return ReducedGraph(reduced, TypePartition(new_types, tp.cover_types, tp.mode))
 
 
 def _as_sentence(f: Formula | Node) -> Node:

@@ -1,15 +1,19 @@
 """MSO partitioning: split V(G) into r parts whose induced subgraphs all
 model a fixed MSO sentence.
 
-A part is summarised by its shape: per type, the exact intersection size
-capped at the small threshold, or a top marker for anything larger (sets of
-the same shape are interchangeable as models). One representative per shape
-is model checked; a counting program then decides whether satisfying shapes
-can tile the whole vertex set with exactly r parts.
+A part is summarised by its shape: per type, its intersection size capped
+at the small threshold 2^q_S * q_v. Same-type vertices are twins, and inside
+a twin class every size from the threshold up models the same sentences
+(Lampis), so the capped value reads "threshold or more" and sets of one
+shape are interchangeable as models. One representative per shape is model
+checked; a counting program then decides whether satisfying shapes can tile
+the whole vertex set with exactly r parts (Rao).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -22,16 +26,15 @@ from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_par
 from .mso_eval import mso_check
 from .solver import SolveStats
 
-TOP = None  # marker for "more than the small threshold"
-
 DEFAULT_SHAPE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
 class Shape:
-    """Per type: an exact count in [0, min(|T|, threshold)] or TOP."""
+    """Per type: a count in [0, min(|T|, threshold)], where the threshold
+    itself means "threshold or more"."""
 
-    per_type: tuple[Optional[int], ...]
+    per_type: tuple[int, ...]
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.per_type)
@@ -61,45 +64,24 @@ def enumerate_shapes(
     stats: FormulaStats,
     shape_budget: int = DEFAULT_SHAPE_BUDGET,
 ) -> list[Shape]:
-    """All shapes in mixed-radix counter order (last type fastest; exact
-    counts ascending, top last)."""
+    """All shapes in mixed-radix counter order (last type fastest, counts
+    ascending): the product of [0, min(|T|, threshold)] over the types."""
     small = stats.small_threshold
-    options: list[list[Optional[int]]] = []
-    total = 1
-    for members in tp.types:
-        opts: list[Optional[int]] = list(range(0, min(len(members), small) + 1))
-        if len(members) > small:
-            opts.append(TOP)
-        options.append(opts)
-        total *= len(opts)
-        if total > shape_budget:
-            raise BudgetExceeded("shapes", shape_budget)
-
-    shapes: list[Shape] = []
-
-    def rec(i: int, acc: list[Optional[int]]):
-        if i == len(options):
-            shapes.append(Shape(tuple(acc)))
-            return
-        for opt in options[i]:
-            acc.append(opt)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return shapes
+    ranges = [range(min(len(members), small) + 1) for members in tp.types]
+    if math.prod(len(r) for r in ranges) > shape_budget:
+        raise BudgetExceeded("shapes", shape_budget)
+    return [Shape(per) for per in itertools.product(*ranges)]
 
 
 def shape_representative(g: Graph, tp: TypePartition, s: Shape, stats: FormulaStats) -> list[int]:
     """Concrete vertex set of the given shape: the lexicographically first
-    vertices of each type; a top entry takes threshold + 1 of them."""
-    small = stats.small_threshold
+    vertices of each type, exactly as many as its count (a count at the
+    threshold stands for every larger size too)."""
     picked: list[int] = []
     for members, want in zip(tp.types, s.per_type):
-        take = small + 1 if want is TOP else want
-        if take > len(members):
-            raise AssertionError("shape demands more vertices than the type has")
-        picked.extend(members[:take])
+        if want > min(len(members), stats.small_threshold):
+            raise AssertionError("shape count outside [0, min(|T|, threshold)]")
+        picked.extend(members[:want])
     return picked
 
 
@@ -135,7 +117,6 @@ def mso_partition(
     k_max: int = DEFAULT_K_MAX,
     allow_empty: bool = True,
     node_budget: int = ilp.DEFAULT_NODE_BUDGET,
-    shape_budget: int = DEFAULT_SHAPE_BUDGET,
     dump=None,
 ) -> PartitionVerdict:
     """Decide the partitioning instance and reconstruct a witness partition."""
@@ -152,7 +133,7 @@ def mso_partition(
     stats.type_count = tp.count
     fstats = analyze(inst.formula)
 
-    shapes = enumerate_shapes(tp, fstats, shape_budget)
+    shapes = enumerate_shapes(tp, fstats)
     satisfying = []
     for s in shapes:
         if not allow_empty and s.is_zero():
@@ -160,6 +141,8 @@ def mso_partition(
         if shape_satisfies(g, tp, s, inst.formula, fstats):
             satisfying.append(s)
 
+    # per type, the parts take at least their counts (fit) and together
+    # cover the type (demand), where a part at the threshold can take all
     small = fstats.small_threshold
     variables = [(f"x_{i}", 0, inst.r) for i in range(len(satisfying))]
     rows = [ilp.Row.of({f"x_{i}": 1 for i in range(len(satisfying))}, ilp.EQ, inst.r)]
@@ -169,12 +152,9 @@ def mso_partition(
         demand = {}
         for i, s in enumerate(satisfying):
             want = s.per_type[t]
-            fit_coef = small if want is TOP else want
-            demand_coef = size if want is TOP else want
-            if fit_coef:
-                fit[f"x_{i}"] = fit_coef
-            if demand_coef:
-                demand[f"x_{i}"] = demand_coef
+            if want:
+                fit[f"x_{i}"] = want
+                demand[f"x_{i}"] = size if want == small else want
         rows.append(ilp.Row.of(fit, ilp.LE, size))
         rows.append(ilp.Row.of(demand, ilp.GE, size))
     instance = ilp.ILPInstance.build(variables, rows)
@@ -200,9 +180,9 @@ def _reconstruct(
     assignment: dict[str, int],
     small: int,
 ) -> tuple[frozenset[int], ...]:
-    """Build the parts: per type, each chosen shape copy takes its exact
-    count (top takes the threshold); leftovers go to the lowest-indexed part
-    whose shape is top at that type."""
+    """Build the parts: per type, each chosen shape copy takes its count;
+    leftovers go to the lowest-indexed part whose count at that type is the
+    threshold."""
     chosen: list[Shape] = []
     for i, s in enumerate(satisfying):
         chosen.extend([s] * assignment[f"x_{i}"])
@@ -211,12 +191,10 @@ def _reconstruct(
         queue = list(members)
         for p, s in enumerate(chosen):
             want = s.per_type[t]
-            take = small if want is TOP else want
-            for v in queue[:take]:
-                parts[p].add(v)
-            queue = queue[take:]
+            parts[p].update(queue[:want])
+            queue = queue[want:]
         if queue:
-            sink = next(p for p, s in enumerate(chosen) if s.per_type[t] is TOP)
+            sink = next(p for p, s in enumerate(chosen) if s.per_type[t] == small)
             parts[sink].update(queue)
     return tuple(frozenset(p) for p in parts)
 

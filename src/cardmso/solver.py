@@ -10,9 +10,11 @@ piece-value profile, and every work item is paired upfront with the few
 pre-evaluations it could possibly comply with (one for a fully pinned item,
 the achievable truth vectors otherwise). Pairs are processed in the
 all-true-first binary-counter order the plain loop would visit, and skipped
-pre-evaluations are accounted in bulk. Work items whose extension program is
-fully pinned, by the small-subtype equalities or by type totals that
-already equal the original type sizes, are decided arithmetically;
+pre-evaluations are accounted in bulk. A subtype count below the small
+threshold pins its variable, and a count at or above it is only a lower
+bound (inside a twin class every size from the threshold up models the same
+sentences). Work items whose type totals already equal the original type
+sizes leave no variable free, so they are decided arithmetically;
 everything else goes through the branch-and-bound ILP solver.
 
 Prefix assignments are enumerated as subtype-cardinality states, and a work
@@ -381,7 +383,7 @@ def _counts_from_chi(rg: ReducedGraph, chi: PrefixAssignment) -> tuple[int, ...]
     for i, s in enumerate(chi.sets):
         for v in s:
             sig[v] |= 1 << i
-    row = [0] * (len(rg.origin) << m)
+    row = [0] * (len(rg.types.types) << m)
     for v, t in enumerate(rg.types.type_of(rg.graph.n)):
         row[(t << m) | sig[v]] += 1
     return tuple(row)
@@ -396,7 +398,7 @@ def _build_instance(
     variables = list(cols.variables)
     rows = list(cols.group1)
     for name, c in zip(cols.names, counts):
-        rows.append(ilp.Row.of({name: 1}, ilp.EQ if c <= cols.small else ilp.GE, c))
+        rows.append(ilp.Row.of({name: 1}, ilp.EQ if c < cols.small else ilp.GE, c))
     for j, (guessed_true, reversed_row) in enumerate(cols.group3):
         rows.append(reversed_row if (alpha_index >> j) & 1 else guessed_true)
     obj = None
@@ -509,9 +511,9 @@ class _Pipeline:
         """Work units for count rows of the reduced graph, all read off the
         column matrices at once. A row whose type totals equal the original
         sizes is pinned whatever its counts: the type sums leave every
-        lower-bounded variable at its bound. An all-small row whose totals
-        fall short extends to no assignment of the full graph, so it gets no
-        unit; its raw assignments still count."""
+        lower-bounded variable at its bound. Every other row has room to
+        grow: a type cut down to 2^m * small vertices has a signature with
+        at least `small` of them, whose variable is only bounded below."""
         self.stats.prefix_assignments += sum(raw_counts)
         if not rows:
             return []
@@ -519,7 +521,6 @@ class _Pipeline:
         counts = np.array(rows, dtype=np.int64)
         sizes = counts @ cols.sig_bits
         totals = counts @ cols.type_member
-        small = (counts <= cols.small).all(axis=1)
         complete = (totals == cols.type_sizes).all(axis=1)
         alphas = cols.alphas(sizes)
         slack = (cols.type_sizes.sum() - totals.sum(axis=1)).tolist()
@@ -527,7 +528,7 @@ class _Pipeline:
         for i, row in enumerate(rows):
             if complete[i]:
                 units.append(_WorkUnit(row, raw_counts[i], True, int(alphas[i])))
-            elif not small[i]:
+            else:
                 candidates = cols.achievable(sizes[i], slack[i])
                 units.append(_WorkUnit(row, raw_counts[i], False, None, candidates))
         return units
@@ -681,8 +682,9 @@ def build_extension_ilp(
 ) -> ilp.ILPInstance:
     """The extension program for one satisfying prefix assignment on the
     reduced graph: one variable per (type, signature), type-cardinality sums,
-    small-subtype pins / large-subtype lower bounds, and the pre-evaluated
-    cardinality constraints (reversed with a +1 shift where guessed false)."""
+    pins for subtype counts below the small threshold and lower bounds for
+    the rest, and the pre-evaluated cardinality constraints (reversed with a
+    +1 shift where guessed false)."""
     rg = reduce_graph(g, tp, stats)
     cols = _Columns(f, stats, [len(members) for members in tp.types])
     alpha_index = sum((0 if a else 1) << i for i, a in enumerate(alpha))

@@ -34,6 +34,26 @@ def random_graph(rng: random.Random, n: int, p: float = 0.45) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def planted_cover(rng: random.Random, k: int, n: int) -> Graph:
+    """Vertices 0..k-1 form a vertex cover; each pair touching it is an edge
+    with probability 1/2. The other vertices fall into at most 2^k twin
+    classes."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, n) if rng.random() < 0.5]
+    return Graph.from_edges(n, edges)
+
+
+def twin_class_graph(rng: random.Random, max_n: int = 8) -> Graph:
+    """An edgeless graph, a star or a planted cover with k <= 2, on at most
+    max_n vertices: graphs with twin classes that reduction shrinks."""
+    n = rng.randint(1, max_n)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Graph.from_edges(n, [])
+    if kind == 1:
+        return star_graph(n - 1)
+    return planted_cover(rng, rng.randint(1, min(2, n)), n)
+
+
 @lru_cache(maxsize=None)
 def atlas_connected(max_n: int) -> tuple[Graph, ...]:
     """All non-isomorphic connected graphs with 1..max_n vertices."""

@@ -195,8 +195,10 @@ class TestReduceGraph:
         g = star_graph(20)
         tp = type_partition(g, min_vertex_cover(g, 5))
         rg = reduce_graph(g, tp, self._stats(2, 1, 2))
-        for members, kept in zip(tp.types, rg.kept):
-            assert kept == members[: len(kept)]
+        for members, kept in zip(tp.types, rg.types.types):
+            assert [rg.graph.names[v] for v in kept] == [
+                g.names[v] for v in members[: len(kept)]
+            ]
 
 
 class TestSatisfyingAssignments:

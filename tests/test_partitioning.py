@@ -7,11 +7,11 @@ from cardmso import corpus, oracle, partitioning
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import FormulaStats, analyze, parse_formula
 from cardmso.graph import Graph, TypePartition, min_vertex_cover, type_partition
+from cardmso.mso_eval import mso_check
 from cardmso.partitioning import (
-    TOP, PartitionInstance, Shape, enumerate_shapes, mso_partition,
-    shape_satisfies,
+    PartitionInstance, Shape, enumerate_shapes, mso_partition, shape_satisfies,
 )
-from conftest import cycle_graph, path_graph, random_graph, star_graph
+from conftest import cycle_graph, path_graph, random_graph, star_graph, twin_class_graph
 
 INDEP = parse_formula(corpus.independence_body())
 CLIQUE = parse_formula(corpus.clique_body())
@@ -27,12 +27,13 @@ def brute_chromatic(g: Graph) -> int:
 
 
 class TestShapes:
-    def test_two_types_sixteen_shapes(self):
+    def test_two_types_nine_shapes(self):
+        # threshold 2: counts 0, 1 and "2 or more" on both types
         tp = TypePartition(((0, 1, 2), tuple(range(3, 13))), frozenset(), "nd")
         shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1, 0))
-        assert len(shapes) == 16
-        per_first = {s.per_type[0] for s in shapes}
-        assert per_first == {0, 1, 2, TOP}
+        assert [s.per_type for s in shapes] == [
+            (a, b) for a in range(3) for b in range(3)
+        ]
 
     def test_singleton_type(self):
         tp = TypePartition(((0,),), frozenset(), "nd")
@@ -48,10 +49,45 @@ class TestShapes:
         with pytest.raises(BudgetExceeded):
             enumerate_shapes(tp, FormulaStats(0, 1, 1, 0), shape_budget=1000)
 
-    def test_top_only_above_threshold(self):
-        tp = TypePartition(((0, 1),), frozenset(), "nd")
-        shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1, 0))  # threshold 2
-        assert all(s.per_type[0] is not TOP for s in shapes)
+    def test_counts_stop_at_the_type_size(self):
+        tp = TypePartition(((0,), (1, 2, 3)), frozenset(), "nd")
+        shapes = enumerate_shapes(tp, FormulaStats(0, 2, 1, 0))  # threshold 4
+        assert [s.per_type for s in shapes] == [
+            (a, b) for a in range(2) for b in range(4)
+        ]
+        assert all(isinstance(c, int) for s in shapes for c in s.per_type)
+
+    @pytest.mark.parametrize("phi", [INDEP, CLIQUE, parse_formula(
+        "exists u. exists v. (!(u = v) & !adj(u, v))"
+    )], ids=["independence", "clique", "non-edge"])
+    def test_threshold_count_stands_for_every_larger_size(self, rng, phi):
+        # a count at the threshold is one shape for all sizes from the
+        # threshold to |T|: sets taking more vertices of that type (and
+        # exactly the shape's count elsewhere) have the same truth
+        stats = analyze(phi)
+        small = stats.small_threshold
+        checked = 0
+        for i in range(40):
+            if i % 2:
+                g = random_graph(rng, rng.randint(1, 7))
+            else:
+                g = twin_class_graph(rng)
+            tp = type_partition(g, min_vertex_cover(g, g.n))
+            for s in enumerate_shapes(tp, stats):
+                want = shape_satisfies(g, tp, s, phi, stats)
+                for t, members in enumerate(tp.types):
+                    if s.per_type[t] != small:
+                        continue
+                    for take in range(small + 1, len(members) + 1):
+                        picked = [
+                            v
+                            for u, (ms, c) in enumerate(zip(tp.types, s.per_type))
+                            for v in ms[: take if u == t else c]
+                        ]
+                        sub, _ = g.induced(picked)
+                        assert mso_check(sub, phi) == want
+                        checked += 1
+        assert checked > 0
 
 
 class TestShapeSatisfies:
@@ -91,21 +127,15 @@ class TestShapeSatisfies:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 6))
             tp = type_partition(g, min_vertex_cover(g, g.n))
-            per = []
-            for members in tp.types:
-                options = list(range(0, min(len(members), small) + 1))
-                if len(members) > small:
-                    options.append(TOP)
-                per.append(rng.choice(options))
-            s = Shape(tuple(per))
+            s = Shape(tuple(
+                rng.randint(0, min(len(members), small)) for members in tp.types
+            ))
             base = shape_satisfies(g, tp, s, INDEP, stats)
             # alternative representative: take the last vertices instead
             picked = []
             for members, want in zip(tp.types, s.per_type):
-                take = small + 1 if want is TOP else want
-                picked.extend(members[-take:] if take else [])
+                picked.extend(members[-want:] if want else [])
             sub, _ = g.induced(picked)
-            from cardmso.mso_eval import mso_check
             assert mso_check(sub, INDEP) == base
 
     def test_cache_entry_dies_with_its_graph(self, monkeypatch):
@@ -175,6 +205,17 @@ class TestMsoPartition:
                         mso_partition(g, PartitionInstance(phi, r)).holds
                         == oracle.brute_partition(g, phi, r)
                     )
+
+    @pytest.mark.parametrize("mode", ["vertex-cover", "neighborhood-diversity"])
+    def test_oracle_agreement_on_twin_classes(self, rng, mode):
+        # parts that take a threshold count of a large twin class must be
+        # able to absorb the rest of it
+        for _ in range(40):
+            g = twin_class_graph(rng)
+            for r in range(1, 4):
+                for phi in (INDEP, CLIQUE):
+                    got = mso_partition(g, PartitionInstance(phi, r), mode=mode)
+                    assert got.holds == oracle.brute_partition(g, phi, r), (r, g.edges)
 
     def test_rejects_prefixed_formula(self):
         with pytest.raises(ValueError):

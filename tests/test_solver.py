@@ -11,7 +11,7 @@ from cardmso.mso_eval import PrefixAssignment, reduce_graph
 from cardmso.solver import _Pipeline, build_extension_ilp, check, extract_witness
 from conftest import (
     assert_witness_valid, complete_bipartite, complete_graph, cycle_graph,
-    path_graph, random_graph, star_graph,
+    path_graph, random_graph, star_graph, twin_class_graph,
 )
 
 
@@ -225,6 +225,36 @@ class TestCheck:
                 assert got.holds == oracle.brute_check(g, f)
                 if got.holds:
                     assert_witness_valid(g, f, got)
+
+    @pytest.mark.parametrize("mode", ["vertex-cover", "neighborhood-diversity"])
+    def test_brute_oracle_agrees_where_reduction_shrinks_a_type(self, rng, mode):
+        # small thresholds of 1 and 2 cut big twin classes down to a few
+        # vertices, where a subtype count at the threshold may still grow
+        bodies = [
+            "exists X. [|X| = $K]",
+            "exists X. (forall a. forall b. ((a in X & b in X) -> !adj(a, b)))"
+            " & [|X| = $K]",
+            "exists X. exists Y. (forall v. (v in X -> !(v in Y)))"
+            " & [|X| = |Y| + $K]",
+        ]
+        for _ in range(11):
+            g = twin_class_graph(rng)
+            for body in bodies:
+                for k in (1, 2, 4):
+                    f = substitute_params(parse_formula(body), {"K": k})
+                    got = check(g, f, mode=mode)
+                    assert got.holds == oracle.brute_check(g, f), (body, k, g.edges)
+                    if got.holds:
+                        assert_witness_valid(g, f, got)
+
+    def test_isolated_triple_has_a_singleton(self):
+        g = edgeless(3)
+        f = parse_formula("exists X. [|X| = 1]")
+        for mode in ("vertex-cover", "neighborhood-diversity"):
+            v = check(g, f, mode=mode)
+            assert v.stats.reduced_vertices == 2
+            assert v.holds
+            assert_witness_valid(g, f, v)
 
     def test_false_verdict_tries_all_pre_evaluations(self):
         f = parse_formula(corpus.bipartite_equal())

@@ -72,6 +72,8 @@ class BetaObjective:
                 if g.has_edge(probe, self.cover_vertex[ct])
             ]
         self.edge_count = g.m
+        # cover-part tuple -> (const0, [(type, signature, coefficient)])
+        self._terms: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]] = {}
 
     @staticmethod
     def _part_of(sig: int) -> Optional[int]:
@@ -91,41 +93,41 @@ class BetaObjective:
             parts[ct] = part
         return parts
 
-    def _const0(self, cover_parts: dict[int, int]) -> int:
-        return sum(
-            1
-            for u, v in self.cover_cover_edges
-            if cover_parts[self.vertex_cover_type[u]]
-            != cover_parts[self.vertex_cover_type[v]]
-        )
-
-    def _const_for(self, t: int, sig: int, cover_parts: dict[int, int]) -> int:
-        part = self._part_of(sig)
-        if part is None:
-            return 0  # only empty subtypes; their variables are pinned at zero
-        return sum(
-            1 for ct in self.type_adjacent_covers[t] if cover_parts[ct] != part
-        )
+    def _cut_terms(self, counts: tuple[int, ...]) -> tuple[int, list[tuple[int, int, int]]]:
+        """The cut of every extension of the row `counts` is const0 plus the
+        sum of coefficient * x_{t,sig} over the returned (t, sig,
+        coefficient) terms. Both depend only on the parts of the cover
+        vertices. Only one-hot signatures carry a coefficient: the others
+        are empty subtypes, pinned at zero."""
+        cover_parts = self._cover_parts(counts)
+        key = tuple(cover_parts.values())
+        got = self._terms.get(key)
+        if got is None:
+            const0 = sum(
+                1
+                for u, v in self.cover_cover_edges
+                if cover_parts[self.vertex_cover_type[u]]
+                != cover_parts[self.vertex_cover_type[v]]
+            )
+            terms = []
+            for t, covers in self.type_adjacent_covers.items():
+                for part in range(self.m):
+                    coeff = sum(1 for ct in covers if cover_parts[ct] != part)
+                    if coeff:
+                        terms.append((t, 1 << part, coeff))
+            got = self._terms[key] = (const0, terms)
+        return got
 
     def augment(self, counts: tuple[int, ...]):
-        cover_parts = self._cover_parts(counts)
+        const0, terms = self._cut_terms(counts)
         coeffs = {"beta": 1}
-        for t in self.type_adjacent_covers:
-            for sig in range(1 << self.m):
-                const = self._const_for(t, sig, cover_parts)
-                if const:
-                    coeffs[_var_name(t, sig)] = -const
-        row = ilp.Row.of(coeffs, ilp.EQ, self._const0(cover_parts))
+        coeffs.update((_var_name(t, sig), -coeff) for t, sig, coeff in terms)
+        row = ilp.Row.of(coeffs, ilp.EQ, const0)
         return [row], ("beta", 0, self.edge_count), {"beta": 1}
 
     def pinned_value(self, counts: tuple[int, ...]) -> int:
-        cover_parts = self._cover_parts(counts)
-        total = self._const0(cover_parts)
-        for t in self.type_adjacent_covers:
-            for sig, count in enumerate(counts[t << self.m : (t + 1) << self.m]):
-                if count:
-                    total += self._const_for(t, sig, cover_parts) * count
-        return total
+        const0, terms = self._cut_terms(counts)
+        return const0 + sum(coeff * counts[(t << self.m) | sig] for t, sig, coeff in terms)
 
 
 def cbalanced(

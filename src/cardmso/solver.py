@@ -5,29 +5,30 @@ extension integer program whether each one lifts to the full graph.
 The pre-evaluation loop never sweeps the 2^|l| space directly. The body is
 split into maximal constraint-only pieces and an MSO skeleton; pieces touch
 disjoint constraint leaves, so each piece is evaluated bit-parallel over its
-own leaf bits only, assignments are enumerated once per distinct
-piece-value profile, and every work item is paired upfront with the few
-pre-evaluations it could possibly comply with (one for a fully pinned item,
-the achievable truth vectors otherwise). Pairs are processed in the
-all-true-first binary-counter order the plain loop would visit, and skipped
-pre-evaluations are accounted in bulk. A subtype count below the small
-threshold pins its variable, and a count at or above it is only a lower
-bound (inside a twin class every size from the threshold up models the same
-sentences). Work items whose type totals already equal the original type
-sizes leave no variable free, so they are decided arithmetically;
-everything else goes through the branch-and-bound ILP solver.
+own leaf bits only, and assignments are enumerated once per distinct
+piece-value profile. Work pairs (pre-evaluation, unit) are processed in the
+all-true-first binary-counter order the plain loop would visit.
 
 Prefix assignments are enumerated as subtype-cardinality states, and a work
-item is nothing but its row of counts, one per (type, signature) column:
+unit is nothing but its row of counts, one per (type, signature) column:
 assignments with identical counts induce identical extension programs
 (same-type vertices are interchangeable). The states come from the raw
 truth-table stream, collapsed by count, while the whole prefix fits one
-table, and from the count-state engine beyond that. Set sizes, pinning,
-type completeness and the achievable pre-evaluations of all the states of a
-profile come from products with a few integer matrices built once per
-pipeline, and the extension program's constraint rows come from the same
-matrix. A solved row lifts to the full graph canonically, with no
-representative assignment.
+table, and from the count-state engine beyond that. A solved row lifts to
+the full graph canonically, with no representative assignment.
+
+Reduction keeps min(|T|, threshold) vertices of every type; inside a twin
+class every size from the threshold up models the same sentences (Lampis's
+threshold argument). A subtype count below the threshold pins its variable,
+and a count at or above it is only a lower bound. Every row's type totals
+are the reduced type sizes, so the extension of every unit of a pipeline
+places the same number of further vertices, slack = n - reduced n. With no
+slack the type sums pin every variable and a unit is decided
+arithmetically; otherwise it goes through the branch-and-bound ILP solver.
+A unit with set sizes s can comply only with the pre-evaluations of the
+sizes in [s, s + slack]^m. That box is built once per pipeline and swept
+once per distinct (set sizes, profile); past a cap, every unit is tried
+under every pre-evaluation of its profile.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ TYPED_STATE_BUDGET = 20_000_000
 
 @dataclass
 class SolveStats:
-    pre_evaluations: int = 0
+    pre_evaluations: int = 0  # distinct pre-evaluations of the work pairs tried
     prefix_assignments: int = 0
     ilp_solves: int = 0
     elapsed: float = 0.0
@@ -284,15 +285,6 @@ def _var_name(t: int, sig: int) -> str:
     return f"x_t{t}_s{sig}"
 
 
-@dataclass
-class _WorkUnit:
-    counts: tuple[int, ...]  # [(t << m) | sig] -> |S_phi| of reduced type t
-    raw_count: int
-    pinned: bool
-    alpha_star: Optional[int]  # pinned units: the only complying alpha index
-    alpha_candidates: Optional[frozenset[int]] = None  # unpinned: achievable alphas
-
-
 _CANDIDATE_BOX_CAP = 300_000
 
 
@@ -301,10 +293,9 @@ class _Columns:
     is the extension variable x_{t,sig}, in the order the program declares
     them.
 
-    sig_bits (columns x m) turns rows into the set sizes |Z_i| and
-    type_member (columns x types) into type totals. Constraint j holds when
-    coeffs[j] . sizes <= consts[j]; the same matrix over the columns gives
-    the group-3 rows of the extension program.
+    sig_bits (columns x m) turns count rows into the set sizes |Z_i|.
+    Constraint j holds when coeffs[j] . sizes <= consts[j]; the same matrix
+    over the columns gives the group-3 rows of the extension program.
     """
 
     def __init__(self, f: Formula, fstats: FormulaStats, type_sizes: list[int]):
@@ -313,10 +304,8 @@ class _Columns:
         m, k = f.m, len(f.constraints)
         self.m = m
         self.small = fstats.small_threshold
-        self.type_sizes = np.array(type_sizes, dtype=np.int64)
         cols = np.arange(len(type_sizes) << m)
         self.sig_bits = (cols[:, None] >> np.arange(m)) & 1
-        self.type_member = ((cols[:, None] >> m) == np.arange(len(type_sizes))).astype(np.int64)
         self.names = [_var_name(c >> m, c & ((1 << m) - 1)) for c in range(len(cols))]
         bit = {name: i for i, name in enumerate(f.prefix)}
         self.coeffs = np.zeros((k, m), dtype=np.int64)
@@ -349,32 +338,16 @@ class _Columns:
             self.group3.append(
                 (ilp.Row.of(terms, ilp.LE, const), ilp.Row.of(terms, ilp.GE, const + 1))
             )
-        self._boxes: dict[int, np.ndarray] = {}  # slack -> offsets in [0, slack]^m
 
-    def alphas(self, sizes: np.ndarray) -> np.ndarray:
-        """Pre-evaluation index of every row of set sizes."""
-        return (sizes @ self.coeffs.T > self.consts) @ self._weights
-
-    def achievable(self, sizes: np.ndarray, slack: int) -> Optional[frozenset[int]]:
-        """Pre-evaluations a unit with set sizes `sizes` can possibly comply
-        with: its extensions place `slack` more vertices, so every |Z_i| lies
-        in [sizes_i, sizes_i + slack], and sweeping that box covers every
-        feasible truth vector. None when the box is too large to sweep (the
-        solver then tries the unit under every pre-evaluation)."""
-        if (slack + 1) ** self.m > _CANDIDATE_BOX_CAP:
-            return None
-        box = self._boxes.get(slack)
-        if box is None:
-            cells = (slack + 1) ** self.m
-            box = np.indices((slack + 1,) * self.m).reshape(self.m, cells).T
-            self._boxes[slack] = box
-        # one constraint at a time keeps the temporaries at one value per cell
-        alphas = np.zeros(len(box), dtype=self._weights.dtype)
-        for coeffs, const, weight in zip(
-            self.coeffs, self.consts - sizes @ self.coeffs.T, self._weights
-        ):
-            alphas[box @ coeffs > const] += weight
-        return frozenset(np.unique(alphas).tolist())
+    def alphas(self, sizes: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pre-evaluation index of every row of set sizes, each row shifted
+        by `base` when given. One constraint at a time keeps the temporaries
+        at one value per row."""
+        consts = self.consts if base is None else self.consts - self.coeffs @ base
+        out = np.zeros(len(sizes), dtype=self._weights.dtype)
+        for coeffs, const, weight in zip(self.coeffs, consts, self._weights):
+            out[sizes @ coeffs > const] += weight
+        return out
 
 
 def _counts_from_chi(rg: ReducedGraph, chi: PrefixAssignment) -> tuple[int, ...]:
@@ -442,6 +415,16 @@ class _Pipeline:
 
         self.m = f.m
         self.k = len(f.constraints)
+        # further vertices the extension of every unit places (every row's
+        # type totals are the reduced type sizes); with none the type sums
+        # pin every variable
+        self.slack = g.n - self.rg.graph.n
+        # offsets in [0, slack]^m: the extensions of a unit with set sizes s
+        # reach only the sizes s + box; None past the cap
+        self._box: Optional[np.ndarray] = None
+        side = self.slack + 1
+        if side ** self.m <= _CANDIDATE_BOX_CAP:
+            self._box = np.indices((side,) * self.m).reshape(self.m, side ** self.m).T
 
         # alpha index bit i set <=> constraint i guessed false; index 0 is
         # all-true and ascending order is the binary counter the spec fixes
@@ -457,23 +440,17 @@ class _Pipeline:
         self._arrangements = math.prod(
             math.factorial(len(members)) for members in self.rg.types.types
         )
-        # work units of each piece-value profile, in enumeration order
-        self._unit_cache: dict[tuple[bool, ...], list[_WorkUnit]] = {}
 
     # ---------------------------------------------------------------- units
 
-    def _units_for_profile(self, values: tuple[bool, ...]) -> list[_WorkUnit]:
-        cached = self._unit_cache.get(values)
-        if cached is not None:
-            return cached
+    def _units_for_profile(self, values: tuple[bool, ...]) -> list[tuple[int, ...]]:
+        """The count rows of a piece-value profile, in enumeration order."""
         folded = _fold(self.skeleton, values)
-        units = [] if isinstance(folded, FalseLit) else self._enumerate_states(folded)
-        self._unit_cache[values] = units
-        return units
+        return [] if isinstance(folded, FalseLit) else self._enumerate_states(folded)
 
-    def _enumerate_states(self, body: Node) -> list[_WorkUnit]:
-        """One unit per subtype-cardinality state. Uses the truth table while
-        the whole prefix and the body fit one table and count-state
+    def _enumerate_states(self, body: Node) -> list[tuple[int, ...]]:
+        """One count row per subtype-cardinality state. Uses the truth table
+        while the whole prefix and the body fit one table and count-state
         recursion beyond that."""
         budget = table_eval.DEFAULT_CELL_BUDGET
         if (
@@ -482,11 +459,11 @@ class _Pipeline:
                 self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
             ) <= budget
         ):
-            seen: dict[tuple[int, ...], int] = {}
+            rows: dict[tuple[int, ...], None] = {}
             for chi in self._raw_stream(body):
-                row = _counts_from_chi(self.rg, chi)
-                seen[row] = seen.get(row, 0) + 1
-            return self._units(list(seen), list(seen.values()))
+                rows[_counts_from_chi(self.rg, chi)] = None
+                self.stats.prefix_assignments += 1
+            return list(rows)
         ev = TypedEvaluator(
             self.rg.graph, classes=list(self.rg.types.types),
             state_budget=TYPED_STATE_BUDGET,
@@ -495,43 +472,16 @@ class _Pipeline:
         # an mso-states refusal has not paid for units it never uses
         states = list(ev.satisfying_states(self.f.prefix, body))
         self.stats.count_states += ev.leaves
-        rows = []
-        raw_counts = []
+        out = []
         for classes in states:
             row = [0] * len(self.cols.names)
             for base, sig, count in classes:
                 row[(base << self.m) | sig] = count
-            rows.append(tuple(row))
-            raw_counts.append(
+            out.append(tuple(row))
+            self.stats.prefix_assignments += (
                 self._arrangements // math.prod(math.factorial(c) for _, _, c in classes)
             )
-        return self._units(rows, raw_counts)
-
-    def _units(self, rows: list[tuple[int, ...]], raw_counts: list[int]) -> list[_WorkUnit]:
-        """Work units for count rows of the reduced graph, all read off the
-        column matrices at once. A row whose type totals equal the original
-        sizes is pinned whatever its counts: the type sums leave every
-        lower-bounded variable at its bound. Every other row has room to
-        grow: a type cut down to 2^m * small vertices has a signature with
-        at least `small` of them, whose variable is only bounded below."""
-        self.stats.prefix_assignments += sum(raw_counts)
-        if not rows:
-            return []
-        cols = self.cols
-        counts = np.array(rows, dtype=np.int64)
-        sizes = counts @ cols.sig_bits
-        totals = counts @ cols.type_member
-        complete = (totals == cols.type_sizes).all(axis=1)
-        alphas = cols.alphas(sizes)
-        slack = (cols.type_sizes.sum() - totals.sum(axis=1)).tolist()
-        units = []
-        for i, row in enumerate(rows):
-            if complete[i]:
-                units.append(_WorkUnit(row, raw_counts[i], True, int(alphas[i])))
-            else:
-                candidates = cols.achievable(sizes[i], slack[i])
-                units.append(_WorkUnit(row, raw_counts[i], False, None, candidates))
-        return units
+        return out
 
     def _raw_stream(self, body: Node):
         if self.m == 0:
@@ -544,24 +494,24 @@ class _Pipeline:
 
     def _decide_unit(
         self,
-        unit: _WorkUnit,
+        counts: tuple[int, ...],
         alpha_index: int,
         objective: Optional["BetaObjective"],
         below: Optional[int] = None,
     ) -> tuple[bool, Optional[tuple[int, ...]], Optional[int]]:
-        """(feasible, solved count row, objective value) for one work item;
-        with `below`, only objective values < below count as feasible."""
+        """(feasible, solved count row, objective value) for one work pair;
+        with `below`, only objective values < below count as feasible.
+        Without slack the row is its own and only extension, and the pair's
+        alpha is the row's own pre-evaluation."""
         self.stats.ilp_solves += 1
-        if unit.pinned:
-            if alpha_index != unit.alpha_star:
-                return False, None, None
-            value = objective.pinned_value(unit.counts) if objective is not None else None
+        if self.slack == 0:
+            value = objective.pinned_value(counts) if objective is not None else None
             if self.dump is not None:
-                self.dump(_build_instance(self.cols, unit.counts, alpha_index, objective))
+                self.dump(_build_instance(self.cols, counts, alpha_index, objective))
             if below is not None and value >= below:
                 return False, None, None
-            return True, unit.counts, value
-        inst = _build_instance(self.cols, unit.counts, alpha_index, objective)
+            return True, counts, value
+        inst = _build_instance(self.cols, counts, alpha_index, objective)
         if self.dump is not None:
             self.dump(inst)
         if objective is None:
@@ -594,7 +544,7 @@ class _Pipeline:
 
     def _profile_alphas(self, values: tuple[bool, ...]) -> list[int]:
         """The full pre-evaluation set of a profile, ascending; budgeted
-        (needed only for units whose achievable set could not be bounded)."""
+        (needed only when the candidate box is past its cap)."""
         total = 1
         for space, value in zip(self.spaces, values):
             total *= space.count(value)
@@ -606,42 +556,47 @@ class _Pipeline:
             alphas = [base | extra for base in alphas for extra in spreads]
         return sorted(alphas)
 
-    def _collect_pairs(self) -> list[tuple[int, int, _WorkUnit]]:
+    def _reachable(self, sizes: list[int], values: tuple[bool, ...]) -> list[int]:
+        """The pre-evaluations of profile `values` that a unit with set sizes
+        `sizes` can possibly comply with: those of the sizes + box."""
+        alphas = np.unique(self.cols.alphas(self._box, np.array(sizes, dtype=np.int64)))
+        return [alpha for alpha in alphas.tolist() if self._alpha_member(alpha, values)]
+
+    def _collect_pairs(self) -> list[tuple[int, int, tuple[int, ...]]]:
         """Every (pre-evaluation, unit) work pair that could possibly be
         feasible, in the (alpha, enumeration position) order the plain loop
         would reach them. alphas determine their profile, so position ties
         across profiles cannot happen."""
-        pairs: list[tuple[int, int, _WorkUnit]] = []
+        pairs: list[tuple[int, int, tuple[int, ...]]] = []
         for values in self._profiles():
-            fallback: Optional[list[int]] = None
-            for pos, unit in enumerate(self._units_for_profile(values)):
-                if unit.pinned:
-                    if self._alpha_member(unit.alpha_star, values):
-                        pairs.append((unit.alpha_star, pos, unit))
-                elif unit.alpha_candidates is not None:
-                    for alpha in unit.alpha_candidates:
-                        if self._alpha_member(alpha, values):
-                            pairs.append((alpha, pos, unit))
-                else:
-                    if fallback is None:
-                        fallback = self._profile_alphas(values)
-                    for alpha in fallback:
-                        pairs.append((alpha, pos, unit))
+            rows = self._units_for_profile(values)
+            if not rows:
+                continue
+            fallback = self._profile_alphas(values) if self._box is None else None
+            reached: dict[tuple[int, ...], list[int]] = {}
+            sizes = (np.array(rows, dtype=np.int64) @ self.cols.sig_bits).tolist()
+            for pos, (row, size) in enumerate(zip(rows, sizes)):
+                key = tuple(size)
+                if key not in reached:
+                    reached[key] = fallback if fallback is not None else self._reachable(size, values)
+                pairs.extend((alpha, pos, row) for alpha in reached[key])
         pairs.sort(key=lambda item: (item[0], item[1]))
         return pairs
 
     def run_decision(self) -> Verdict:
         start = time.perf_counter()
-        for alpha_index, _pos, unit in self._collect_pairs():
-            feasible, counts, _ = self._decide_unit(unit, alpha_index, None)
+        tried: set[int] = set()
+        for alpha_index, _pos, counts in self._collect_pairs():
+            tried.add(alpha_index)
+            feasible, solved, _ = self._decide_unit(counts, alpha_index, None)
             if feasible:
-                witness = extract_witness(counts, self.m, self.tp.types)
-                self.stats.pre_evaluations = alpha_index + 1
+                witness = extract_witness(solved, self.m, self.tp.types)
+                self.stats.pre_evaluations = len(tried)
                 self.stats.elapsed = time.perf_counter() - start
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)
                 return Verdict(True, witness, alpha, self.stats)
-        self.stats.pre_evaluations = 1 << self.k
+        self.stats.pre_evaluations = len(tried)
         self.stats.elapsed = time.perf_counter() - start
         return Verdict(False, None, None, self.stats)
 
@@ -650,17 +605,18 @@ class _Pipeline:
         so far; returns (best value, witness, alpha) or None."""
         start = time.perf_counter()
         best: Optional[tuple[int, PrefixAssignment, PreEvaluation]] = None
-        for alpha_index, _pos, unit in self._collect_pairs():
+        pairs = self._collect_pairs()
+        for alpha_index, _pos, counts in pairs:
             below = best[0] if best is not None else None
-            feasible, counts, value = self._decide_unit(
-                unit, alpha_index, objective, below
+            feasible, solved, value = self._decide_unit(
+                counts, alpha_index, objective, below
             )
             if feasible:
-                witness = extract_witness(counts, self.m, self.tp.types)
+                witness = extract_witness(solved, self.m, self.tp.types)
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)
                 best = (value, witness, alpha)
-        self.stats.pre_evaluations = 1 << self.k
+        self.stats.pre_evaluations = len({alpha for alpha, _, _ in pairs})
         self.stats.elapsed = time.perf_counter() - start
         return best
 

@@ -88,9 +88,9 @@ def test_beta_decomposition_matches_direct_count(rng):
         pipeline = _Pipeline(g, f)
         objective = BetaObjective(pipeline)
         all_true = tuple(space.value_at(0) for space in pipeline.spaces)
-        for unit in pipeline._units_for_profile(all_true)[:10]:
-            parts = extract_witness(unit.counts, c, pipeline.rg.types.types).sets
+        for counts in pipeline._units_for_profile(all_true)[:10]:
+            parts = extract_witness(counts, c, pipeline.rg.types.types).sets
             want = pipeline.rg.graph.cut_size(parts)
-            assert objective.pinned_value(unit.counts) == want
+            assert objective.pinned_value(counts) == want
             checked += 1
     assert checked >= 100

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardmso import corpus, ilp, oracle
+from cardmso import corpus, ilp, oracle, solver, table_eval
+from cardmso.balanced import cbalanced
 from cardmso.errors import CoverBudgetExceeded, WitnessError
 from cardmso.formula import analyze, constraint_truths, parse_formula, substitute_params
 from cardmso.graph import Graph, VertexCover, min_vertex_cover, type_partition
@@ -11,7 +14,7 @@ from cardmso.mso_eval import PrefixAssignment, reduce_graph
 from cardmso.solver import _Pipeline, build_extension_ilp, check, extract_witness
 from conftest import (
     assert_witness_valid, complete_bipartite, complete_graph, cycle_graph,
-    path_graph, random_graph, star_graph, twin_class_graph,
+    path_graph, planted_cover, random_graph, star_graph, twin_class_graph,
 )
 
 
@@ -256,10 +259,24 @@ class TestCheck:
             assert v.holds
             assert_witness_valid(g, f, v)
 
-    def test_false_verdict_tries_all_pre_evaluations(self):
+    def test_pre_evaluations_count_those_with_work_pairs(self):
         f = parse_formula(corpus.bipartite_equal())
-        v = check(path_graph(3), f)
-        assert v.stats.pre_evaluations == 4
+        # P3's colourings have sizes 2 and 1, which comply only with
+        # pre-evaluations whose folded body is false: no work pair at all
+        assert check(path_graph(3), f).stats.pre_evaluations == 0
+        # C4 holds at its first pair, under the all-true pre-evaluation
+        assert check(cycle_graph(4), f).stats.pre_evaluations == 1
+        # every pair of the 40-leaf star has that same pre-evaluation
+        assert check(star_graph(40), f).stats.pre_evaluations == 1
+        # at most one vertex in X: [2 <= |X|] guessed true is refuted, and
+        # the empty X holds with it guessed false
+        f = parse_formula(
+            "exists X. ([2 <= |X|] | forall v. !(v in X))"
+            " & forall a. forall b. ((a in X & b in X) -> a = b)"
+        )
+        v = check(edgeless(8), f)
+        assert v.holds and v.alpha == (False,)
+        assert v.stats.pre_evaluations == 2
 
     def test_cover_budget_propagates(self):
         with pytest.raises(CoverBudgetExceeded):
@@ -384,3 +401,107 @@ def test_count_states_counts_filtered_leaves():
     verdict = check(g, parse_formula(corpus.bipartite_equal()))
     assert verdict.stats.reduced_vertices == 17
     assert verdict.stats.count_states == 162
+
+
+# m -> bodies with that many prefix sets; $K is drawn per graph
+PAIR_BODIES = {
+    0: ["[2 <= $K] | forall a. forall b. (adj(a, b) | a = b)"],
+    1: [
+        "exists X. [|X| = $K]",
+        "exists X. (forall a. forall b. ((a in X & b in X) -> !adj(a, b))) & [|X| = $K]",
+    ],
+    2: [
+        "exists X. exists Y. (forall v. (v in X -> !(v in Y))) & [|X| = |Y| + $K]",
+        corpus.bipartite_equal(),
+    ],
+    3: [
+        "exists X. exists Y. exists Z. (forall v. ((v in X -> v in Y) & (v in Y -> v in Z)))"
+        " & [|X| + |Y| <= |Z| + $K] & ([|Z| <= |X| + 1] | forall v. (v in X <-> v in Y))",
+    ],
+}
+
+
+def per_unit_pairs(pipeline: _Pipeline) -> list:
+    """Work pairs by the per-unit definition: a unit with set sizes s
+    complies at most with the pre-evaluations of the sizes in
+    [s, s + slack]^m (slack = vertices reduction removed), read through
+    constraint_truths, and only with those of its own profile."""
+    f = pipeline.f
+    slack = pipeline.g.n - pipeline.rg.graph.n
+    reached: dict[tuple[int, ...], set[int]] = {}
+    pairs = []
+    for values in pipeline._profiles():
+        for pos, row in enumerate(pipeline._units_for_profile(values)):
+            sizes = tuple(
+                sum(c for col, c in enumerate(row) if (col >> i) & 1) for i in range(f.m)
+            )
+            if sizes not in reached:
+                reached[sizes] = set()
+                for offset in itertools.product(range(slack + 1), repeat=f.m):
+                    grown = {name: s + o for name, s, o in zip(f.prefix, sizes, offset)}
+                    truths = constraint_truths(f, grown)
+                    reached[sizes].add(sum((not t) << j for j, t in enumerate(truths)))
+            pairs += [
+                (alpha, pos, row) for alpha in reached[sizes]
+                if pipeline._alpha_member(alpha, values)
+            ]
+    return sorted(pairs)
+
+
+def test_collect_pairs_match_the_per_unit_sweep(rng, monkeypatch):
+    # m = 3 reduces only types past 8 vertices, where the raw stream would
+    # decode every assignment; count states are cheaper there
+    monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 1 << 12)
+    seen = set()
+    for _ in range(6):
+        for m, bodies in PAIR_BODIES.items():
+            if m < 3:
+                graphs = [
+                    twin_class_graph(rng),
+                    planted_cover(rng, rng.randint(1, 2), rng.randint(3, 8)),
+                ]
+            else:
+                graphs = [edgeless(rng.randint(6, 11)), star_graph(rng.randint(5, 10))]
+            for g in graphs:
+                for body in bodies:
+                    f = parse_formula(body)
+                    if f.free_params:
+                        f = substitute_params(f, {"K": rng.randint(0, 3)})
+                    pipeline = _Pipeline(g, f)
+                    assert pipeline._box is not None
+                    assert pipeline._collect_pairs() == per_unit_pairs(pipeline), (body, g.edges)
+                    seen.add((m, pipeline.slack > 0))
+    assert seen == {(m, reduced) for m in PAIR_BODIES for reduced in (False, True)}
+
+
+def test_profile_fallback_past_the_box_cap(rng, monkeypatch):
+    # with the cap at one cell, every pipeline with slack tries each unit
+    # under every pre-evaluation of its profile
+    monkeypatch.setattr(solver, "_CANDIDATE_BOX_CAP", 1)
+    calls = []
+    profile_alphas = _Pipeline._profile_alphas
+
+    def spy(self, values):
+        calls.append(values)
+        return profile_alphas(self, values)
+
+    monkeypatch.setattr(_Pipeline, "_profile_alphas", spy)
+    bodies = [
+        "exists X. [|X| = $K]",
+        "exists X. exists Y. (forall v. (v in X -> !(v in Y))) & [|X| = |Y| + $K]",
+    ]
+    for _ in range(8):
+        g = twin_class_graph(rng)
+        for body in bodies:
+            for k in (1, 2, 4):
+                f = substitute_params(parse_formula(body), {"K": k})
+                got = check(g, f)
+                assert got.holds == oracle.brute_check(g, f), (body, k, g.edges)
+                if got.holds:
+                    assert_witness_valid(g, f, got)
+        for c in (2, 3):
+            assert cbalanced(g, c).cut_value == oracle.brute_cbalanced(g, c), (c, g.edges)
+    for leaves in (6, 7):
+        g = star_graph(leaves)
+        assert cbalanced(g, 2).cut_value == oracle.brute_cbalanced(g, 2)
+    assert calls

@@ -2,9 +2,12 @@
 
 Exit codes: 0 property holds / optimum found, 1 property fails, 2 usage or
 input error, 3 budget exceeded, 4 internal error (any other exception, such
-as MemoryError or RecursionError, reported on one `error:` line). The --json
-report is a single JSON document with fixed field order (status, witness,
-alpha, stats, cut_value, parts); human output is not a machine contract.
+as MemoryError or RecursionError, reported on one `error:` line). A budget
+refusal's `error:` line names the budget, its limit and how far the run got.
+The --json report is a single JSON document with fixed field order (status,
+witness, alpha, stats, cut_value, parts, budget); a refusal prints it too,
+with status "refused" and budget {kind, limit, used}. Human output is not a
+machine contract.
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ def _stats_doc(stats: SolveStats) -> dict:
         "reduced_vertices": stats.reduced_vertices,
         "ilp_nodes": stats.ilp_nodes,
         "count_states": stats.count_states,
+        "shapes": stats.shapes,
+        "satisfying_shapes": stats.satisfying_shapes,
     }
 
 
@@ -136,7 +141,7 @@ def _names(g: Graph, vertices) -> list[str]:
 
 def _report(
     as_json: bool, human: str, status: str, *, witness=None, alpha=None,
-    stats: SolveStats | None = None, cut_value=None, parts=None,
+    stats: SolveStats | None = None, cut_value=None, parts=None, budget=None,
 ) -> None:
     """Print the human text, or the --json document with its fields in the
     fixed order (null where not given)."""
@@ -150,8 +155,16 @@ def _report(
         "stats": _stats_doc(stats) if stats is not None else None,
         "cut_value": cut_value,
         "parts": parts,
+        "budget": budget,
     }
     print(json.dumps(doc, indent=2))
+
+
+def _budget_doc(exc: BudgetExceeded | CoverBudgetExceeded) -> dict:
+    """The refused budget; a vertex cover past --k-max has no measured use."""
+    if isinstance(exc, CoverBudgetExceeded):
+        return {"kind": "vertex-cover", "limit": exc.k_max, "used": None}
+    return {"kind": exc.kind, "limit": exc.limit, "used": exc.used}
 
 
 def _run_check(args) -> int:
@@ -279,6 +292,8 @@ def run(argv: list[str]) -> int:
         return _HANDLERS[args.command](args)
     except (CoverBudgetExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            _report(True, "", "refused", budget=_budget_doc(exc))
         return EXIT_BUDGET
     except (CardMSOError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,12 +44,14 @@ class CoverBudgetExceeded(CardMSOError):
 
 class BudgetExceeded(CardMSOError):
     """A configurable work cap was hit (search nodes, table cells, shapes,
-    pre-evaluations). Never a wrong answer, always an explicit refusal."""
+    pre-evaluations). Never a wrong answer, always an explicit refusal.
+    used is how far the run got: the amount that passed the limit."""
 
-    def __init__(self, kind: str, limit: int):
+    def __init__(self, kind: str, limit: int, used: int):
         self.kind = kind
         self.limit = limit
-        super().__init__(f"{kind} budget exceeded (limit {limit})")
+        self.used = used
+        super().__init__(f"{kind} budget exceeded (limit {limit}, reached {used})")
 
 
 class WitnessError(CardMSOError):

@@ -181,7 +181,7 @@ class _Search:
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise BudgetExceeded("ilp-nodes", self.node_budget)
+            raise BudgetExceeded("ilp-nodes", self.node_budget, self.nodes)
 
     def propagate(self, lo: list[int], hi: list[int], queue: deque) -> bool:
         """Interval tightening to fixpoint over the queued rows and every row

@@ -28,7 +28,7 @@ DEFAULT_CAP = 8
 
 def _require_small(g: Graph, cap: int) -> None:
     if g.n > cap:
-        raise BudgetExceeded("oracle-vertices", cap)
+        raise BudgetExceeded("oracle-vertices", cap, g.n)
 
 
 def _require_closed(f: Formula) -> None:

@@ -68,8 +68,9 @@ def enumerate_shapes(
     ascending): the product of [0, min(|T|, threshold)] over the types."""
     small = stats.small_threshold
     ranges = [range(min(len(members), small) + 1) for members in tp.types]
-    if math.prod(len(r) for r in ranges) > shape_budget:
-        raise BudgetExceeded("shapes", shape_budget)
+    total = math.prod(len(r) for r in ranges)
+    if total > shape_budget:
+        raise BudgetExceeded("shapes", shape_budget, total)
     return [Shape(per) for per in itertools.product(*ranges)]
 
 
@@ -140,6 +141,8 @@ def mso_partition(
             continue
         if shape_satisfies(g, tp, s, inst.formula, fstats):
             satisfying.append(s)
+    stats.shapes = len(shapes)
+    stats.satisfying_shapes = len(satisfying)
 
     # per type, the parts take at least their counts (fit) and together
     # cover the type (demand), where a part at the threshold can take all

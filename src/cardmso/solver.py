@@ -72,6 +72,8 @@ class SolveStats:
     reduced_vertices: int = 0
     ilp_nodes: int = 0
     count_states: int = 0  # leaves the count-state enumeration evaluated
+    shapes: int = 0  # partition: shapes enumerated
+    satisfying_shapes: int = 0  # partition: variables of the tiling program
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ class _PieceSpace:
         self.bits = bits
         width = len(bits)
         if width > MAX_PIECE_BITS:
-            raise BudgetExceeded("pre-evaluation-piece-bits", 1 << MAX_PIECE_BITS)
+            raise BudgetExceeded("pre-evaluation-piece-bits", MAX_PIECE_BITS, width)
         size = 1 << width
         idx = np.arange(size, dtype=np.int64)
         local_tables = {
@@ -430,7 +432,7 @@ class _Pipeline:
         # all-true and ascending order is the binary counter the spec fixes
         self.skeleton, self.pieces = _split_pieces(f.body)
         if len(self.pieces) > MAX_PIECES:
-            raise BudgetExceeded("pre-evaluation-pieces", 1 << MAX_PIECES)
+            raise BudgetExceeded("pre-evaluation-pieces", MAX_PIECES, len(self.pieces))
         self.spaces = [
             _PieceSpace(piece, _leaf_indices(piece), self.rg.graph.n)
             for piece in self.pieces
@@ -549,7 +551,7 @@ class _Pipeline:
         for space, value in zip(self.spaces, values):
             total *= space.count(value)
             if total > MAX_FALLBACK_ALPHAS:
-                raise BudgetExceeded("pre-evaluations", MAX_FALLBACK_ALPHAS)
+                raise BudgetExceeded("pre-evaluations", MAX_FALLBACK_ALPHAS, total)
         alphas = [0]
         for space, value in zip(self.spaces, values):
             spreads = [space.spread(int(p)) for p in space.patterns[value]]

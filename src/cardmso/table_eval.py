@@ -1,12 +1,23 @@
-"""Vectorised MSO evaluation over explicit truth tables, kept factored.
+"""Vectorised MSO evaluation over explicit truth tables, kept factored and
+bit-packed.
 
-Set variables get one array axis each (size 2^n, subsets encoded as bitmasks
-with vertex 0 in the least significant bit). A formula evaluates to a
-conjunction of factors: a dict from a span (a bitmask of the set axes the
-factor depends on) to a bool array with full size on those axes and size 1 on
-every other axis, so numpy broadcasting aligns factors of different spans.
-The empty dict is true; the span-0 entry only ever holds false, and then it
-stands alone.
+Set variables get one array axis each (2^n subsets, encoded as bitmasks with
+vertex 0 in the least significant bit). A formula evaluates to a conjunction
+of factors: a dict from a span (a bitmask of the set axes the factor depends
+on) to a uint8 array with full size on those axes and size 1 on every other
+axis, so numpy broadcasting aligns factors of different spans. The empty
+dict is true; the span-0 entry only ever holds false, and then it stands
+alone.
+
+Layout: axis 0, the first set axis (the first prefix variable in
+prefix_table), is bit-packed. Its byte j holds subsets 8j .. 8j+7, bit i
+being subset 8j+i (np.packbits with bitorder="little"); with fewer than 8
+subsets the 2^n-bit pattern repeats across the one byte. Every other axis
+keeps one byte per subset, and a factor that does not span axis 0 holds
+only 0x00 (false) or 0xFF (true) in each byte. So `!` is `~`, And is `&`, Or
+is `|` and `<->` is XNOR, all exact under broadcasting against packed
+factors, and a table takes one byte per 8 cells on axis 0 and one byte per
+cell elsewhere.
 
 Polarity: eval(node, venv, negate) returns the factors of node, or of its
 negation when negate is set. `!` flips the polarity and De Morgan swaps And
@@ -16,15 +27,19 @@ disjunction stays a conjunction of small factors.
 Conjunction merges factors, ANDing those with the same span. `forall X`
 folds each factor that spans X on its own, because it distributes over the
 conjunction; `exists X` joins only the factors that span X into one array
-and folds that. A disjunction and `<->` join each side into one array. An
-operand without free set variables (adj, `=`, fixed sets) is evaluated
-first: its scalar decides the node or drops the operand. The one table over
-every prefix variable is joined once, at the end of prefix_table.
+and folds that. A fold is a bitwise AND (forall) or OR (exists) reduction
+over the axis; on axis 0 the reduced byte is then tested for all bits or any
+bit and spread back to 0x00 or 0xFF. A disjunction and `<->` join each side
+into one array. An operand without free set variables (adj, `=`, fixed
+sets) is evaluated first: its scalar decides the node or drops the operand.
+The one table over every prefix variable is joined once, at the end of
+prefix_table, and unpacked into a bool table there.
 
 Vertex variables are never axes: a vertex quantifier loops over the domain
 with the variable fixed. Every array the engine builds, merged, joined or
-folded, is charged to the cell budget before it is allocated. Semantics are
-exactly those of naive recursion, including the empty-domain conventions.
+folded, is charged to the cell budget before it is allocated; the budget
+counts cells (subsets), not bytes. Semantics are exactly those of naive
+recursion, including the empty-domain conventions.
 """
 
 from __future__ import annotations
@@ -42,6 +57,10 @@ DEFAULT_CELL_BUDGET = 1 << 27
 
 # span bitmask -> factor; see the module docstring
 Factors = dict[int, np.ndarray]
+
+_FALSE_TRUE = np.array([0x00, 0xFF], dtype=np.uint8)
+# packed byte of "vertex v is in the subset" for v < 3: bit i is subset i
+_LOW_MEMBER_BYTES = (0xAA, 0xCC, 0xF0)
 
 
 def collect_set_vars(node: Node, acc: dict[str, bool]) -> None:
@@ -67,6 +86,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _spread(flags: np.ndarray) -> np.ndarray:
+    """Bool array -> one 0x00 or 0xFF byte per entry."""
+    return flags.view(np.uint8) * np.uint8(0xFF)
+
+
+def _xnor(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.bitwise_xor(x, y, out=out)
+    return np.invert(out, out=out)
+
+
 class TableEngine:
     """One evaluation context: a graph plus a set-variable axis registry.
 
@@ -86,6 +115,8 @@ class TableEngine:
         self.g = g
         self.n = g.n
         self.subsets = 1 << g.n
+        # bytes on the packed axis 0
+        self.width = max(1, self.subsets >> 3)
         self.cell_budget = cell_budget
         self.fixed_sets = fixed_sets or {}
 
@@ -97,38 +128,62 @@ class TableEngine:
         self.axis = {v: i for i, v in enumerate(order)}
         self.naxes = len(order)
 
-        self._member_columns: dict[int, np.ndarray] = {}
+        # (vertex, packed) -> membership column in the layout of axis 0
+        # (packed) or of any other set axis
+        self._member_columns: dict[tuple[int, bool], np.ndarray] = {}
         self.adj = np.zeros((g.n, g.n), dtype=bool)
         for a, b in g.edges:
             self.adj[a, b] = self.adj[b, a] = True
         self._fixed_masks = {
             name: sum(1 << x for x in vs) for name, vs in self.fixed_sets.items()
         }
-        self._seq_cache: np.ndarray | None = None
+        # packed -> the set-equality identity over two set axes
+        self._identities: dict[bool, np.ndarray] = {}
         # shared arrays are read-only, so no in-place update can reach them
-        self._true = _frozen(np.ones((1,) * self.naxes, dtype=bool))
-        self._false = _frozen(np.zeros((1,) * self.naxes, dtype=bool))
+        self._true = _frozen(np.full((1,) * self.naxes, 0xFF, dtype=np.uint8))
+        self._false = _frozen(np.zeros((1,) * self.naxes, dtype=np.uint8))
         # id(node) -> (node, free set variables); the node is held so its id
         # cannot be reused while the engine lives
         self._free_memo: dict[int, tuple[Node, frozenset[str]]] = {}
 
     def _charge(self, cells: int) -> None:
         if cells > self.cell_budget:
-            raise BudgetExceeded("mso-cells", self.cell_budget)
+            raise BudgetExceeded("mso-cells", self.cell_budget, cells)
 
     def _cells(self, span: int) -> int:
         return self.subsets ** span.bit_count()
 
-    def _membership(self, v: int) -> np.ndarray:
-        """Which of the 2^n subsets contain vertex v. Each column is charged
-        and built on first use: sentences without free set variables read
-        none, so large graphs evaluate them without any subset axis."""
-        column = self._member_columns.get(v)
+    def _size(self, span: int) -> int:
+        """Bytes of a factor over span (axis 0 packed)."""
+        return (self.width if span & 1 else 1) * self.subsets ** (span >> 1).bit_count()
+
+    def _membership(self, v: int, packed: bool) -> np.ndarray:
+        """Which of the 2^n subsets contain vertex v, in the layout of axis 0
+        (packed) or of any other set axis. Each column is charged and built
+        on first use: sentences without free set variables read none, so
+        large graphs evaluate them without any subset axis."""
+        column = self._member_columns.get((v, packed))
         if column is None:
             self._charge(self.subsets)
-            column = np.tile(np.repeat([False, True], 1 << v), self.subsets >> (v + 1))
-            self._member_columns[v] = column = _frozen(column)
+            if not packed:
+                column = np.tile(np.repeat(_FALSE_TRUE, 1 << v), self.subsets >> (v + 1))
+            elif v < 3:
+                column = np.full(self.width, _LOW_MEMBER_BYTES[v], dtype=np.uint8)
+            else:
+                # byte j holds 8 subsets that agree on v: bit v - 3 of j
+                column = np.tile(np.repeat(_FALSE_TRUE, 1 << (v - 3)), self.width >> (v - 2))
+            self._member_columns[(v, packed)] = column = _frozen(column)
         return column
+
+    def _layout(self, bits: np.ndarray, packed: bool) -> np.ndarray:
+        """A bool array with the subsets on its first axis, in the layout of
+        axis 0 (packed, the pattern repeated below 8 subsets) or of any
+        other set axis."""
+        if not packed:
+            return _spread(bits)
+        repeats = max(1, 8 // self.subsets)
+        bits = np.tile(bits, (repeats,) + (1,) * (bits.ndim - 1))
+        return np.packbits(bits, axis=0, bitorder="little")
 
     def _place1(self, column: np.ndarray, var: str) -> np.ndarray:
         shape = [1] * self.naxes
@@ -167,10 +222,10 @@ class TableEngine:
         """op(x, y) as a factor over span, charged first. Both operands are
         consumed: one the engine allocated itself (writeable, not a view)
         with the result's size takes the result in place."""
-        cells = self._cells(span)
-        self._charge(cells)
+        self._charge(self._cells(span))
+        size = self._size(span)
         for out in (x, y):
-            if out.base is None and out.flags.writeable and out.size == cells:
+            if out.base is None and out.flags.writeable and out.size == size:
                 return op(x, y, out=out)
         return op(x, y)
 
@@ -185,7 +240,7 @@ class TableEngine:
             return factors
         old = factors.get(span)
         factors[span] = (
-            table if old is None else self._combine(np.logical_and, span, old, table)
+            table if old is None else self._combine(np.bitwise_and, span, old, table)
         )
         return factors
 
@@ -203,7 +258,7 @@ class TableEngine:
         span, table = items[0]
         for other, factor in items[1:]:
             span |= other
-            table = self._combine(np.logical_and, span, table, factor)
+            table = self._combine(np.bitwise_and, span, table, factor)
         return span, table
 
     def _disj(self, a: Factors, b: Factors) -> Factors:
@@ -215,7 +270,7 @@ class TableEngine:
             return a
         sa, ta = self._join(a)
         sb, tb = self._join(b)
-        return self._add({}, sa | sb, self._combine(np.logical_or, sa | sb, ta, tb))
+        return self._add({}, sa | sb, self._combine(np.bitwise_or, sa | sb, ta, tb))
 
     def _connective(
         self, node, venv: dict[str, int], negate_left: bool, negate_right: bool,
@@ -250,11 +305,12 @@ class TableEngine:
             v = venv[node.vertex]
             if node.set in self.fixed_sets:
                 return self._scalar(bool((self._fixed_masks[node.set] >> v) & 1) != negate)
-            column = self._place1(self._membership(v), node.set)
+            ax = self.axis[node.set]
+            column = self._place1(self._membership(v, ax == 0), node.set)
             if negate:
                 self._charge(self.subsets)
                 column = ~column
-            return {1 << self.axis[node.set]: column}
+            return {1 << ax: column}
         if isinstance(node, Adjacent):
             return self._scalar(bool(self.adj[venv[node.a], venv[node.b]]) != negate)
         if isinstance(node, VertexEq):
@@ -306,8 +362,17 @@ class TableEngine:
             return self.eval(right, venv, negate == (not first))
         sa, ta = self._join(first)
         sb, tb = self._join(self.eval(right, venv))
-        op = np.not_equal if negate else np.equal
+        op = np.bitwise_xor if negate else _xnor
         return self._add({}, sa | sb, self._combine(op, sa | sb, ta, tb))
+
+    def _fold(self, table: np.ndarray, ax: int, universal: bool) -> np.ndarray:
+        """forall (universal) or exists over axis ax of one array. On the
+        packed axis the reduced byte's bits are the subsets left to fold."""
+        op = np.bitwise_and if universal else np.bitwise_or
+        table = op.reduce(table, axis=ax, keepdims=True)
+        if ax == 0:
+            table = _spread(table == 0xFF if universal else table != 0)
+        return table
 
     def _fold_all(self, child: Factors, ax: int) -> Factors:
         """forall over axis ax, one factor at a time. Factors without the axis
@@ -317,7 +382,7 @@ class TableEngine:
         for span, table in child.items():
             if span & bit:
                 self._charge(self._cells(span & ~bit))
-                span, table = span & ~bit, table.all(axis=ax, keepdims=True)
+                span, table = span & ~bit, self._fold(table, ax, True)
             self._add(out, span, table)
         return out
 
@@ -330,7 +395,7 @@ class TableEngine:
         out = {span: t for span, t in child.items() if not span & bit}
         span, table = self._join(inside)
         self._charge(self._cells(span & ~bit))
-        return self._add(out, span & ~bit, table.any(axis=ax, keepdims=True))
+        return self._add(out, span & ~bit, self._fold(table, ax, False))
 
     def _set_eq(self, node: SetEq, negate: bool) -> Factors:
         a_fixed = node.a in self.fixed_sets
@@ -343,18 +408,20 @@ class TableEngine:
         if a_fixed or b_fixed:
             fixed, free = (node.a, node.b) if a_fixed else (node.b, node.a)
             self._charge(self.subsets)
-            column = np.full(self.subsets, negate, dtype=bool)
-            column[self._fixed_masks[fixed]] = not negate
+            bits = np.full(self.subsets, negate, dtype=bool)
+            bits[self._fixed_masks[fixed]] = not negate
+            column = self._layout(bits, self.axis[free] == 0)
             return {1 << self.axis[free]: self._place1(column, free)}
         self._charge(self.subsets * self.subsets)
-        if self._seq_cache is None:
-            self._seq_cache = _frozen(np.eye(self.subsets, dtype=bool))
-        ax_a, ax_b = self.axis[node.a], self.axis[node.b]
+        low, high = sorted((self.axis[node.a], self.axis[node.b]))
+        identity = self._identities.get(low == 0)
+        if identity is None:
+            identity = self._layout(np.eye(self.subsets, dtype=bool), low == 0)
+            self._identities[low == 0] = identity = _frozen(identity)
         shape = [1] * self.naxes
-        shape[min(ax_a, ax_b)] = self.subsets
-        shape[max(ax_a, ax_b)] = self.subsets
-        table = self._seq_cache.reshape(shape)
-        return {(1 << ax_a) | (1 << ax_b): ~table if negate else table}
+        shape[low], shape[high] = identity.shape
+        table = identity.reshape(shape)
+        return {(1 << low) | (1 << high): ~table if negate else table}
 
 
 def evaluate_sentence(
@@ -383,20 +450,28 @@ def prefix_table(
 
     Shape is (2^n,) * m with the first prefix variable on the first axis, so
     flat C-order enumerates assignments with the last variable as the fastest
-    binary counter. The body's factors are joined into this one table last.
+    binary counter. The body's factors are joined into this one table last,
+    which is unpacked into bools once.
     """
     engine = TableEngine(g, body, tuple(prefix), fixed_sets, cell_budget)
     m = len(prefix)
     factors = engine.eval(body, {})
-    cells = engine.subsets ** m
-    engine._charge(cells)
+    engine._charge(engine.subsets ** m)
     span, table = engine._join(factors)
     if span >> m:
         raise ValueError("body has free set variables beyond the prefix")
-    if not (table.base is None and table.flags.writeable and table.size == cells):
-        target_shape = (engine.subsets,) * m + (1,) * (engine.naxes - m)
-        table = np.broadcast_to(table, target_shape).copy()
-    return table.reshape((engine.subsets,) * m)
+    if m == 0:
+        return np.array(table.reshape(-1)[0] != 0)
+    rest = (engine.subsets,) * (m - 1)
+    table = np.broadcast_to(table, (engine.width,) + rest + (1,) * (engine.naxes - m))
+    table = table.reshape((engine.width, 1) + rest)
+    # bits[j, i] is bit i of byte j, subset 8j + i (np.unpackbits along
+    # axis 0 is far slower than eight shifts)
+    bits = np.empty((engine.width, 8) + rest, dtype=np.uint8)
+    for i in range(8):
+        np.right_shift(table, i, out=bits[:, i : i + 1])
+    np.bitwise_and(bits, 1, out=bits)
+    return bits.reshape((8 * engine.width,) + rest)[: engine.subsets].view(bool)
 
 
 def estimate_worst_cells(

@@ -233,7 +233,7 @@ class TypedEvaluator:
     def eval(self, node: Node, classes, picks) -> bool:
         self.calls += 1
         if self.calls > self.state_budget:
-            raise BudgetExceeded("mso-states", self.state_budget)
+            raise BudgetExceeded("mso-states", self.state_budget, self.calls)
 
         if isinstance(node, TrueLit):
             return True
@@ -388,7 +388,7 @@ class TypedEvaluator:
                 self.leaves += 1
                 self.calls += 1  # candidate states count against the budget
                 if self.calls > self.state_budget:
-                    raise BudgetExceeded("mso-states", self.state_budget)
+                    raise BudgetExceeded("mso-states", self.state_budget, self.calls)
                 if self.eval(body, classes, ()):
                     yield classes
                 return

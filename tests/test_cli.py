@@ -72,11 +72,11 @@ def test_oracle_subcommands_mirror(files):
     assert run(["oracle-cbalance", "--graph", files["p4.g"], "-c", "2"]) == 0
 
 
-FIELDS = ["status", "witness", "alpha", "stats", "cut_value", "parts"]
+FIELDS = ["status", "witness", "alpha", "stats", "cut_value", "parts", "budget"]
 STATS_KEYS = [
     "pre_evaluations", "prefix_assignments", "ilp_solves",
     "elapsed_seconds", "cover_size", "type_count", "reduced_vertices",
-    "ilp_nodes", "count_states",
+    "ilp_nodes", "count_states", "shapes", "satisfying_shapes",
 ]
 
 
@@ -101,6 +101,8 @@ def test_json_field_order_is_stable(files, capsys):
     assert (doc["status"], doc["witness"], doc["alpha"], doc["cut_value"]) == ("holds", None, None, None)
     assert sorted(doc["parts"]) == [["1", "3"], ["2", "4"]]
     assert list(doc["stats"].keys()) == STATS_KEYS
+    assert doc["stats"]["shapes"] > doc["stats"]["satisfying_shapes"] > 0
+    assert doc["budget"] is None
 
     assert run(["cbalance", "--graph", files["p4.g"], "-c", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -114,6 +116,15 @@ def test_json_field_order_is_stable(files, capsys):
     ]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc == dict.fromkeys(FIELDS) | {"status": "fails"}
+
+    assert run([
+        "partition", "--graph", files["c4.g"], "--formula", files["independence.cms"],
+        "-r", "2", "--node-budget", "1", "--json",
+    ]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == dict.fromkeys(FIELDS) | {
+        "status": "refused", "budget": {"kind": "ilp-nodes", "limit": 1, "used": 2},
+    }
 
 
 def test_json_witness_reverifies_with_oracle(files, capsys):
@@ -161,12 +172,33 @@ def test_missing_file_exit_two(tmp_path):
     assert run(["check", "--graph", str(tmp_path / "nope.g"), "--formula", str(form)]) == 2
 
 
-def test_budget_exit_three(files):
+def test_budget_exit_three(files, capsys):
     code = run([
         "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
         "--k-max", "0",
     ])
     assert code == 3
+    assert capsys.readouterr().out == ""
+
+    code = run([
+        "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
+        "--k-max", "0", "--json",
+    ])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "refused"
+    assert doc["budget"] == {"kind": "vertex-cover", "limit": 0, "used": None}
+
+
+def test_budget_error_line_says_how_far_the_run_got(files, capsys):
+    code = run([
+        "partition", "--graph", files["c4.g"], "--formula", files["independence.cms"],
+        "-r", "2", "--node-budget", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: ilp-nodes budget exceeded (limit 1, reached 2)\n"
 
 
 def test_removed_flags_rejected(files):

@@ -85,11 +85,13 @@ class TestExamples:
             [(f"v{i}", 0, 6) for i in range(6)],
             [Row.of({f"v{i}": 1 for i in range(6)}, EQ, 17)],
         )
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             solve_min(
                 ILPInstance(inst.variables, inst.rows, tuple({"v0": 1}.items())),
                 node_budget=3,
             )
+        # the node past the budget is the one refused
+        assert (err.value.kind, err.value.limit, err.value.used) == ("ilp-nodes", 3, 4)
 
 
 class TestAgainstGrid:

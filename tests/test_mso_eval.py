@@ -126,8 +126,9 @@ class TestMsoCheckExamples:
 
     def test_typed_state_budget(self):
         f = parse_formula("exists X. exists Y. (X = Y & !(X = Y))")
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             mso_check(star_graph(5), f, method="typed", node_budget=50)
+        assert (err.value.kind, err.value.limit, err.value.used) == ("mso-states", 50, 51)
 
     def test_auto_sends_set_free_sentences_to_typed(self, monkeypatch):
         def no_table(*args, **kwargs):

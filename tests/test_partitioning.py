@@ -46,8 +46,10 @@ class TestShapes:
 
     def test_budget(self):
         tp = TypePartition(tuple((i,) for i in range(40)), frozenset(), "nd")
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             enumerate_shapes(tp, FormulaStats(0, 1, 1, 0), shape_budget=1000)
+        # 40 singleton types, each count 0 or 1
+        assert (err.value.kind, err.value.limit, err.value.used) == ("shapes", 1000, 2 ** 40)
 
     def test_counts_stop_at_the_type_size(self):
         tp = TypePartition(((0,), (1, 2, 3)), frozenset(), "nd")
@@ -160,6 +162,16 @@ class TestShapeSatisfies:
 class TestMsoPartition:
     def test_c4_two_colours(self):
         assert mso_partition(cycle_graph(4), PartitionInstance(INDEP, 2)).holds
+
+    def test_stats_report_the_shapes(self):
+        g = cycle_graph(4)
+        verdict = mso_partition(g, PartitionInstance(INDEP, 2))
+        tp = type_partition(g, min_vertex_cover(g))
+        fstats = analyze(INDEP)
+        shapes = enumerate_shapes(tp, fstats)
+        satisfying = sum(shape_satisfies(g, tp, s, INDEP, fstats) for s in shapes)
+        assert verdict.holds
+        assert verdict.stats.shapes == len(shapes) > satisfying == verdict.stats.satisfying_shapes > 0
 
     def test_c5_needs_three(self):
         assert not mso_partition(cycle_graph(5), PartitionInstance(INDEP, 2)).holds

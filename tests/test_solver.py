@@ -328,8 +328,19 @@ def test_preevaluation_bit_guard():
     from cardmso.errors import BudgetExceeded
     constraints = " & ".join(f"[|Z| <= {i}]" for i in range(25))
     f = parse_formula(f"exists Z. ({constraints})")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         check(path_graph(2), f)
+    # one piece of 25 constraint leaves against MAX_PIECE_BITS = 24
+    assert (err.value.kind, err.value.limit, err.value.used) == ("pre-evaluation-piece-bits", 24, 25)
+
+
+def test_preevaluation_piece_guard():
+    from cardmso.errors import BudgetExceeded
+    # each constraint sits beside an MSO atom, so each is its own piece
+    pieces = " & ".join(f"([|Z| <= {i}] | exists x. x in Z)" for i in range(17))
+    with pytest.raises(BudgetExceeded) as err:
+        check(path_graph(2), parse_formula(f"exists Z. ({pieces})"))
+    assert (err.value.kind, err.value.limit, err.value.used) == ("pre-evaluation-pieces", 16, 17)
 
 
 def test_pre_evaluation_index_past_63_bits():

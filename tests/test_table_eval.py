@@ -1,12 +1,15 @@
 """The factored truth-table engine (table_eval) against the oracle's
 vectorised reference, oracle._VectorEval, cell for cell."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardmso import corpus, oracle, table_eval
+from cardmso import corpus, oracle, solver, table_eval
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import Adjacent, And, Formula, Quant, parse_formula, walk
 from cardmso.graph import Graph
@@ -51,7 +54,7 @@ def assert_matches_oracle(g: Graph, text: str, axes=("X", "Y"), fixed=()) -> Non
     want = oracle_table(g, body, axes + fixed)
     mask = sum(1 << v for v in odd)
     want = want[(Ellipsis,) + (mask,) * len(fixed)]
-    assert got.shape == want.shape
+    assert got.dtype == bool and got.shape == want.shape
     assert np.array_equal(got, want), text
 
 
@@ -182,17 +185,135 @@ def test_joint_tables_are_charged():
     assert np.array_equal(table, oracle_table(p3, body, prefix))
 
 
+def test_cell_refusal_reports_the_request():
+    g = cycle_graph(6)
+    with pytest.raises(BudgetExceeded) as err:
+        table_eval.prefix_table(g, _edge_clause(), ("P1", "P2", "P3"), cell_budget=1000)
+    # the clause stays factored, so the first request past 1000 cells is the
+    # final join over three 2^6-subset axes
+    assert (err.value.kind, err.value.limit, err.value.used) == ("mso-cells", 1000, 1 << 18)
+
+
 def test_shared_columns_are_never_written():
     """Merges update buffers in place; the cached membership columns they
     start from must come out unchanged."""
     g = path_graph(4)
     engine = table_eval.TableEngine(g, _edge_clause(), ("P1", "P2", "P3"))
     engine.eval(parse_formula("exists P1. forall x. x in P1").body, {})
-    before = {v: col.copy() for v, col in engine._member_columns.items()}
+    before = {key: col.copy() for key, col in engine._member_columns.items()}
     engine.eval(_edge_clause(), {})
     engine.eval(parse_formula("exists P1. exists P2. forall x. (x in P1 & x in P2)").body, {})
-    for v, col in engine._member_columns.items():
+    # P1 is axis 0 (bit-packed), P2 and P3 keep one 0x00/0xFF byte per subset
+    assert {packed for _, packed in engine._member_columns} == {False, True}
+    for (v, packed), col in engine._member_columns.items():
         assert not col.flags.writeable
-        if v in before:
-            assert np.array_equal(col, before[v])
-        assert np.array_equal(col, (np.arange(16) >> v) & 1 == 1)
+        if (v, packed) in before:
+            assert np.array_equal(col, before[v, packed])
+        want = (np.arange(16) >> v) & 1 == 1
+        if packed:
+            assert np.array_equal(np.unpackbits(col, bitorder="little").view(bool), want)
+        else:
+            assert np.array_equal(col, np.where(want, 0xFF, 0x00))
+
+
+# ------------------------------------------------------------ packed layout
+# Axis 0 holds eight subsets per byte: n < 3 repeats its 2^n-bit pattern
+# across one byte, n = 3 fills exactly one byte, n >= 4 spans several.
+
+PACKED_GRAPHS = (
+    Graph.from_edges(0, []),
+    Graph.from_edges(1, []),
+    path_graph(2),
+    path_graph(3),
+    cycle_graph(4),
+    random_graph(random.Random(9), 9),
+)
+
+
+def oracle_truth(g: Graph, sentence) -> bool:
+    ev = oracle._VectorEval(g, Formula((), sentence, ()))
+    return bool(np.asarray(ev.eval(sentence, {})).reshape(-1)[0])
+
+
+PACKED_CASES = {
+    "prefix variable the body never mentions": (
+        ("exists X. exists Y. exists x. (x in Y & forall y. (adj(x, y) -> !(y in Y)))", ("X", "Y")),
+        ("exists X. forall x. exists y. (adj(x, y) | x = y)", ("X",)),
+        ("exists X. false", ("X",)),
+    ),
+    "no factor spans axis 0": (
+        ("exists X. exists Y. (X = X & forall x. (x in Y -> exists y. adj(x, y)))", ("X", "Y")),
+        ("exists X. exists Y. !(forall x. x in Y) & !(X = X & exists x. x in Y)", ("X", "Y")),
+    ),
+    "set equality between axis 0 and another axis": (
+        ("exists X. exists Y. X = Y", ("X", "Y")),
+        ("exists X. exists Y. !(Y = X)", ("X", "Y")),
+        ("exists X. exists Y. (X = Y -> exists x. (x in X & !(x in Y)))", ("X", "Y")),
+        ("exists X. forall T. (T = X | exists x. (x in T & !(x in X)))", ("X",)),
+    ),
+    "negated membership on both layouts": (
+        ("exists X. exists Y. forall x. (!(x in X) <-> x in Y)", ("X", "Y")),
+        ("exists X. exists Y. exists x. !(x in X | !(x in Y))", ("X", "Y")),
+    ),
+}
+
+
+@pytest.mark.parametrize("cases", PACKED_CASES.values(), ids=list(PACKED_CASES))
+@pytest.mark.parametrize("g", PACKED_GRAPHS, ids=lambda g: f"n{g.n}")
+def test_packed_cases(cases, g):
+    for text, axes in cases:
+        assert_matches_oracle(g, text, axes)
+
+
+@pytest.mark.parametrize("g", PACKED_GRAPHS, ids=lambda g: f"n{g.n}")
+def test_packed_fixed_sets(g):
+    for text in (
+        "exists X. exists F. (X = F | forall x. (x in F -> !(x in X)))",
+        "exists X. exists F. !(F = X)",
+        "exists X. exists F. exists x. (x in F & x in X)",
+    ):
+        assert_matches_oracle(g, text, axes=("X",), fixed=("F",))
+
+
+@pytest.mark.parametrize("g", PACKED_GRAPHS, ids=lambda g: f"n{g.n}")
+def test_folds_over_axis_0(g):
+    """In a sentence the first quantified set variable is axis 0, so its
+    quantifier folds the packed bytes."""
+    for text in (
+        "forall X. exists x. (x in X | forall y. !(y in X))",
+        "exists X. forall x. (x in X <-> exists y. (adj(x, y) & !(y in X)))",
+        "forall X. exists Y. forall x. (x in X <-> !(x in Y))",
+        "exists X. forall Y. (X = Y | exists x. (x in Y & !(x in X)))",
+        "!(forall X. exists x. x in X)",
+        "!(exists X. forall x. !(x in X))",
+        "forall X. exists Y. X = Y",
+    ):
+        sentence = split(text, ())
+        assert table_eval.evaluate_sentence(g, sentence) == oracle_truth(g, sentence), text
+    # with F fixed, X is axis 0 and meets F's column there
+    for text in (
+        "exists F. forall X. (X = F | !(F = X))",
+        "exists F. forall X. (X = F -> forall x. (x in X <-> x in F))",
+        "exists F. exists X. (X = F & exists x. x in X)",
+    ):
+        body = split(text, ("F",))
+        want = oracle_table(g, body, ("F",))
+        for mask in {0, sum(1 << v for v in range(1, g.n, 2)), (1 << g.n) - 1}:
+            fixed = {"F": frozenset(v for v in range(g.n) if (mask >> v) & 1)}
+            assert table_eval.evaluate_sentence(g, body, fixed) == want[mask], (text, mask)
+
+
+def test_prefix_table_peak_memory():
+    """A 2^24-cell table keeps its intermediates packed: the peak is the bool
+    result (16 MB) and a little more."""
+    f = corpus.load("equitable_coloring", c=3)
+    skeleton, pieces = solver._split_pieces(f.body)
+    body = solver._fold(skeleton, (True,) * len(pieces))
+    tracemalloc.start()
+    try:
+        table = table_eval.prefix_table(cycle_graph(8), body, f.prefix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (256,) * 3
+    assert peak <= 20_000_000

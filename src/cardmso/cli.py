@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import ilp, oracle
 from .balanced import cbalanced
-from .errors import BudgetExceeded, CardMSOError, CoverBudgetExceeded
+from .errors import BudgetExceeded, CardMSOError
 from .formula import Formula, parse_formula, substitute_params
 from .graph import DEFAULT_K_MAX, Graph, parse_graph
 from .partitioning import PartitionInstance, mso_partition
@@ -132,6 +132,7 @@ def _stats_doc(stats: SolveStats) -> dict:
         "count_states": stats.count_states,
         "shapes": stats.shapes,
         "satisfying_shapes": stats.satisfying_shapes,
+        "ilp_lp_refutations": stats.ilp_lp_refutations,
     }
 
 
@@ -158,13 +159,6 @@ def _report(
         "budget": budget,
     }
     print(json.dumps(doc, indent=2))
-
-
-def _budget_doc(exc: BudgetExceeded | CoverBudgetExceeded) -> dict:
-    """The refused budget; a vertex cover past --k-max has no measured use."""
-    if isinstance(exc, CoverBudgetExceeded):
-        return {"kind": "vertex-cover", "limit": exc.k_max, "used": None}
-    return {"kind": exc.kind, "limit": exc.limit, "used": exc.used}
 
 
 def _run_check(args) -> int:
@@ -290,10 +284,11 @@ def run(argv: list[str]) -> int:
         if getattr(args, "k_max", 0) < 0:
             raise CardMSOError("--k-max must be >= 0")
         return _HANDLERS[args.command](args)
-    except (CoverBudgetExceeded, BudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.json:
-            _report(True, "", "refused", budget=_budget_doc(exc))
+            budget = {"kind": exc.kind, "limit": exc.limit, "used": exc.used}
+            _report(True, "", "refused", budget=budget)
         return EXIT_BUDGET
     except (CardMSOError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

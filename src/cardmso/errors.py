@@ -34,14 +34,6 @@ class InvalidCoverError(CardMSOError):
     """The supplied vertex set leaves some edge uncovered."""
 
 
-class CoverBudgetExceeded(CardMSOError):
-    """Minimum vertex cover is larger than the k_max budget."""
-
-    def __init__(self, k_max: int):
-        self.k_max = k_max
-        super().__init__(f"minimum vertex cover exceeds budget k_max={k_max}")
-
-
 class BudgetExceeded(CardMSOError):
     """A configurable work cap was hit (search nodes, table cells, shapes,
     pre-evaluations). Never a wrong answer, always an explicit refusal.
@@ -52,6 +44,15 @@ class BudgetExceeded(CardMSOError):
         self.limit = limit
         self.used = used
         super().__init__(f"{kind} budget exceeded (limit {limit}, reached {used})")
+
+
+class CoverBudgetExceeded(BudgetExceeded):
+    """Minimum vertex cover is larger than the k_max budget. The search has
+    ruled out every cover of at most k_max vertices, so used is k_max + 1."""
+
+    def __init__(self, k_max: int):
+        self.k_max = k_max
+        super().__init__("vertex-cover", k_max, k_max + 1)
 
 
 class WitnessError(CardMSOError):

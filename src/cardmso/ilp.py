@@ -23,6 +23,21 @@ found, and objective <= below - 1 from the root when the caller passes a
 cut-off `below`. It returns the same optimal value as a search that prunes
 only on the objective's lower bound, though possibly another optimal
 assignment, and usually after fewer nodes.
+
+When root propagation leaves a domain open, the root also tries to prove
+that the LP relaxation over the propagated box is empty (Land & Doig's LP
+bound, checked exactly as in Applegate, Cook, Dash & Espinoza). A float
+phase-1 simplex proposes multipliers y >= 0, one per row, scaled and rounded
+to integers; in integer arithmetic, the surrogate row sum_r y_r * row_r then
+needs a box minimum above its right-hand side. If it has one, no point of
+the box satisfies every row and the solve ends at node 1; the simplex's
+floats never decide anything. In minimisation the cut-off row is one of the
+rows, so an LP bound at or above `below` is refuted the same way. The
+simplex gives up after PIVOTS_PER_COLUMN pivots per column, and then, or
+when the check fails, nothing is pruned. Refuting the root only removes a
+tree without an integer point, so every status, witness, optimum and node
+count is what the search alone gives, except that a refuted program costs
+one node.
 """
 
 from __future__ import annotations
@@ -32,9 +47,14 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import BudgetExceeded
 
 DEFAULT_NODE_BUDGET = 10_000_000
+PIVOTS_PER_COLUMN = 4  # the root LP gives up after this many pivots per column
+MULTIPLIER_SCALE = 1 << 30  # float multipliers, largest scaled to this, rounded
+_TOL = 1e-9
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -94,6 +114,7 @@ class ILPResult:
     assignment: Optional[dict[str, int]] = None
     objective_value: Optional[int] = None
     nodes: int = 0
+    lp_refuted: bool = False  # closed at the root by a Farkas certificate
 
 
 def check_assignment(inst: ILPInstance, assignment: Mapping[str, int]) -> bool:
@@ -123,6 +144,96 @@ def format_instance(inst: ILPInstance) -> str:
         terms = " + ".join(f"{c}*{v}" for v, c in row.coeffs) or "0"
         lines.append(f"{terms} {row.relation} {row.rhs}")
     return "\n".join(lines) + "\n"
+
+
+def farkas_multipliers(rows: list, lo: list[int], hi: list[int]) -> Optional[list[int]]:
+    """Integer multipliers y >= 0, one per <= row (pos, neg, rhs), proposed
+    by a float phase-1 simplex over the box lo <= x <= hi; None when the LP
+    relaxation looks feasible or the pivot cap is hit. Only `refutes` makes
+    them a proof.
+
+    Bounded-variable primal simplex with Dantzig's rule and a product-form
+    basis inverse. Open variables are shifted to x = lo + z with
+    0 <= z <= hi - lo; rows that hold on the whole box are left out (their
+    multiplier is 0). Each row gains a slack, and a row violated at z = 0 an
+    artificial, so the start basis is feasible. At a positive phase-1
+    optimum the negated duals are y: the surrogate row y.A x <= y.b has a
+    box minimum above y.b by that optimum."""
+    free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+    column = {i: j for j, i in enumerate(free)}
+    kept, dense, rest = [], [], []
+    for r, (pos, neg, rhs) in enumerate(rows):
+        if sum(c * hi[i] for i, c in pos) + sum(c * lo[i] for i, c in neg) <= rhs:
+            continue
+        row = np.zeros(len(free))
+        for i, c in pos + neg:
+            rhs -= c * lo[i]  # rhs once every variable is at its lower bound
+            if i in column:
+                row[column[i]] = c
+        kept.append(r)
+        dense.append(row)
+        rest.append(rhs)
+    m, n = len(kept), len(free)
+    rhs = np.array(rest, float)
+    violated = np.flatnonzero(rhs < 0)
+    cols = np.hstack([np.reshape(dense, (m, n)), np.eye(m), -np.eye(m)[:, violated]])
+    upper = np.concatenate([[hi[i] - lo[i] for i in free], np.full(m + len(violated), np.inf)])
+    cost = np.concatenate([np.zeros(n + m), np.ones(len(violated))])
+    basis = np.arange(n, n + m)
+    basis[violated] = n + m + np.arange(len(violated))
+    inv = np.linalg.inv(cols[:, basis])
+    at_upper = np.zeros(len(cost), bool)
+    for _ in range(PIVOTS_PER_COLUMN * len(cost)):
+        x = inv @ (rhs - cols[:, at_upper] @ upper[at_upper])
+        if cost[basis] @ x <= _TOL:
+            return None
+        duals = cost[basis] @ inv
+        gain = cost - duals @ cols  # reduced costs; negative improves
+        gain[at_upper] *= -1
+        gain[basis] = 0
+        enter = int(np.argmin(gain))
+        if gain[enter] >= -_TOL:
+            y = np.zeros(len(rows))
+            y[kept] = np.maximum(-duals, 0)
+            top = y.max()
+            if not 0 < top < np.inf:  # lost to rounding
+                return None
+            return [int(v) for v in np.rint(y * (MULTIPLIER_SCALE / top))]
+        alpha = inv @ cols[:, enter]
+        step = -alpha if at_upper[enter] else alpha  # basics move by -theta * step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(
+                step > _TOL, x / step,
+                np.where(step < -_TOL, (upper[basis] - x) / -step, np.inf),
+            )
+        leave = int(np.argmin(ratios))
+        if upper[enter] <= ratios[leave]:
+            at_upper[enter] = not at_upper[enter]
+            continue
+        at_upper[basis[leave]] = step[leave] < 0
+        at_upper[enter] = False
+        basis[leave] = enter
+        pivot = inv[leave] / alpha[leave]
+        inv -= np.outer(alpha, pivot)
+        inv[leave] = pivot
+    return None
+
+
+def refutes(rows: list, y: list[int], lo: list[int], hi: list[int]) -> bool:
+    """Exact check of a Farkas certificate: with every y_r >= 0, each point
+    of the box that satisfies the <= rows (pos, neg, rhs) satisfies their
+    surrogate sum_r y_r * row_r too, so a surrogate whose minimum over the
+    box exceeds its rhs leaves no point, integer or not."""
+    if any(v < 0 for v in y):
+        return False
+    coeffs: dict[int, int] = {}
+    total = 0
+    for (pos, neg, rhs), v in zip(rows, y):
+        if v:
+            total += v * rhs
+            for i, c in pos + neg:
+                coeffs[i] = coeffs.get(i, 0) + v * c
+    return sum(c * (lo[i] if c > 0 else hi[i]) for i, c in coeffs.items()) > total
 
 
 class _Search:
@@ -170,6 +281,7 @@ class _Search:
         self.cut_active = below is not None
         self.node_budget = node_budget
         self.nodes = 0
+        self.lp_refuted = False
         self.best_value: Optional[int] = None
         self.best_assignment: Optional[list[int]] = None
 
@@ -255,6 +367,11 @@ class _Search:
         self.tick()
         if not self.propagate(lo, hi, deque(range(len(self.rows)))):
             return
+        if lo != hi:
+            y = farkas_multipliers(self.rows, lo, hi)
+            if y is not None and refutes(self.rows, y, lo, hi):
+                self.lp_refuted = True
+                return
         stack: list[list] = []
         while True:
             widths = list(map(sub, hi, lo))
@@ -284,7 +401,7 @@ class _Search:
 
 def _result(search: _Search, inst: ILPInstance, optimal: bool) -> ILPResult:
     if search.best_assignment is None:
-        return ILPResult("infeasible", nodes=search.nodes)
+        return ILPResult("infeasible", nodes=search.nodes, lp_refuted=search.lp_refuted)
     assignment = {
         name: search.best_assignment[i]
         for i, (name, _, _) in enumerate(inst.variables)

@@ -166,6 +166,7 @@ def mso_partition(
     stats.ilp_solves += 1
     result = ilp.solve_feasibility(instance, node_budget)
     stats.ilp_nodes += result.nodes
+    stats.ilp_lp_refutations += result.lp_refuted
     stats.elapsed = time.perf_counter() - start
     if result.status != "feasible":
         return PartitionVerdict(False, None, stats)

@@ -74,6 +74,7 @@ class SolveStats:
     count_states: int = 0  # leaves the count-state enumeration evaluated
     shapes: int = 0  # partition: shapes enumerated
     satisfying_shapes: int = 0  # partition: variables of the tiling program
+    ilp_lp_refutations: int = 0  # programs closed at the root by an LP certificate
 
 
 @dataclass(frozen=True)
@@ -521,6 +522,7 @@ class _Pipeline:
         else:
             res = ilp.solve_min(inst, self.node_budget, below=below)
         self.stats.ilp_nodes += res.nodes
+        self.stats.ilp_lp_refutations += res.lp_refuted
         if res.status == "infeasible":
             return False, None, None
         counts = tuple(res.assignment[name] for name in self.cols.names)

@@ -77,6 +77,7 @@ STATS_KEYS = [
     "pre_evaluations", "prefix_assignments", "ilp_solves",
     "elapsed_seconds", "cover_size", "type_count", "reduced_vertices",
     "ilp_nodes", "count_states", "shapes", "satisfying_shapes",
+    "ilp_lp_refutations",
 ]
 
 
@@ -177,8 +178,11 @@ def test_budget_exit_three(files, capsys):
         "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
         "--k-max", "0",
     ])
+    captured = capsys.readouterr()
     assert code == 3
-    assert capsys.readouterr().out == ""
+    assert captured.out == ""
+    # every cover of at most k_max vertices was ruled out
+    assert captured.err == "error: vertex-cover budget exceeded (limit 0, reached 1)\n"
 
     code = run([
         "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"],
@@ -187,7 +191,7 @@ def test_budget_exit_three(files, capsys):
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "refused"
-    assert doc["budget"] == {"kind": "vertex-cover", "limit": 0, "used": None}
+    assert doc["budget"] == {"kind": "vertex-cover", "limit": 0, "used": 1}
 
 
 def test_budget_error_line_says_how_far_the_run_got(files, capsys):

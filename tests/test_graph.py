@@ -88,8 +88,10 @@ class TestMinVertexCover:
         assert cover.size == 3 == brute_min_cover(g)
 
     def test_budget_error(self):
-        with pytest.raises(CoverBudgetExceeded):
+        with pytest.raises(CoverBudgetExceeded) as err:
             min_vertex_cover(complete_graph(5), 2)
+        # no cover of at most 2 vertices exists, so the run got to 3
+        assert (err.value.kind, err.value.limit, err.value.used) == ("vertex-cover", 2, 3)
 
     def test_empty_graph(self):
         assert min_vertex_cover(Graph.from_edges(0, []), 3).size == 0

@@ -1,15 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cardmso.errors import BudgetExceeded
 from cardmso.ilp import (
-    EQ, GE, LE, ILPInstance, Row, _Search, check_assignment, format_instance,
-    solve_feasibility, solve_min,
+    EQ, GE, LE, ILPInstance, Row, _Search, check_assignment, farkas_multipliers,
+    format_instance, refutes, solve_feasibility, solve_min,
 )
 
 
@@ -236,6 +240,22 @@ def planted_instance(rng: random.Random) -> ILPInstance:
     return ILPInstance.build(variables, rows)
 
 
+def opposed_instance(rng: random.Random) -> ILPInstance:
+    """A row a.x <= cap and a tilted copy a'.x >= cap + 1 or + 2: each row
+    alone leaves propagation slack, and together they often leave no real
+    point in the box, so the root LP certificate fires on many of these."""
+    names = [f"v{i}" for i in range(rng.randint(2, 5))]
+    variables = [(name, 0, rng.randint(1, 4)) for name in names]
+    coeffs = {name: rng.randint(-3, 3) for name in names}
+    low = sum(min(0, c * hi) for (_, _, hi), c in zip(variables, coeffs.values()))
+    high = sum(max(0, c * hi) for (_, _, hi), c in zip(variables, coeffs.values()))
+    cap = rng.randint(low, high)
+    tilted = dict(coeffs)
+    tilted[rng.choice(names)] += rng.choice([-1, 1])
+    rows = [Row.of(coeffs, LE, cap), Row.of(tilted, GE, cap + rng.randint(1, 2))]
+    return ILPInstance.build(variables, rows, {name: rng.randint(-3, 3) for name in names})
+
+
 class TestSearchCore:
     def test_deep_search_needs_no_recursion(self):
         # 1,200 zeros are tried before the equality forces the rest to one:
@@ -250,14 +270,22 @@ class TestSearchCore:
         assert res.nodes == 1201
 
     def test_same_witness_and_nodes_as_recursive_reference(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            inst = planted_instance(rng)
-            want, want_nodes = recursive_search(inst)
-            got = solve_feasibility(inst)
-            assert got.status == ("infeasible" if want is None else "feasible")
-            assert got.assignment == want
-            assert got.nodes == want_nodes
+        refuted = 0
+        for make in (planted_instance, opposed_instance):
+            rng = random.Random(7)
+            for _ in range(300):
+                inst = make(rng)
+                want, want_nodes = recursive_search(inst)
+                got = solve_feasibility(inst)
+                assert got.status == ("infeasible" if want is None else "feasible")
+                assert got.assignment == want
+                if got.lp_refuted:
+                    # a root certificate closes the program at node 1
+                    assert want is None and got.nodes == 1
+                    refuted += 1
+                else:
+                    assert got.nodes == want_nodes
+        assert refuted > 0
 
     def test_below_cutoff_against_grid(self):
         rng = random.Random(44)
@@ -286,3 +314,94 @@ def test_queue_propagation_reaches_sweep_fixpoint(seed):
     assert got == want
     if want:
         assert (lo, hi) == (want_lo, want_hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(-12, 12))
+def test_root_refutation_only_without_grid_points(seed, below):
+    # a root certificate fires only on programs without an integer point
+    # (under the cut-off too), and optima are those of the grid
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        inst = random_instance(rng, with_objective=True)
+    elif kind == 1:
+        inst = opposed_instance(rng)
+    else:
+        plain = planted_instance(rng)
+        assume(len(plain.variables) <= 6)  # keeps the grid small
+        inst = ILPInstance.build(
+            plain.variables, plain.rows, {v: rng.randint(-3, 3) for v, _, _ in plain.variables},
+        )
+    feasible, minimum = grid_solve(inst)
+    got = solve_feasibility(inst)
+    assert got.status == ("feasible" if feasible else "infeasible")
+    assert not (got.lp_refuted and feasible)
+    got = solve_min(inst)
+    assert (got.status, got.objective_value) == (
+        ("optimal", minimum) if feasible else ("infeasible", None)
+    )
+    got = solve_min(inst, below=below)
+    if feasible and minimum < below:
+        assert (got.status, got.objective_value, got.lp_refuted) == ("optimal", minimum, False)
+    else:
+        assert got.status == "infeasible"
+
+
+class TestCertificateCheck:
+    # x in [0, 5] with x <= 1 and x >= 2, stored as x <= 1 and -x <= -2
+    ROWS = [[[(0, 1)], [], 1], [[], [(0, -1)], -2]]
+
+    def test_tight_certificate_accepted(self):
+        # 1 * (x <= 1) + 1 * (-x <= -2) is 0 <= -1
+        assert refutes(self.ROWS, [1, 1], [0], [5])
+
+    @pytest.mark.parametrize("y", [[2, 1], [1, 2], [0, 1], [1, 0], [-1, 1], [1, -1]])
+    def test_perturbed_or_sign_flipped_multiplier_rejected(self, y):
+        assert not refutes(self.ROWS, y, [0], [5])
+
+    def test_negative_multipliers_rejected_on_a_feasible_program(self):
+        # x <= 3 and x >= 2 hold at x = 2; with both multipliers -1 the
+        # surrogate 0 <= -1 would "refute" it
+        rows = [[[(0, 1)], [], 3], [[], [(0, -1)], -2]]
+        assert not refutes(rows, [-1, -1], [0], [5])
+
+    def test_proposals_with_a_flipped_sign_are_rejected(self):
+        search = _Search(ILPInstance.build(
+            [("x", 0, 4), ("y", 0, 4)],
+            [Row.of({"x": 2, "y": 2}, EQ, 5)],
+        ), node_budget=1)
+        # 2x + 2y = 5 has real points, so no certificate is proposed
+        assert farkas_multipliers(search.rows, search.lo, search.hi) is None
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(200):
+            search = _Search(opposed_instance(rng), node_budget=1)
+            y = farkas_multipliers(search.rows, search.lo, search.hi)
+            if y is None or not refutes(search.rows, y, search.lo, search.hi):
+                continue
+            checked += 1
+            for r, v in enumerate(y):
+                if v:
+                    flipped = y[:r] + [-v] + y[r + 1:]
+                    assert not refutes(search.rows, flipped, search.lo, search.hi)
+        assert checked > 0
+
+
+def test_root_refutation_imports_no_scipy():
+    # scipy would add about 40 MB of resident memory to every run
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from cardmso import corpus, partitioning, parse_formula, Graph\n"
+        "g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])\n"
+        "inst = partitioning.PartitionInstance(parse_formula(corpus.independence_body()), 2)\n"
+        "v = partitioning.mso_partition(g, inst)\n"
+        "assert not v.holds and v.stats.ilp_lp_refutations == 1, v.stats\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

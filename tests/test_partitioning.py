@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,9 @@ from cardmso.mso_eval import mso_check
 from cardmso.partitioning import (
     PartitionInstance, Shape, enumerate_shapes, mso_partition, shape_satisfies,
 )
-from conftest import cycle_graph, path_graph, random_graph, star_graph, twin_class_graph
+from conftest import (
+    cycle_graph, path_graph, planted_cover, random_graph, star_graph, twin_class_graph,
+)
 
 INDEP = parse_formula(corpus.independence_body())
 CLIQUE = parse_formula(corpus.clique_body())
@@ -197,6 +200,23 @@ class TestMsoPartition:
             assert v.holds
             assert sorted(len(p) for p in v.parts) == [1, leaves]
             assert v.stats.ilp_nodes >= 1
+
+    def test_three_colouring_no_instance_closes_at_the_root(self):
+        # vertices 0..2 cover the graph; its tiling program has 708
+        # variables, and branch and bound alone took 591,141 nodes on it
+        g = planted_cover(random.Random(7), 3, 16)
+        v = mso_partition(g, PartitionInstance(INDEP, 3))
+        assert not v.holds
+        assert v.stats.ilp_nodes <= 10 and v.stats.ilp_lp_refutations == 1
+        # independent check: a proper 3-colouring of the cover that leaves
+        # every other vertex a colour its cover neighbours do not use
+        cover = range(3)
+        colourable = any(
+            all(colour[u] != colour[w] for u in cover for w in cover if g.has_edge(u, w))
+            and all(len({colour[u] for u in cover if g.has_edge(u, x)}) < 3 for x in range(3, g.n))
+            for colour in itertools.product(range(3), repeat=3)
+        )
+        assert not colourable
 
     def test_chromatic_consistency(self, rng):
         for _ in range(12):

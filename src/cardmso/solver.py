@@ -26,9 +26,11 @@ places the same number of further vertices, slack = n - reduced n. With no
 slack the type sums pin every variable and a unit is decided
 arithmetically; otherwise it goes through the branch-and-bound ILP solver.
 A unit with set sizes s can comply only with the pre-evaluations of the
-sizes in [s, s + slack]^m. That box is built once per pipeline and swept
-once per distinct (set sizes, profile); past a cap, every unit is tried
-under every pre-evaluation of its profile.
+sizes in s + [0, slack]^m. Once per pipeline that box is projected onto the
+constraints' distinct directions (rows up to sign) and only the distinct
+projections are kept, so a unit costs one comparison per constraint and
+projection, whatever n is; past a cap on the box, every unit is tried under
+every pre-evaluation of its profile.
 """
 
 from __future__ import annotations
@@ -170,26 +172,11 @@ class _PieceSpace:
             for value in (False, True)
         }
 
-    def local(self, alpha: int) -> int:
-        out = 0
-        for j, leaf in enumerate(self.bits):
-            out |= ((alpha >> leaf) & 1) << j
-        return out
-
     def spread(self, pattern: int) -> int:
-        out = 0
-        for j, leaf in enumerate(self.bits):
-            out |= ((pattern >> j) & 1) << leaf
-        return out
+        return sum(((pattern >> j) & 1) << leaf for j, leaf in enumerate(self.bits))
 
     def value_at(self, alpha: int) -> bool:
-        return bool(self.table[self.local(alpha)])
-
-    def reachable_values(self) -> list[bool]:
-        return [value for value in (False, True) if len(self.patterns[value])]
-
-    def count(self, value: bool) -> int:
-        return len(self.patterns[value])
+        return bool(self.table[sum(((alpha >> leaf) & 1) << j for j, leaf in enumerate(self.bits))])
 
 
 def _piece_table(node: Node, leaf_tables: list[np.ndarray], n_vertices: int, size: int) -> np.ndarray:
@@ -299,6 +286,7 @@ class _Columns:
     sig_bits (columns x m) turns count rows into the set sizes |Z_i|.
     Constraint j holds when coeffs[j] . sizes <= consts[j]; the same matrix
     over the columns gives the group-3 rows of the extension program.
+    coeffs[j] = signs[j] * dirs[dir_of[j]], over the distinct rows up to sign.
     """
 
     def __init__(self, f: Formula, fstats: FormulaStats, type_sizes: list[int]):
@@ -317,19 +305,19 @@ class _Columns:
                 self.coeffs[j, bit[name]] += 1
             for name in c.rhs.sets:
                 self.coeffs[j, bit[name]] -= 1
-        self.consts = np.array(
-            [c.rhs.const - c.lhs.const for c in f.constraints], dtype=np.int64
-        )
+        self.consts = np.array([c.rhs.const - c.lhs.const for c in f.constraints], dtype=np.int64)
+        rows = self.coeffs.tolist()
+        self.signs = [-1 if next((c for c in row if c), 0) < 0 else 1 for row in rows]
+        dirs: dict[tuple[int, ...], int] = {}
+        self.dir_of = [
+            dirs.setdefault(tuple(sign * c for c in row), len(dirs))
+            for sign, row in zip(self.signs, rows)
+        ]
+        self.dirs = np.array(list(dirs), dtype=np.int64).reshape(len(dirs), m)
         # alpha index bit j set <=> constraint j false; past 62 bits the
         # index outgrows int64
-        self._weights = np.array(
-            [1 << j for j in range(k)], dtype=np.int64 if k < 63 else object
-        )
-        self.variables = [
-            (name, 0, size)
-            for t, size in enumerate(type_sizes)
-            for name in self.names[t << m : (t + 1) << m]
-        ]
+        self.weights = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 63 else object)
+        self.sizes = np.repeat(type_sizes, 1 << m).tolist()  # type size per column
         self.group1 = [
             ilp.Row.of(dict.fromkeys(self.names[t << m : (t + 1) << m], 1), ilp.EQ, size)
             for t, size in enumerate(type_sizes)
@@ -342,15 +330,23 @@ class _Columns:
                 (ilp.Row.of(terms, ilp.LE, const), ilp.Row.of(terms, ilp.GE, const + 1))
             )
 
-    def alphas(self, sizes: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pre-evaluation index of every row of set sizes, each row shifted
-        by `base` when given. One constraint at a time keeps the temporaries
-        at one value per row."""
-        consts = self.consts if base is None else self.consts - self.coeffs @ base
-        out = np.zeros(len(sizes), dtype=self._weights.dtype)
-        for coeffs, const, weight in zip(self.coeffs, consts, self._weights):
-            out[sizes @ coeffs > const] += weight
-        return out
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer matrix, in no set order: marked in a
+    presence mask while their range has no more cells than the matrix has
+    rows, else lexsorted (np.unique(axis=0) is far slower on long matrices)."""
+    if not a.shape[1]:
+        return a[:1]
+    low = a.min(axis=0)
+    span = a.max(axis=0) - low + 1
+    if math.prod(span.tolist()) <= len(a):
+        present = np.zeros(span, dtype=bool)
+        present[tuple((a - low).T)] = True
+        return np.argwhere(present) + low
+    a = a[np.lexsort(a.T)]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
 
 
 def _counts_from_chi(rg: ReducedGraph, chi: PrefixAssignment) -> tuple[int, ...]:
@@ -371,10 +367,12 @@ def _build_instance(
     alpha_index: int,
     objective: Optional["BetaObjective"] = None,
 ) -> ilp.ILPInstance:
-    variables = list(cols.variables)
+    # a count below the threshold pins its variable, any other is a lower bound
+    variables = [
+        (name, c, c if c < cols.small else size)
+        for name, c, size in zip(cols.names, counts, cols.sizes)
+    ]
     rows = list(cols.group1)
-    for name, c in zip(cols.names, counts):
-        rows.append(ilp.Row.of({name: 1}, ilp.EQ if c < cols.small else ilp.GE, c))
     for j, (guessed_true, reversed_row) in enumerate(cols.group3):
         rows.append(reversed_row if (alpha_index >> j) & 1 else guessed_true)
     obj = None
@@ -397,7 +395,6 @@ class _Pipeline:
     ):
         self.g = g
         self.f = f
-        self.mode = mode
         self.node_budget = node_budget
         self.dump = dump
         self.stats = SolveStats()
@@ -422,27 +419,27 @@ class _Pipeline:
         # type totals are the reduced type sizes); with none the type sums
         # pin every variable
         self.slack = g.n - self.rg.graph.n
-        # offsets in [0, slack]^m: the extensions of a unit with set sizes s
-        # reach only the sizes s + box; None past the cap
-        self._box: Optional[np.ndarray] = None
+        # distinct projections of [0, slack]^m onto the constraint
+        # directions, added up one axis at a time, then spread to one signed
+        # column per constraint: offsets[:, j] = coeffs[j] . o; None past the cap
+        self._offsets: Optional[np.ndarray] = None
         side = self.slack + 1
         if side ** self.m <= _CANDIDATE_BOX_CAP:
-            self._box = np.indices((side,) * self.m).reshape(self.m, side ** self.m).T
+            offsets = np.zeros((1, len(self.cols.dirs)), dtype=np.int64)
+            for column in self.cols.dirs.T:
+                grown = offsets[:, None, :] + np.outer(np.arange(side), column)
+                offsets = _distinct_rows(grown.reshape(len(grown) * side, len(column)))
+            self._offsets = offsets[:, self.cols.dir_of] * np.array(self.cols.signs, dtype=np.int64)
 
         # alpha index bit i set <=> constraint i guessed false; index 0 is
         # all-true and ascending order is the binary counter the spec fixes
         self.skeleton, self.pieces = _split_pieces(f.body)
         if len(self.pieces) > MAX_PIECES:
             raise BudgetExceeded("pre-evaluation-pieces", MAX_PIECES, len(self.pieces))
-        self.spaces = [
-            _PieceSpace(piece, _leaf_indices(piece), self.rg.graph.n)
-            for piece in self.pieces
-        ]
+        self.spaces = [_PieceSpace(p, _leaf_indices(p), self.rg.graph.n) for p in self.pieces]
 
         # multinomial numerator of a count state's raw assignments
-        self._arrangements = math.prod(
-            math.factorial(len(members)) for members in self.rg.types.types
-        )
+        self._arrangements = math.prod(math.factorial(len(t)) for t in self.rg.types.types)
 
     # ---------------------------------------------------------------- units
 
@@ -536,22 +533,20 @@ class _Pipeline:
     def _profiles(self):
         """Reachable piece-value combinations (a piece with a constant table
         contributes one value)."""
-        options = [space.reachable_values() for space in self.spaces]
-        for combo in itertools.product(*options):
-            yield combo
+        return itertools.product(*(
+            [value for value in (False, True) if len(space.patterns[value])]
+            for space in self.spaces
+        ))
 
     def _alpha_member(self, alpha: int, values: tuple[bool, ...]) -> bool:
-        return all(
-            space.value_at(alpha) == value
-            for space, value in zip(self.spaces, values)
-        )
+        return all(space.value_at(alpha) == value for space, value in zip(self.spaces, values))
 
     def _profile_alphas(self, values: tuple[bool, ...]) -> list[int]:
         """The full pre-evaluation set of a profile, ascending; budgeted
         (needed only when the candidate box is past its cap)."""
         total = 1
         for space, value in zip(self.spaces, values):
-            total *= space.count(value)
+            total *= len(space.patterns[value])
             if total > MAX_FALLBACK_ALPHAS:
                 raise BudgetExceeded("pre-evaluations", MAX_FALLBACK_ALPHAS, total)
         alphas = [0]
@@ -562,8 +557,10 @@ class _Pipeline:
 
     def _reachable(self, sizes: list[int], values: tuple[bool, ...]) -> list[int]:
         """The pre-evaluations of profile `values` that a unit with set sizes
-        `sizes` can possibly comply with: those of the sizes + box."""
-        alphas = np.unique(self.cols.alphas(self._box, np.array(sizes, dtype=np.int64)))
+        `sizes` can possibly comply with: constraint j fails at an offset
+        where offset[j] > consts[j] - coeffs[j] . sizes."""
+        limits = self.cols.consts - self.cols.coeffs @ np.array(sizes, dtype=np.int64)
+        alphas = np.unique((self._offsets > limits) @ self.cols.weights)
         return [alpha for alpha in alphas.tolist() if self._alpha_member(alpha, values)]
 
     def _collect_pairs(self) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -576,7 +573,7 @@ class _Pipeline:
             rows = self._units_for_profile(values)
             if not rows:
                 continue
-            fallback = self._profile_alphas(values) if self._box is None else None
+            fallback = self._profile_alphas(values) if self._offsets is None else None
             reached: dict[tuple[int, ...], list[int]] = {}
             sizes = (np.array(rows, dtype=np.int64) @ self.cols.sig_bits).tolist()
             for pos, (row, size) in enumerate(zip(rows, sizes)):
@@ -590,19 +587,19 @@ class _Pipeline:
     def run_decision(self) -> Verdict:
         start = time.perf_counter()
         tried: set[int] = set()
+        verdict = Verdict(False, None, None, self.stats)
         for alpha_index, _pos, counts in self._collect_pairs():
             tried.add(alpha_index)
             feasible, solved, _ = self._decide_unit(counts, alpha_index, None)
             if feasible:
                 witness = extract_witness(solved, self.m, self.tp.types)
-                self.stats.pre_evaluations = len(tried)
-                self.stats.elapsed = time.perf_counter() - start
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)
-                return Verdict(True, witness, alpha, self.stats)
+                verdict = Verdict(True, witness, alpha, self.stats)
+                break
         self.stats.pre_evaluations = len(tried)
         self.stats.elapsed = time.perf_counter() - start
-        return Verdict(False, None, None, self.stats)
+        return verdict
 
     def run_minimize(self, objective: "BetaObjective"):
         """All work pairs solved, each only for values below the best found
@@ -642,9 +639,10 @@ def build_extension_ilp(
 ) -> ilp.ILPInstance:
     """The extension program for one satisfying prefix assignment on the
     reduced graph: one variable per (type, signature), type-cardinality sums,
-    pins for subtype counts below the small threshold and lower bounds for
-    the rest, and the pre-evaluated cardinality constraints (reversed with a
-    +1 shift where guessed false)."""
+    and the pre-evaluated cardinality constraints (reversed with a +1 shift
+    where guessed false). A subtype count below the small threshold pins its
+    variable and any other is its lower bound; both are the variable's
+    domain, not rows."""
     rg = reduce_graph(g, tp, stats)
     cols = _Columns(f, stats, [len(members) for members in tp.types])
     alpha_index = sum((0 if a else 1) << i for i, a in enumerate(alpha))

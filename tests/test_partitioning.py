@@ -176,6 +176,13 @@ class TestMsoPartition:
         assert verdict.holds
         assert verdict.stats.shapes == len(shapes) > satisfying == verdict.stats.satisfying_shapes > 0
 
+    def test_stats_report_no_reduction_or_prefix_assignments(self):
+        # partition checks one representative per shape: it neither reduces
+        # the graph nor enumerates prefix assignments
+        for g in (cycle_graph(4), star_graph(9)):
+            verdict = mso_partition(g, PartitionInstance(INDEP, 2))
+            assert verdict.stats.reduced_vertices == verdict.stats.prefix_assignments == 0
+
     def test_c5_needs_three(self):
         assert not mso_partition(cycle_graph(5), PartitionInstance(INDEP, 2)).holds
         assert mso_partition(cycle_graph(5), PartitionInstance(INDEP, 3)).holds

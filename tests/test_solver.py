@@ -42,9 +42,9 @@ class TestBuildExtensionIlp:
         assert [v[0] for v in inst.variables] == ["x_t0_s0", "x_t0_s1"]
         group1 = [r for r in inst.rows if len(r.coeffs) == 2 and r.relation == ilp.EQ]
         assert group1[0].rhs == 5
-        pins = [r for r in inst.rows if r.coeffs == (("x_t0_s1", 1),)]
-        assert any(r.relation == ilp.EQ and r.rhs == 0 for r in pins)  # group 2
-        assert any(r.relation == ilp.LE and r.rhs == 0 for r in pins)  # group 3
+        assert ("x_t0_s1", 0, 0) in inst.variables  # group 2: the pin is the domain
+        rows = [r for r in inst.rows if r.coeffs == (("x_t0_s1", 1),)]
+        assert any(r.relation == ilp.LE and r.rhs == 0 for r in rows)  # group 3
         assert ilp.solve_feasibility(inst).status == "feasible"
 
     def test_alpha_false_is_infeasible(self):
@@ -95,16 +95,76 @@ _constraint = st.tuples(_side, st.sampled_from(["<=", "=", "<"]), _side).map(
 )
 
 
+def reachable(pipeline: _Pipeline, sizes) -> list[int]:
+    """Every pre-evaluation the pipeline's offsets reach from `sizes`, over
+    all profiles."""
+    return sorted(
+        alpha for values in pipeline._profiles()
+        for alpha in pipeline._reachable(list(sizes), values)
+    )
+
+
+def swept(f, sizes, slack: int) -> list[int]:
+    """The pre-evaluations of every size vector in [s, s + slack]^m."""
+    out = set()
+    for offset in itertools.product(range(slack + 1), repeat=f.m):
+        truths = constraint_truths(f, {n: s + o for n, s, o in zip(f.prefix, sizes, offset)})
+        out.add(sum((0 if truth else 1) << j for j, truth in enumerate(truths)))
+    return sorted(out)
+
+
+def with_slack(f, slack: int) -> _Pipeline:
+    """A pipeline of f on an edgeless graph with `slack` vertices past what
+    reduction keeps of its one twin class."""
+    kept = _Pipeline(edgeless(64), f).rg.graph.n
+    pipeline = _Pipeline(edgeless(kept + slack), f)
+    assert pipeline.slack == slack
+    return pipeline
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_constraint, min_size=1, max_size=4), st.tuples(*[st.integers(0, 12)] * 3))
 def test_constraint_matrix_matches_constraint_truths(constraints, sizes):
     """Sides may repeat a set (|X| + |X|) or be constant; = and < desugar
-    into several <= rows, some negated."""
+    into several <= rows, some negated. A single zero offset reaches just
+    the sizes' own pre-evaluation."""
     f = parse_formula("exists X. exists Y. exists Z. (" + " & ".join(constraints) + ")")
     pipeline = _Pipeline(edgeless(1), f)
-    truths = constraint_truths(f, dict(zip(f.prefix, sizes)))
-    want = sum((0 if truth else 1) << j for j, truth in enumerate(truths))
-    assert int(pipeline.cols.alphas(np.array([sizes]))[0]) == want
+    pipeline._offsets = np.zeros((1, len(f.constraints)), dtype=np.int64)
+    assert reachable(pipeline, sizes) == swept(f, sizes, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_constraint, min_size=1, max_size=4),
+    st.tuples(*[st.integers(0, 12)] * 3),
+    st.integers(0, 6),
+)
+def test_offsets_reach_what_a_sweep_of_the_box_reaches(constraints, sizes, slack):
+    f = parse_formula("exists X. exists Y. exists Z. (" + " & ".join(constraints) + ")")
+    pipeline = with_slack(f, slack)
+    cols = pipeline.cols
+    assert np.array_equal(np.array(cols.signs)[:, None] * cols.dirs[cols.dir_of], cols.coeffs)
+    assert reachable(pipeline, sizes) == swept(f, sizes, slack)
+
+
+@pytest.mark.parametrize("body, directions", [
+    ("exists X. exists Y. forall v. (v in X -> !(v in Y))", 0),  # no constraints
+    ("[1 <= 2]", 1),  # m = 0
+    ("[3 <= 1]", 1),  # m = 0, false
+    ("exists X. [|X| + 2 <= |X| + 3]", 1),  # an all-zero row
+    ("exists X. exists Y. [|X| + |X| <= |Y| + 3]", 1),  # a coefficient of 2
+    # negated and duplicate rows share one direction
+    ("exists X. exists Y. ([|X| <= |Y|] & [|Y| <= |X| + 1] & [|X| <= |Y|])", 1),
+    ("exists X. exists Y. ([|X| = |Y| + 2] & [|Y| < 3] & [|X| + |X| <= 9])", 3),
+])
+@pytest.mark.parametrize("slack", [0, 1, 4])
+def test_offsets_edge_cases(body, directions, slack):
+    f = parse_formula(body)
+    pipeline = with_slack(f, slack)
+    assert len(pipeline.cols.dirs) == directions
+    for sizes in itertools.product(range(4), repeat=f.m):
+        assert reachable(pipeline, sizes) == swept(f, sizes, slack), sizes
 
 
 class TestExtractWitness:
@@ -479,7 +539,7 @@ def test_collect_pairs_match_the_per_unit_sweep(rng, monkeypatch):
                     if f.free_params:
                         f = substitute_params(f, {"K": rng.randint(0, 3)})
                     pipeline = _Pipeline(g, f)
-                    assert pipeline._box is not None
+                    assert pipeline._offsets is not None
                     assert pipeline._collect_pairs() == per_unit_pairs(pipeline), (body, g.edges)
                     seen.add((m, pipeline.slack > 0))
     assert seen == {(m, reduced) for m in PAIR_BODIES for reduced in (False, True)}

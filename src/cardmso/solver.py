@@ -172,11 +172,26 @@ class _PieceSpace:
             for value in (False, True)
         }
 
+    def local(self, alpha: int) -> int:
+        out = 0
+        for j, leaf in enumerate(self.bits):
+            out |= ((alpha >> leaf) & 1) << j
+        return out
+
     def spread(self, pattern: int) -> int:
-        return sum(((pattern >> j) & 1) << leaf for j, leaf in enumerate(self.bits))
+        out = 0
+        for j, leaf in enumerate(self.bits):
+            out |= ((pattern >> j) & 1) << leaf
+        return out
 
     def value_at(self, alpha: int) -> bool:
-        return bool(self.table[sum(((alpha >> leaf) & 1) << j for j, leaf in enumerate(self.bits))])
+        return bool(self.table[self.local(alpha)])
+
+    def reachable_values(self) -> list[bool]:
+        return [value for value in (False, True) if len(self.patterns[value])]
+
+    def count(self, value: bool) -> int:
+        return len(self.patterns[value])
 
 
 def _piece_table(node: Node, leaf_tables: list[np.ndarray], n_vertices: int, size: int) -> np.ndarray:
@@ -305,7 +320,9 @@ class _Columns:
                 self.coeffs[j, bit[name]] += 1
             for name in c.rhs.sets:
                 self.coeffs[j, bit[name]] -= 1
-        self.consts = np.array([c.rhs.const - c.lhs.const for c in f.constraints], dtype=np.int64)
+        self.consts = np.array(
+            [c.rhs.const - c.lhs.const for c in f.constraints], dtype=np.int64
+        )
         rows = self.coeffs.tolist()
         self.signs = [-1 if next((c for c in row if c), 0) < 0 else 1 for row in rows]
         dirs: dict[tuple[int, ...], int] = {}
@@ -316,7 +333,9 @@ class _Columns:
         self.dirs = np.array(list(dirs), dtype=np.int64).reshape(len(dirs), m)
         # alpha index bit j set <=> constraint j false; past 62 bits the
         # index outgrows int64
-        self.weights = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 63 else object)
+        self.weights = np.array(
+            [1 << j for j in range(k)], dtype=np.int64 if k < 63 else object
+        )
         self.sizes = np.repeat(type_sizes, 1 << m).tolist()  # type size per column
         self.group1 = [
             ilp.Row.of(dict.fromkeys(self.names[t << m : (t + 1) << m], 1), ilp.EQ, size)
@@ -332,17 +351,10 @@ class _Columns:
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of an integer matrix, in no set order: marked in a
-    presence mask while their range has no more cells than the matrix has
-    rows, else lexsorted (np.unique(axis=0) is far slower on long matrices)."""
+    """The distinct rows of an integer matrix, lexsorted (np.unique(axis=0)
+    is far slower on long matrices)."""
     if not a.shape[1]:
         return a[:1]
-    low = a.min(axis=0)
-    span = a.max(axis=0) - low + 1
-    if math.prod(span.tolist()) <= len(a):
-        present = np.zeros(span, dtype=bool)
-        present[tuple((a - low).T)] = True
-        return np.argwhere(present) + low
     a = a[np.lexsort(a.T)]
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = (a[1:] != a[:-1]).any(axis=1)
@@ -395,6 +407,7 @@ class _Pipeline:
     ):
         self.g = g
         self.f = f
+        self.mode = mode
         self.node_budget = node_budget
         self.dump = dump
         self.stats = SolveStats()
@@ -436,10 +449,15 @@ class _Pipeline:
         self.skeleton, self.pieces = _split_pieces(f.body)
         if len(self.pieces) > MAX_PIECES:
             raise BudgetExceeded("pre-evaluation-pieces", MAX_PIECES, len(self.pieces))
-        self.spaces = [_PieceSpace(p, _leaf_indices(p), self.rg.graph.n) for p in self.pieces]
+        self.spaces = [
+            _PieceSpace(piece, _leaf_indices(piece), self.rg.graph.n)
+            for piece in self.pieces
+        ]
 
         # multinomial numerator of a count state's raw assignments
-        self._arrangements = math.prod(math.factorial(len(t)) for t in self.rg.types.types)
+        self._arrangements = math.prod(
+            math.factorial(len(members)) for members in self.rg.types.types
+        )
 
     # ---------------------------------------------------------------- units
 
@@ -533,20 +551,22 @@ class _Pipeline:
     def _profiles(self):
         """Reachable piece-value combinations (a piece with a constant table
         contributes one value)."""
-        return itertools.product(*(
-            [value for value in (False, True) if len(space.patterns[value])]
-            for space in self.spaces
-        ))
+        options = [space.reachable_values() for space in self.spaces]
+        for combo in itertools.product(*options):
+            yield combo
 
     def _alpha_member(self, alpha: int, values: tuple[bool, ...]) -> bool:
-        return all(space.value_at(alpha) == value for space, value in zip(self.spaces, values))
+        return all(
+            space.value_at(alpha) == value
+            for space, value in zip(self.spaces, values)
+        )
 
     def _profile_alphas(self, values: tuple[bool, ...]) -> list[int]:
         """The full pre-evaluation set of a profile, ascending; budgeted
         (needed only when the candidate box is past its cap)."""
         total = 1
         for space, value in zip(self.spaces, values):
-            total *= len(space.patterns[value])
+            total *= space.count(value)
             if total > MAX_FALLBACK_ALPHAS:
                 raise BudgetExceeded("pre-evaluations", MAX_FALLBACK_ALPHAS, total)
         alphas = [0]
@@ -587,19 +607,19 @@ class _Pipeline:
     def run_decision(self) -> Verdict:
         start = time.perf_counter()
         tried: set[int] = set()
-        verdict = Verdict(False, None, None, self.stats)
         for alpha_index, _pos, counts in self._collect_pairs():
             tried.add(alpha_index)
             feasible, solved, _ = self._decide_unit(counts, alpha_index, None)
             if feasible:
                 witness = extract_witness(solved, self.m, self.tp.types)
+                self.stats.pre_evaluations = len(tried)
+                self.stats.elapsed = time.perf_counter() - start
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)
-                verdict = Verdict(True, witness, alpha, self.stats)
-                break
+                return Verdict(True, witness, alpha, self.stats)
         self.stats.pre_evaluations = len(tried)
         self.stats.elapsed = time.perf_counter() - start
-        return verdict
+        return Verdict(False, None, None, self.stats)
 
     def run_minimize(self, objective: "BetaObjective"):
         """All work pairs solved, each only for values below the best found

@@ -167,6 +167,31 @@ def test_offsets_edge_cases(body, directions, slack):
         assert reachable(pipeline, sizes) == swept(f, sizes, slack), sizes
 
 
+def test_offsets_with_more_directions_than_numpy_has_dimensions():
+    """70 distinct directions (numpy arrays have at most 32 or 64
+    dimensions), none over the first set, in seven pieces of ten
+    constraints: the offsets are the distinct projections of the box
+    [0, slack]^6."""
+    names = ["A", "B", "C", "D", "E", "F"]
+    directions = [
+        (0,) + d for d in itertools.product((-1, 0, 1), repeat=5)
+        if next((c for c in d if c), 0) > 0
+    ][:70]
+    constraints = [
+        "[" + " + ".join(["0"] + [f"|{n}|" for n, c in zip(names, d) if c > 0])
+        + " <= " + " + ".join([str(j % 3)] + [f"|{n}|" for n, c in zip(names, d) if c < 0]) + "]"
+        for j, d in enumerate(directions)
+    ]
+    pieces = [" & ".join(constraints[i : i + 10]) for i in range(0, 70, 10)]
+    body = " & ".join(f"((forall v. v in A) | ({piece}))" for piece in pieces)
+    f = parse_formula("".join(f"exists {n}. " for n in names) + "(" + body + ")")
+    pipeline = with_slack(f, 2)
+    assert len(pipeline.cols.dirs) == 70
+    box = np.array(list(itertools.product(range(3), repeat=6)), dtype=np.int64)
+    want = {tuple(row) for row in (box @ pipeline.cols.coeffs.T).tolist()}
+    assert sorted(want) == sorted(map(tuple, pipeline._offsets.tolist()))
+
+
 class TestExtractWitness:
     def test_identity_when_no_deletions(self):
         g = cycle_graph(4)

@@ -85,8 +85,8 @@ class BetaObjective:
     def _cover_parts(self, counts: tuple[int, ...]) -> dict[int, int]:
         parts = {}
         for ct in self.cover_types:
-            block = counts[ct << self.m : (ct + 1) << self.m]
-            sig = next(sig for sig, c in enumerate(block) if c > 0)
+            # a cover type is a singleton: one entry of its block is 1
+            sig = counts.index(1, ct << self.m, (ct + 1) << self.m) - (ct << self.m)
             part = self._part_of(sig)
             if part is None:
                 raise AssertionError("cover vertex without one-hot membership")

@@ -101,7 +101,11 @@ def satisfying_prefix_assignments(
     """Every assignment of the prefix variables making the body true, streamed
     in binary-counter order (vertex 0 is the least significant bit and the
     last prefix variable is the fastest counter) from one truth table; a
-    table past cell_budget is refused with BudgetExceeded("mso-cells")."""
+    table past cell_budget is refused with BudgetExceeded("mso-cells").
+
+    The true cells are decoded in fixed slices, one unravel per slice, and
+    each distinct vertex mask of a slice becomes one frozenset shared by the
+    slice's assignments, so memory stays at the index array plus one slice."""
     m = len(prefix)
     if m == 0:
         raise ValueError("no prefix variables to assign")
@@ -111,14 +115,17 @@ def satisfying_prefix_assignments(
     stray = (free_sets - set(prefix)) | free_vertices
     if stray:
         raise ValueError(f"body has free variables beyond the prefix: {sorted(stray)}")
-    subsets = 1 << g.n
     table = table_eval.prefix_table(g, body, prefix, cell_budget)
-    for idx in np.flatnonzero(table.reshape(-1)):
-        masks = []
-        rest = int(idx)
-        for _ in range(m):
-            masks.append(rest % subsets)
-            rest //= subsets
-        yield PrefixAssignment(tuple(
-            frozenset(v for v in range(g.n) if (mask >> v) & 1) for mask in reversed(masks)
-        ))
+    cells = np.flatnonzero(table.reshape(-1))
+    shape = (1 << g.n,) * m
+    step = 1 << 16
+    for start in range(0, len(cells), step):
+        memo: dict[int, frozenset[int]] = {}
+        columns = []
+        for axis in np.unravel_index(cells[start : start + step], shape):
+            masks = axis.tolist()
+            for mask in set(masks).difference(memo):
+                memo[mask] = frozenset(v for v in range(g.n) if (mask >> v) & 1)
+            columns.append([memo[mask] for mask in masks])
+        for sets in zip(*columns):
+            yield PrefixAssignment(sets)

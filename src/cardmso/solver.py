@@ -12,10 +12,13 @@ all-true-first binary-counter order the plain loop would visit.
 Prefix assignments are enumerated as subtype-cardinality states, and a work
 unit is nothing but its row of counts, one per (type, signature) column:
 assignments with identical counts induce identical extension programs
-(same-type vertices are interchangeable). The states come from the raw
-truth-table stream, collapsed by count, while the whole prefix fits one
-table, and from the count-state engine beyond that. A solved row lifts to
-the full graph canonically, with no representative assignment.
+(same-type vertices are interchangeable). While the whole prefix fits one
+table, the states come from the raw truth-table stream: each streamed
+assignment adds one to the column type_of[v] << m | sig(v) of every reduced
+vertex v, from a column map computed once per pipeline, and equal rows
+collapse in first-seen order. Beyond one table they come from the
+count-state engine. A solved row lifts to the full graph canonically, with
+no representative assignment.
 
 Reduction keeps min(|T|, threshold) vertices of every type; inside a twin
 class every size from the threshold up models the same sentences (Lampis's
@@ -52,8 +55,7 @@ from .formula import (
 )
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import (
-    PrefixAssignment, ReducedGraph, mso_check, reduce_graph,
-    satisfying_prefix_assignments,
+    PrefixAssignment, mso_check, reduce_graph, satisfying_prefix_assignments,
 )
 from .typed_eval import TypedEvaluator
 
@@ -361,15 +363,16 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _counts_from_chi(rg: ReducedGraph, chi: PrefixAssignment) -> tuple[int, ...]:
-    m = len(chi.sets)
-    sig = [0] * rg.graph.n
-    for i, s in enumerate(chi.sets):
+def _count_row(bases: list[int], sets: tuple[frozenset[int], ...], width: int) -> tuple[int, ...]:
+    """The count row of a prefix assignment: vertex v counts in column
+    bases[v] | sig(v), where bit i of sig(v) is membership in sets[i]."""
+    columns = list(bases)
+    for i, s in enumerate(sets):
         for v in s:
-            sig[v] |= 1 << i
-    row = [0] * (len(rg.types.types) << m)
-    for v, t in enumerate(rg.types.type_of(rg.graph.n)):
-        row[(t << m) | sig[v]] += 1
+            columns[v] |= 1 << i
+    row = [0] * width
+    for c in columns:
+        row[c] += 1
     return tuple(row)
 
 
@@ -428,6 +431,8 @@ class _Pipeline:
 
         self.m = f.m
         self.k = len(f.constraints)
+        # the first column of each reduced vertex's type, for the stream's rows
+        self._bases = [t << self.m for t in self.rg.types.type_of(self.rg.graph.n)]
         # further vertices the extension of every unit places (every row's
         # type totals are the reduced type sizes); with none the type sums
         # pin every variable
@@ -477,9 +482,10 @@ class _Pipeline:
                 self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
             ) <= budget
         ):
+            width = len(self.cols.names)
             rows: dict[tuple[int, ...], None] = {}
             for chi in self._raw_stream(body):
-                rows[_counts_from_chi(self.rg, chi)] = None
+                rows[_count_row(self._bases, chi.sets, width)] = None
                 self.stats.prefix_assignments += 1
             return list(rows)
         ev = TypedEvaluator(
@@ -587,7 +593,7 @@ class _Pipeline:
         """Every (pre-evaluation, unit) work pair that could possibly be
         feasible, in the (alpha, enumeration position) order the plain loop
         would reach them. alphas determine their profile, so position ties
-        across profiles cannot happen."""
+        across profiles cannot happen and the sort never compares rows."""
         pairs: list[tuple[int, int, tuple[int, ...]]] = []
         for values in self._profiles():
             rows = self._units_for_profile(values)
@@ -601,7 +607,7 @@ class _Pipeline:
                 if key not in reached:
                     reached[key] = fallback if fallback is not None else self._reachable(size, values)
                 pairs.extend((alpha, pos, row) for alpha in reached[key])
-        pairs.sort(key=lambda item: (item[0], item[1]))
+        pairs.sort()
         return pairs
 
     def run_decision(self) -> Verdict:
@@ -666,7 +672,9 @@ def build_extension_ilp(
     rg = reduce_graph(g, tp, stats)
     cols = _Columns(f, stats, [len(members) for members in tp.types])
     alpha_index = sum((0 if a else 1) << i for i, a in enumerate(alpha))
-    return _build_instance(cols, _counts_from_chi(rg, chi_phi), alpha_index)
+    bases = [t << f.m for t in rg.types.type_of(rg.graph.n)]
+    counts = _count_row(bases, chi_phi.sets, len(cols.names))
+    return _build_instance(cols, counts, alpha_index)
 
 
 def extract_witness(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,23 @@ class TestReduceGraph:
             ]
 
 
+def reference_decode(g, body, prefix):
+    """The true cells of the prefix table decoded one index at a time: the
+    last prefix variable's mask is the least significant digit."""
+    subsets = 1 << g.n
+    out = []
+    for idx in np.flatnonzero(table_eval.prefix_table(g, body, prefix).reshape(-1)):
+        masks = []
+        rest = int(idx)
+        for _ in prefix:
+            masks.append(rest % subsets)
+            rest //= subsets
+        out.append(tuple(
+            frozenset(v for v in range(g.n) if (mask >> v) & 1) for mask in reversed(masks)
+        ))
+    return out
+
+
 class TestSatisfyingAssignments:
     def test_full_set_only(self):
         f = parse_formula("exists Z1. (forall x. x in Z1)")
@@ -258,6 +276,25 @@ class TestSatisfyingAssignments:
             if ev.eval(body, {"Zfree": mask}, {}):
                 want.add(frozenset(v for v in range(g.n) if (mask >> v) & 1))
         assert out == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_slice_decode_matches_per_cell_decode(self, data):
+        prefix = ("A", "B", "C")[: data.draw(st.integers(1, 3))]
+        g = data.draw(small_graphs)
+        body = data.draw(formula_nodes(2, prefix))
+        out = [a.sets for a in satisfying_prefix_assignments(g, body, prefix)]
+        assert out == reference_decode(g, body, prefix)
+
+    def test_decode_spans_several_slices(self):
+        # every subset of 17 vertices: 2^17 true cells, more than one slice
+        g = Graph.from_edges(17, [])
+        f = parse_formula("exists Z1. true")
+        out = [a.sets for a in satisfying_prefix_assignments(g, f.body, f.prefix)]
+        assert out == [
+            (frozenset(v for v in range(17) if (mask >> v) & 1),)
+            for mask in range(1 << 17)
+        ]
 
     def test_prefix_past_the_cell_budget_is_refused(self):
         # two prefix variables on the 4 vertices of C4 need (2^4)^2 = 256 cells

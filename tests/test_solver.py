@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from cardmso import corpus, ilp, oracle, solver, table_eval
 from cardmso.balanced import cbalanced
 from cardmso.errors import CoverBudgetExceeded, WitnessError
-from cardmso.formula import analyze, constraint_truths, parse_formula, substitute_params
+from cardmso.formula import FalseLit, analyze, constraint_truths, parse_formula, substitute_params
 from cardmso.graph import Graph, VertexCover, min_vertex_cover, type_partition
-from cardmso.mso_eval import PrefixAssignment, reduce_graph
+from cardmso.mso_eval import PrefixAssignment, reduce_graph, satisfying_prefix_assignments
 from cardmso.solver import _Pipeline, build_extension_ilp, check, extract_witness
 from conftest import (
     assert_witness_valid, complete_bipartite, complete_graph, cycle_graph,
@@ -466,6 +466,49 @@ def test_stream_looping_over_every_subset_is_not_used(monkeypatch):
         assert_witness_valid(cycle_graph(4), f, verdict)
         assert bool(calls) == streamed
         assert (verdict.stats.count_states == 0) == streamed
+
+
+def collapse_by_hand(pipe: _Pipeline, body) -> tuple[list[tuple[int, ...]], int]:
+    """The raw stream's count rows in first-seen order, and the number of
+    assignments streamed, counted member by member."""
+    rg = pipe.rg
+    type_of = rg.types.type_of(rg.graph.n)
+    rows: dict[tuple[int, ...], None] = {}
+    streamed = 0
+    for chi in satisfying_prefix_assignments(rg.graph, body, pipe.f.prefix):
+        row = [0] * (len(rg.types.types) << pipe.m)
+        for v in range(rg.graph.n):
+            sig = sum(1 << i for i, s in enumerate(chi.sets) if v in s)
+            row[(type_of[v] << pipe.m) | sig] += 1
+        rows.setdefault(tuple(row), None)
+        streamed += 1
+    return list(rows), streamed
+
+
+# K2,4's four leaves are twins, so its rows collapse
+@pytest.mark.parametrize("text", [corpus.bipartite_equal(), corpus.equitable_partition(3)])
+@pytest.mark.parametrize(
+    "g", [cycle_graph(4), path_graph(5), complete_bipartite(2, 4)], ids=["C4", "P5", "K2,4"]
+)
+def test_stream_rows_match_a_collapse_by_hand(g, text):
+    pipe = _Pipeline(g, parse_formula(text))
+    for values in pipe._profiles():
+        body = solver._fold(pipe.skeleton, values)
+        if isinstance(body, FalseLit):
+            continue
+        before = pipe.stats.prefix_assignments
+        rows = pipe._enumerate_states(body)
+        assert (rows, pipe.stats.prefix_assignments - before) == collapse_by_hand(pipe, body)
+    assert pipe.stats.count_states == 0
+
+
+def test_stream_counters_of_cbalance_on_singleton_types():
+    # the twin classes of P8 are all singletons: each of the 3^8 raw
+    # assignments is its own row, and no count state is evaluated
+    result = cbalanced(path_graph(8), 3)
+    assert result.stats.reduced_vertices == 8
+    assert result.stats.prefix_assignments == 6561
+    assert result.stats.count_states == 0
 
 
 def cover_with_leaves(leaves: int, isolated: int) -> Graph:

@@ -205,6 +205,34 @@ def walk(node: Node) -> Iterator[Node]:
         yield from walk(node.child)
 
 
+def free_vars(node: Node, memo: dict) -> tuple[frozenset[str], frozenset[str]]:
+    """(set names, vertex names) free in node. memo maps id(node) to
+    (node, answer); holding the node keeps its id from being reused while
+    the memo lives."""
+    got = memo.get(id(node))
+    if got is not None:
+        return got[1]
+    if isinstance(node, Member):
+        out = (frozenset([node.set]), frozenset([node.vertex]))
+    elif isinstance(node, (Adjacent, VertexEq)):
+        out = (frozenset(), frozenset([node.a, node.b]))
+    elif isinstance(node, SetEq):
+        out = (frozenset([node.a, node.b]), frozenset())
+    elif isinstance(node, Not):
+        out = free_vars(node.child, memo)
+    elif isinstance(node, _BINARY):
+        ls, lv = free_vars(node.left, memo)
+        rs, rv = free_vars(node.right, memo)
+        out = (ls | rs, lv | rv)
+    elif isinstance(node, Quant):
+        cs, cv = free_vars(node.child, memo)
+        out = (cs - {node.var}, cv) if node.sort == "set" else (cs, cv - {node.var})
+    else:
+        out = (frozenset(), frozenset())
+    memo[id(node)] = (node, out)
+    return out
+
+
 # --------------------------------------------------------------------------- parsing
 
 _TOKEN_RE = re.compile(

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import table_eval
-from .formula import Formula, FormulaStats, Node, Quant, walk
+from .formula import Formula, FormulaStats, Node, Quant, free_vars, walk
 from .graph import Graph, TypePartition
 from .typed_eval import TypedEvaluator
 
@@ -109,9 +109,7 @@ def satisfying_prefix_assignments(
     m = len(prefix)
     if m == 0:
         raise ValueError("no prefix variables to assign")
-    from .typed_eval import _free_vars
-
-    free_sets, free_vertices = _free_vars(body, {})
+    free_sets, free_vertices = free_vars(body, {})
     stray = (free_sets - set(prefix)) | free_vertices
     if stray:
         raise ValueError(f"body has free variables beyond the prefix: {sorted(stray)}")

@@ -4,10 +4,11 @@ extension integer program whether each one lifts to the full graph.
 
 The pre-evaluation loop never sweeps the 2^|l| space directly. The body is
 split into maximal constraint-only pieces and an MSO skeleton; pieces touch
-disjoint constraint leaves, so each piece is evaluated bit-parallel over its
-own leaf bits only, and assignments are enumerated once per distinct
-piece-value profile. Work pairs (pre-evaluation, unit) are processed in the
-all-true-first binary-counter order the plain loop would visit.
+disjoint constraint leaves. Assignments are enumerated once per piece-value
+profile, on the skeleton folded under it; a pre-evaluation belongs to the
+profile its pieces fold to (one fold, _fold, serves skeleton and pieces).
+Work pairs (pre-evaluation, unit) are processed in the all-true-first
+binary-counter order the plain loop would visit.
 
 Prefix assignments are enumerated as subtype-cardinality states, and a work
 unit is nothing but its row of counts, one per (type, signature) column:
@@ -30,10 +31,12 @@ slack the type sums pin every variable and a unit is decided
 arithmetically; otherwise it goes through the branch-and-bound ILP solver.
 A unit with set sizes s can comply only with the pre-evaluations of the
 sizes in s + [0, slack]^m. Once per pipeline that box is projected onto the
-constraints' distinct directions (rows up to sign) and only the distinct
-projections are kept, so a unit costs one comparison per constraint and
-projection, whatever n is; past a cap on the box, every unit is tried under
-every pre-evaluation of its profile.
+constraints' distinct directions (rows up to sign), one axis at a time,
+keeping only the distinct projections, so a unit costs one comparison per
+constraint and projection, whatever n is. When a growth step would build
+more than a cap of elements (projections x (slack + 1) x directions), every
+unit is tried under every pre-evaluation of its profile instead, listed
+depth first over each piece's leaves.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .mso_eval import (
 )
 from .typed_eval import TypedEvaluator
 
-MAX_PIECE_BITS = 24
 MAX_PIECES = 16
 MAX_FALLBACK_ALPHAS = 1 << 20
 TYPED_STATE_BUDGET = 20_000_000
@@ -96,39 +98,14 @@ class _PieceRef:
     index: int
 
 
-def _kinds(node: Node, memo: dict) -> tuple[bool, bool]:
-    """(contains MSO atoms, contains constraint leaves)."""
-    got = memo.get(id(node))
-    if got is not None:
-        return got
-    if isinstance(node, (Member, Adjacent, SetEq, VertexEq)):
-        out = (True, False)
-    elif isinstance(node, ConstraintRef):
-        out = (False, True)
-    elif isinstance(node, Not):
-        out = _kinds(node.child, memo)
-    elif isinstance(node, (And, Or, Implies, Iff)):
-        l = _kinds(node.left, memo)
-        r = _kinds(node.right, memo)
-        out = (l[0] or r[0], l[1] or r[1])
-    elif isinstance(node, Quant):
-        out = _kinds(node.child, memo)
-    else:
-        out = (False, False)
-    memo[id(node)] = out
-    return out
-
-
 def _split_pieces(body: Node) -> tuple[Node, list[Node]]:
     """Replace maximal constraint-only subtrees by piece references."""
-    memo: dict = {}
     pieces: list[Node] = []
 
     def rec(node: Node) -> Node:
-        has_mso, has_constraint = _kinds(node, memo)
-        if not has_constraint:
+        if not any(isinstance(sub, ConstraintRef) for sub in walk(node)):
             return node
-        if not has_mso:
+        if not any(isinstance(sub, (Member, Adjacent, SetEq, VertexEq)) for sub in walk(node)):
             pieces.append(node)
             return _PieceRef(len(pieces) - 1)
         if isinstance(node, Not):
@@ -142,104 +119,27 @@ def _split_pieces(body: Node) -> tuple[Node, list[Node]]:
     return rec(body), pieces
 
 
-def _leaf_indices(node: Node) -> list[int]:
-    out = []
-    for sub in walk(node):
-        if isinstance(sub, ConstraintRef):
-            out.append(sub.index)
-    return sorted(out)
+def _literal(value: bool) -> Node:
+    return TrueLit() if value else FalseLit()
 
 
-class _PieceSpace:
-    """Pre-evaluation bookkeeping for one constraint piece.
-
-    bits are the piece's constraint-leaf indices (pieces partition the
-    leaves); table[p] is the piece truth under the local pattern p, where a
-    set pattern bit means the corresponding leaf is guessed false.
-    """
-
-    def __init__(self, piece: Node, bits: list[int], n_vertices: int):
-        self.bits = bits
-        width = len(bits)
-        if width > MAX_PIECE_BITS:
-            raise BudgetExceeded("pre-evaluation-piece-bits", MAX_PIECE_BITS, width)
-        size = 1 << width
-        idx = np.arange(size, dtype=np.int64)
-        local_tables = {
-            leaf: ((idx >> j) & 1) == 0 for j, leaf in enumerate(bits)
-        }
-        self.table = _piece_table(piece, local_tables, n_vertices, size)
-        self.patterns = {
-            value: np.flatnonzero(self.table == value).astype(np.int64)
-            for value in (False, True)
-        }
-
-    def local(self, alpha: int) -> int:
-        out = 0
-        for j, leaf in enumerate(self.bits):
-            out |= ((alpha >> leaf) & 1) << j
-        return out
-
-    def spread(self, pattern: int) -> int:
-        out = 0
-        for j, leaf in enumerate(self.bits):
-            out |= ((pattern >> j) & 1) << leaf
-        return out
-
-    def value_at(self, alpha: int) -> bool:
-        return bool(self.table[self.local(alpha)])
-
-    def reachable_values(self) -> list[bool]:
-        return [value for value in (False, True) if len(self.patterns[value])]
-
-    def count(self, value: bool) -> int:
-        return len(self.patterns[value])
-
-
-def _piece_table(node: Node, leaf_tables: list[np.ndarray], n_vertices: int, size: int) -> np.ndarray:
-    """Truth of a constraint-only subtree over the whole pre-evaluation space.
-    Quantifiers in such a subtree bind nothing; only domain emptiness matters."""
-    if isinstance(node, ConstraintRef):
-        return leaf_tables[node.index]
-    if isinstance(node, TrueLit):
-        return np.ones(size, dtype=bool)
-    if isinstance(node, FalseLit):
-        return np.zeros(size, dtype=bool)
+def _fold(node: Node, values: Sequence[Optional[bool]], n_vertices: int) -> Node:
+    """Substitute the known truths of the piece references (in a skeleton)
+    or constraint leaves (in a piece), values[index], None where unknown,
+    and fold constants away. Quantifiers bind nothing a constant reads, so
+    one over a constant folds too: set domains are never empty, and the
+    vertex domain is empty only when n_vertices is 0."""
+    if isinstance(node, (_PieceRef, ConstraintRef)):
+        value = values[node.index]
+        return node if value is None else _literal(value)
     if isinstance(node, Not):
-        return ~_piece_table(node.child, leaf_tables, n_vertices, size)
-    if isinstance(node, (And, Or, Implies, Iff)):
-        a = _piece_table(node.left, leaf_tables, n_vertices, size)
-        b = _piece_table(node.right, leaf_tables, n_vertices, size)
-        if isinstance(node, And):
-            return a & b
-        if isinstance(node, Or):
-            return a | b
-        if isinstance(node, Implies):
-            return ~a | b
-        return a == b
-    if isinstance(node, Quant):
-        if node.sort == "vertex" and n_vertices == 0:
-            value = node.quantifier == "forall"
-            return np.full(size, value, dtype=bool)
-        return _piece_table(node.child, leaf_tables, n_vertices, size)
-    raise TypeError(f"unexpected node in constraint piece: {node!r}")
-
-
-def _fold(node: Node, values: tuple[bool, ...]) -> Node:
-    """Substitute piece truth values and fold constants away so unsatisfiable
-    folded bodies die without touching the evaluator."""
-    if isinstance(node, _PieceRef):
-        return TrueLit() if values[node.index] else FalseLit()
-    if isinstance(node, Not):
-        child = _fold(node.child, values)
-        if isinstance(child, TrueLit):
-            return FalseLit()
-        if isinstance(child, FalseLit):
-            return TrueLit()
+        child = _fold(node.child, values, n_vertices)
+        if isinstance(child, (TrueLit, FalseLit)):
+            return _literal(isinstance(child, FalseLit))
         return Not(child)
     if isinstance(node, (And, Or, Implies, Iff)):
-        left = _fold(node.left, values)
-        right = _fold(node.right, values)
+        left = _fold(node.left, values, n_vertices)
+        right = _fold(node.right, values, n_vertices)
         lt, lf = isinstance(left, TrueLit), isinstance(left, FalseLit)
         rt, rf = isinstance(right, TrueLit), isinstance(right, FalseLit)
         if isinstance(node, And):
@@ -276,13 +176,12 @@ def _fold(node: Node, values: tuple[bool, ...]) -> Node:
                 return Not(left)
         return type(node)(left, right)
     if isinstance(node, Quant):
-        child = _fold(node.child, values)
-        # a quantifier over a constant collapses unless the domain is empty;
-        # set domains are never empty and the vertex case is resolved by the
-        # evaluator, so only fold when the truth value cannot depend on it
-        if isinstance(child, (TrueLit, FalseLit)) and node.sort == "set":
-            return child
-        return Quant(node.quantifier, node.var, node.sort, child)
+        child = _fold(node.child, values, n_vertices)
+        if not isinstance(child, (TrueLit, FalseLit)):
+            return Quant(node.quantifier, node.var, node.sort, child)
+        if node.sort == "vertex" and n_vertices == 0:
+            return _literal(node.quantifier == "forall")
+        return child
     return node
 
 
@@ -292,7 +191,8 @@ def _var_name(t: int, sig: int) -> str:
     return f"x_t{t}_s{sig}"
 
 
-_CANDIDATE_BOX_CAP = 300_000
+# elements one growth step of the candidate offsets may build
+_CANDIDATE_BOX_CAP = 1 << 22
 
 
 class _Columns:
@@ -439,14 +339,18 @@ class _Pipeline:
         self.slack = g.n - self.rg.graph.n
         # distinct projections of [0, slack]^m onto the constraint
         # directions, added up one axis at a time, then spread to one signed
-        # column per constraint: offsets[:, j] = coeffs[j] . o; None past the cap
+        # column per constraint: offsets[:, j] = coeffs[j] . o; None once a
+        # growth step would build more than the cap (without slack they stay
+        # the zero row, the only pre-evaluation a pinned unit can meet)
         self._offsets: Optional[np.ndarray] = None
         side = self.slack + 1
-        if side ** self.m <= _CANDIDATE_BOX_CAP:
-            offsets = np.zeros((1, len(self.cols.dirs)), dtype=np.int64)
-            for column in self.cols.dirs.T:
-                grown = offsets[:, None, :] + np.outer(np.arange(side), column)
-                offsets = _distinct_rows(grown.reshape(len(grown) * side, len(column)))
+        offsets = np.zeros((1, len(self.cols.dirs)), dtype=np.int64)
+        for column in self.cols.dirs.T:
+            if self.slack and len(offsets) * side * len(column) > _CANDIDATE_BOX_CAP:
+                break
+            grown = offsets[:, None, :] + np.outer(np.arange(side), column)
+            offsets = _distinct_rows(grown.reshape(len(grown) * side, len(column)))
+        else:
             self._offsets = offsets[:, self.cols.dir_of] * np.array(self.cols.signs, dtype=np.int64)
 
         # alpha index bit i set <=> constraint i guessed false; index 0 is
@@ -454,10 +358,11 @@ class _Pipeline:
         self.skeleton, self.pieces = _split_pieces(f.body)
         if len(self.pieces) > MAX_PIECES:
             raise BudgetExceeded("pre-evaluation-pieces", MAX_PIECES, len(self.pieces))
-        self.spaces = [
-            _PieceSpace(piece, _leaf_indices(piece), self.rg.graph.n)
+        self.leaves = [
+            sorted(sub.index for sub in walk(piece) if isinstance(sub, ConstraintRef))
             for piece in self.pieces
         ]
+        self._alpha_profiles: dict[int, tuple[bool, ...]] = {}
 
         # multinomial numerator of a count state's raw assignments
         self._arrangements = math.prod(
@@ -468,7 +373,7 @@ class _Pipeline:
 
     def _units_for_profile(self, values: tuple[bool, ...]) -> list[tuple[int, ...]]:
         """The count rows of a piece-value profile, in enumeration order."""
-        folded = _fold(self.skeleton, values)
+        folded = _fold(self.skeleton, values, self.rg.graph.n)
         return [] if isinstance(folded, FalseLit) else self._enumerate_states(folded)
 
     def _enumerate_states(self, body: Node) -> list[tuple[int, ...]]:
@@ -555,30 +460,61 @@ class _Pipeline:
         return tuple(((alpha_index >> i) & 1) == 0 for i in range(self.k))
 
     def _profiles(self):
-        """Reachable piece-value combinations (a piece with a constant table
-        contributes one value)."""
-        options = [space.reachable_values() for space in self.spaces]
-        for combo in itertools.product(*options):
-            yield combo
+        """Piece-value combinations, each piece False then True; a piece that
+        folds to a constant with no leaf known contributes that value only."""
+        unknown = [None] * self.k
+        options = []
+        for piece in self.pieces:
+            folded = _fold(piece, unknown, self.rg.graph.n)
+            const = isinstance(folded, (TrueLit, FalseLit))
+            options.append((isinstance(folded, TrueLit),) if const else (False, True))
+        return itertools.product(*options)
+
+    def _alpha_profile(self, alpha: int) -> tuple[bool, ...]:
+        """The piece values under a full pre-evaluation, memoised."""
+        got = self._alpha_profiles.get(alpha)
+        if got is None:
+            truths = self.alpha_bools(alpha)
+            got = tuple(
+                isinstance(_fold(piece, truths, self.rg.graph.n), TrueLit)
+                for piece in self.pieces
+            )
+            self._alpha_profiles[alpha] = got
+        return got
 
     def _alpha_member(self, alpha: int, values: tuple[bool, ...]) -> bool:
-        return all(
-            space.value_at(alpha) == value
-            for space, value in zip(self.spaces, values)
-        )
+        return self._alpha_profile(alpha) == values
 
     def _profile_alphas(self, values: tuple[bool, ...]) -> list[int]:
-        """The full pre-evaluation set of a profile, ascending; budgeted
-        (needed only when the candidate box is past its cap)."""
-        total = 1
-        for space, value in zip(self.spaces, values):
-            total *= space.count(value)
-            if total > MAX_FALLBACK_ALPHAS:
-                raise BudgetExceeded("pre-evaluations", MAX_FALLBACK_ALPHAS, total)
+        """The full pre-evaluation set of a profile, ascending (needed only
+        when the candidate offsets are past their cap). Each piece's leaves
+        are guessed depth first, and a branch stops once the piece folds to a
+        literal: on the profile's value all its completions join. Charged to
+        MAX_FALLBACK_ALPHAS while listed."""
+        truths: list[Optional[bool]] = [None] * self.k
         alphas = [0]
-        for space, value in zip(self.spaces, values):
-            spreads = [space.spread(int(p)) for p in space.patterns[value]]
-            alphas = [base | extra for base in alphas for extra in spreads]
+        for piece, leaves, value in zip(self.pieces, self.leaves, values):
+            patterns: list[int] = []
+
+            def descend(i: int, pattern: int) -> None:
+                folded = _fold(piece, truths, self.rg.graph.n)
+                if isinstance(folded, (TrueLit, FalseLit)):
+                    if isinstance(folded, TrueLit) == value:
+                        free = leaves[i:]
+                        used = len(alphas) * (len(patterns) + (1 << len(free)))
+                        if used > MAX_FALLBACK_ALPHAS:
+                            raise BudgetExceeded("pre-evaluations", MAX_FALLBACK_ALPHAS, used)
+                        for sub in itertools.product((0, 1), repeat=len(free)):
+                            patterns.append(pattern | sum(b << leaf for b, leaf in zip(sub, free)))
+                    return
+                leaf = leaves[i]
+                for truth in (True, False):
+                    truths[leaf] = truth
+                    descend(i + 1, pattern | (not truth) << leaf)
+                truths[leaf] = None
+
+            descend(0, 0)
+            alphas = [base | extra for base in alphas for extra in patterns]
         return sorted(alphas)
 
     def _reachable(self, sizes: list[int], values: tuple[bool, ...]) -> list[int]:

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .formula import (
     Adjacent, And, ConstraintRef, FalseLit, Iff, Implies, Member, Node, Not,
-    Or, Quant, SetEq, TrueLit, VertexEq,
+    Or, Quant, SetEq, TrueLit, VertexEq, free_vars, walk,
 )
 from .graph import Graph
 
@@ -65,20 +65,14 @@ _LOW_MEMBER_BYTES = (0xAA, 0xCC, 0xF0)
 
 def collect_set_vars(node: Node, acc: dict[str, bool]) -> None:
     """Set-variable names in first-occurrence order (value unused)."""
-    if isinstance(node, Quant):
-        if node.sort == "set":
-            acc.setdefault(node.var, True)
-        collect_set_vars(node.child, acc)
-    elif isinstance(node, Not):
-        collect_set_vars(node.child, acc)
-    elif isinstance(node, (And, Or, Implies, Iff)):
-        collect_set_vars(node.left, acc)
-        collect_set_vars(node.right, acc)
-    elif isinstance(node, Member):
-        acc.setdefault(node.set, True)
-    elif isinstance(node, SetEq):
-        acc.setdefault(node.a, True)
-        acc.setdefault(node.b, True)
+    for sub in walk(node):
+        if isinstance(sub, Quant) and sub.sort == "set":
+            acc.setdefault(sub.var, True)
+        elif isinstance(sub, Member):
+            acc.setdefault(sub.set, True)
+        elif isinstance(sub, SetEq):
+            acc.setdefault(sub.a, True)
+            acc.setdefault(sub.b, True)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -142,9 +136,7 @@ class TableEngine:
         # shared arrays are read-only, so no in-place update can reach them
         self._true = _frozen(np.full((1,) * self.naxes, 0xFF, dtype=np.uint8))
         self._false = _frozen(np.zeros((1,) * self.naxes, dtype=np.uint8))
-        # id(node) -> (node, free set variables); the node is held so its id
-        # cannot be reused while the engine lives
-        self._free_memo: dict[int, tuple[Node, frozenset[str]]] = {}
+        self._free_memo: dict = {}  # formula.free_vars's memo
 
     def _charge(self, cells: int) -> None:
         if cells > self.cell_budget:
@@ -192,26 +184,8 @@ class TableEngine:
 
     def _free_sets(self, node: Node) -> frozenset[str]:
         """Set variables free in node, fixed sets excepted."""
-        known = self._free_memo.get(id(node))
-        if known is not None:
-            return known[1]
-        if isinstance(node, Member):
-            free = frozenset([node.set])
-        elif isinstance(node, SetEq):
-            free = frozenset([node.a, node.b])
-        elif isinstance(node, Not):
-            free = self._free_sets(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            free = self._free_sets(node.left) | self._free_sets(node.right)
-        elif isinstance(node, Quant):
-            free = self._free_sets(node.child)
-            if node.sort == "set":
-                free = free - {node.var}
-        else:
-            free = frozenset()
-        free = free.difference(self.fixed_sets)
-        self._free_memo[id(node)] = (node, free)
-        return free
+        free = free_vars(node, self._free_memo)[0]
+        return free.difference(self.fixed_sets) if self.fixed_sets else free
 
     # ----------------------------------------------------------------- factors
 
@@ -486,7 +460,6 @@ def estimate_worst_cells(
     as constants, so neither is materialised)."""
     set_dim = 1 << g.n
     cap = 1 << 62
-    worst = 1
 
     def dims(sets: frozenset[str]) -> int:
         cells = 1
@@ -494,25 +467,6 @@ def estimate_worst_cells(
             cells = min(cells * set_dim, cap)
         return cells
 
-    def visit(node: Node) -> frozenset[str]:
-        nonlocal worst
-        if isinstance(node, Member):
-            free = frozenset([node.set])
-        elif isinstance(node, SetEq):
-            free = frozenset([node.a, node.b])
-        elif isinstance(node, Not):
-            free = visit(node.child)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            free = visit(node.left) | visit(node.right)
-        elif isinstance(node, Quant):
-            free = visit(node.child)
-            if node.sort == "set":
-                free = free - {node.var}
-        else:
-            free = frozenset()
-        worst = max(worst, dims(free))
-        return free
-
-    sets = visit(node)
-    worst = max(worst, dims(sets | frozenset(prefix)))
-    return worst
+    memo: dict = {}
+    worst = max(dims(free_vars(sub, memo)[0]) for sub in walk(node))
+    return max(worst, dims(free_vars(node, memo)[0] | frozenset(prefix)))

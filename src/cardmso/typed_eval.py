@@ -27,7 +27,7 @@ from collections import Counter
 from .errors import BudgetExceeded
 from .formula import (
     Adjacent, And, ConstraintRef, FalseLit, Iff, Implies, Member, Node, Not,
-    Or, Quant, SetEq, TrueLit, VertexEq,
+    Or, Quant, SetEq, TrueLit, VertexEq, free_vars,
 )
 from .graph import Graph, nd_partition
 
@@ -35,37 +35,6 @@ DEFAULT_STATE_BUDGET = 200_000_000
 
 # state entries: classes = ((base_id, sig, count), ...) with count > 0,
 # picks = ((base_id, sig), ...); sig bit i = membership in the i-th bound set
-
-
-def _free_vars(node: Node, memo: dict) -> tuple[frozenset[str], frozenset[str]]:
-    """(set names, vertex names) free in node."""
-    got = memo.get(id(node))
-    if got is not None:
-        return got
-    if isinstance(node, Member):
-        out = (frozenset([node.set]), frozenset([node.vertex]))
-    elif isinstance(node, Adjacent):
-        out = (frozenset(), frozenset([node.a, node.b]))
-    elif isinstance(node, VertexEq):
-        out = (frozenset(), frozenset([node.a, node.b]))
-    elif isinstance(node, SetEq):
-        out = (frozenset([node.a, node.b]), frozenset())
-    elif isinstance(node, Not):
-        out = _free_vars(node.child, memo)
-    elif isinstance(node, (And, Or, Implies, Iff)):
-        ls, lv = _free_vars(node.left, memo)
-        rs, rv = _free_vars(node.right, memo)
-        out = (ls | rs, lv | rv)
-    elif isinstance(node, Quant):
-        cs, cv = _free_vars(node.child, memo)
-        if node.sort == "set":
-            out = (cs - {node.var}, cv)
-        else:
-            out = (cs, cv - {node.var})
-    else:
-        out = (frozenset(), frozenset())
-    memo[id(node)] = out
-    return out
 
 
 def _local_mask(node: Node, var: str, bit_of: dict[str, int], full: int) -> int | None:
@@ -196,7 +165,7 @@ class TypedEvaluator:
         return classes, ()
 
     def _project_key(self, node: Node, classes, picks):
-        free_sets, free_vertices = _free_vars(node, self._freemap)
+        free_sets, free_vertices = free_vars(node, self._freemap)
         bits = sorted(self.set_bits[s] for s in free_sets if s in self.set_bits)
         bitpos = {b: i for i, b in enumerate(bits)}
 

@@ -87,7 +87,7 @@ def test_beta_decomposition_matches_direct_count(rng):
         f = generate_equitable_formula(c)
         pipeline = _Pipeline(g, f)
         objective = BetaObjective(pipeline)
-        all_true = tuple(space.value_at(0) for space in pipeline.spaces)
+        all_true = pipeline._alpha_profile(0)
         for counts in pipeline._units_for_profile(all_true)[:10]:
             parts = extract_witness(counts, c, pipeline.rg.types.types).sets
             want = pipeline.rg.graph.cut_size(parts)

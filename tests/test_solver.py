@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 
 from cardmso import corpus, ilp, oracle, solver, table_eval
 from cardmso.balanced import cbalanced
-from cardmso.errors import CoverBudgetExceeded, WitnessError
-from cardmso.formula import FalseLit, analyze, constraint_truths, parse_formula, substitute_params
+from cardmso.errors import BudgetExceeded, CoverBudgetExceeded, WitnessError
+from cardmso.formula import (
+    And, ConstraintRef, FalseLit, Iff, Implies, Not, Or, Quant, TrueLit, analyze,
+    constraint_truths, parse_formula, substitute_params,
+)
 from cardmso.graph import Graph, VertexCover, min_vertex_cover, type_partition
 from cardmso.mso_eval import PrefixAssignment, reduce_graph, satisfying_prefix_assignments
 from cardmso.solver import _Pipeline, build_extension_ilp, check, extract_witness
@@ -409,18 +414,123 @@ class TestReductionGrowth:
         assert not check(star_graph(99), f).holds
 
 
-def test_preevaluation_bit_guard():
-    from cardmso.errors import BudgetExceeded
-    constraints = " & ".join(f"[|Z| <= {i}]" for i in range(25))
-    f = parse_formula(f"exists Z. ({constraints})")
+def wide_piece_formula():
+    """An independent Z of size 2, the size bounds in one piece of 25
+    constraint leaves."""
+    bounds = " & ".join([f"[|Z| <= {2 + i}]" for i in range(24)] + ["[2 <= |Z|]"])
+    return parse_formula(
+        f"exists Z. (forall x. forall y. ((x in Z & y in Z) -> !adj(x, y))) & ({bounds})"
+    )
+
+
+def test_wide_piece_answers_like_the_oracle(monkeypatch):
+    # pieces are folded per pre-evaluation, never tabled over their 2^25 leaf
+    # patterns; with the cap at 1 every pipeline with slack takes the fallback
+    f = wide_piece_formula()
+    assert len(solver._split_pieces(f.body)[1]) == 1
+    graphs = [path_graph(2), path_graph(4), star_graph(6), edgeless(7)]
+    for cap in (solver._CANDIDATE_BOX_CAP, 1):
+        monkeypatch.setattr(solver, "_CANDIDATE_BOX_CAP", cap)
+        for g in graphs:
+            pipeline = _Pipeline(g, f)
+            assert (pipeline._offsets is None) == (cap == 1 and pipeline.slack > 0)
+            verdict = pipeline.run_decision()
+            assert verdict.holds == oracle.brute_check(g, f), (cap, g.edges)
+            if verdict.holds:
+                assert_witness_valid(g, f, verdict)
+
+
+def test_fallback_charges_pre_evaluations_while_listing(monkeypatch):
+    # a disjunction of 30 leaves is true under all but one of its 2^30
+    # patterns; the fallback refuses before it lists them
+    monkeypatch.setattr(solver, "_CANDIDATE_BOX_CAP", 1)
+    piece = " | ".join(f"[|Z| <= {i}]" for i in range(30))
+    f = parse_formula(f"exists Z. ({piece})")
+    start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as err:
-        check(path_graph(2), f)
-    # one piece of 25 constraint leaves against MAX_PIECE_BITS = 24
-    assert (err.value.kind, err.value.limit, err.value.used) == ("pre-evaluation-piece-bits", 24, 25)
+        check(edgeless(5), f)
+    assert time.perf_counter() - start < 5
+    assert (err.value.kind, err.value.limit) == ("pre-evaluations", solver.MAX_FALLBACK_ALPHAS)
+    assert err.value.used > err.value.limit
+
+
+def test_offsets_gate_on_what_the_growth_builds(monkeypatch):
+    # cbalance c=2 on a 1000-vertex planted cover with k=1: the box
+    # [0, slack]^2 has about 10^6 cells, but each growth step of the
+    # candidate offsets builds a few thousand elements, so no unit is tried
+    # under a pre-evaluation its offsets cannot reach
+    g = planted_cover(random.Random(1), 1, 1000)
+    got = cbalanced(g, 2)
+    assert got.stats.ilp_solves == 150
+    monkeypatch.setattr(solver, "_CANDIDATE_BOX_CAP", 1)
+    fallback = cbalanced(g, 2)
+    assert fallback.stats.ilp_solves > got.stats.ilp_solves
+    assert fallback.cut_value == got.cut_value
+
+
+_FOLD_LEAVES = 4
+_fold_leaf = st.one_of(
+    st.integers(0, _FOLD_LEAVES - 1).map(ConstraintRef), st.sampled_from([TrueLit(), FalseLit()])
+)
+
+
+def _fold_extend(children):
+    return st.one_of(
+        children.map(Not),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([And, Or, Implies, Iff]), children, children),
+        st.builds(
+            lambda q, sort, child: Quant(q, "x" if sort == "vertex" else "X", sort, child),
+            st.sampled_from(["exists", "forall"]), st.sampled_from(["vertex", "set"]), children,
+        ),
+    )
+
+
+def direct_truth(node, truths, n: int) -> bool:
+    """A constraint-only tree under leaf truths (None leaves not allowed);
+    its quantifiers bind nothing, so only an empty vertex domain matters."""
+    if isinstance(node, ConstraintRef):
+        return truths[node.index]
+    if isinstance(node, (TrueLit, FalseLit)):
+        return isinstance(node, TrueLit)
+    if isinstance(node, Not):
+        return not direct_truth(node.child, truths, n)
+    if isinstance(node, Quant):
+        if node.sort == "vertex" and n == 0:
+            return node.quantifier == "forall"
+        return direct_truth(node.child, truths, n)
+    a, b = direct_truth(node.left, truths, n), direct_truth(node.right, truths, n)
+    return {And: a and b, Or: a or b, Implies: not a or b, Iff: a == b}[type(node)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(_fold_leaf, _fold_extend, max_leaves=12),
+    st.sampled_from([0, 3]),
+    st.lists(st.sampled_from([None, False, True]), min_size=_FOLD_LEAVES, max_size=_FOLD_LEAVES),
+)
+def test_fold_agrees_with_direct_evaluation(piece, n, partial):
+    """A full pre-evaluation folds to the literal of the direct truth; a
+    partial one folds to a tree with the same truth under every completion,
+    so to a literal only when all completions agree."""
+    folded = solver._fold(piece, partial, n)
+    for full in itertools.product((False, True), repeat=_FOLD_LEAVES):
+        want = direct_truth(piece, full, n)
+        assert solver._fold(piece, full, n) == (TrueLit() if want else FalseLit())
+        if all(p is None or p == t for p, t in zip(partial, full)):
+            assert direct_truth(folded, full, n) == want
+
+
+def test_constant_piece_has_one_profile():
+    # the piece folds to true with no leaf known, so the skeleton is never
+    # enumerated as plain `true` for a false profile no pre-evaluation reaches
+    f = parse_formula("exists Z. ([|Z| <= 1] | true) -> exists x. x in Z")
+    pipeline = _Pipeline(path_graph(3), f)
+    assert list(pipeline._profiles()) == [(True,)]
+    verdict = pipeline.run_decision()
+    assert verdict.holds and verdict.stats.prefix_assignments == 7
 
 
 def test_preevaluation_piece_guard():
-    from cardmso.errors import BudgetExceeded
     # each constraint sits beside an MSO atom, so each is its own piece
     pieces = " & ".join(f"([|Z| <= {i}] | exists x. x in Z)" for i in range(17))
     with pytest.raises(BudgetExceeded) as err:
@@ -493,7 +603,7 @@ def collapse_by_hand(pipe: _Pipeline, body) -> tuple[list[tuple[int, ...]], int]
 def test_stream_rows_match_a_collapse_by_hand(g, text):
     pipe = _Pipeline(g, parse_formula(text))
     for values in pipe._profiles():
-        body = solver._fold(pipe.skeleton, values)
+        body = solver._fold(pipe.skeleton, values, pipe.rg.graph.n)
         if isinstance(body, FalseLit):
             continue
         before = pipe.stats.prefix_assignments

@@ -308,7 +308,7 @@ def test_prefix_table_peak_memory():
     result (16 MB) and a little more."""
     f = corpus.load("equitable_coloring", c=3)
     skeleton, pieces = solver._split_pieces(f.body)
-    body = solver._fold(skeleton, (True,) * len(pieces))
+    body = solver._fold(skeleton, (True,) * len(pieces), 8)
     tracemalloc.start()
     try:
         table = table_eval.prefix_table(cycle_graph(8), body, f.prefix)

@@ -82,16 +82,17 @@ class BetaObjective:
             return sig.bit_length() - 1
         return None
 
-    def _cover_parts(self, counts: tuple[int, ...]) -> dict[int, int]:
-        parts = {}
+    def key(self, counts: tuple[int, ...]) -> tuple[int, ...]:
+        """The cover vertices' parts in the row: all the objective row reads."""
+        parts = []
         for ct in self.cover_types:
             # a cover type is a singleton: one entry of its block is 1
             sig = counts.index(1, ct << self.m, (ct + 1) << self.m) - (ct << self.m)
             part = self._part_of(sig)
             if part is None:
                 raise AssertionError("cover vertex without one-hot membership")
-            parts[ct] = part
-        return parts
+            parts.append(part)
+        return tuple(parts)
 
     def _cut_terms(self, counts: tuple[int, ...]) -> tuple[int, list[tuple[int, int, int]]]:
         """The cut of every extension of the row `counts` is const0 plus the
@@ -99,8 +100,8 @@ class BetaObjective:
         coefficient) terms. Both depend only on the parts of the cover
         vertices. Only one-hot signatures carry a coefficient: the others
         are empty subtypes, pinned at zero."""
-        cover_parts = self._cover_parts(counts)
-        key = tuple(cover_parts.values())
+        key = self.key(counts)
+        cover_parts = dict(zip(self.cover_types, key))
         got = self._terms.get(key)
         if got is None:
             const0 = sum(

@@ -5,7 +5,9 @@ Depth-first branch and bound over integer domains with interval constraint
 propagation before every branch. Branching picks the variable with the
 smallest remaining domain and tries values lowest-first, so witnesses are
 deterministic. Strict inequalities are never stored; callers encode a > b as
-a >= b + 1.
+a >= b + 1. The search runs over a Program (<= rows over variable indices),
+compiled once and re-solved under new bounds by with_bounds; an ILPInstance
+is compiled on entry.
 
 Propagation is event-driven: a first-in-first-out queue holds each row at
 most once, the root queues every row and a child only the rows of the
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import sub
-from typing import Mapping, Optional
+from operator import le, sub
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,19 +119,51 @@ class ILPResult:
     lp_refuted: bool = False  # closed at the root by a Farkas certificate
 
 
-def check_assignment(inst: ILPInstance, assignment: Mapping[str, int]) -> bool:
-    for name, lo, hi in inst.variables:
-        if not (lo <= assignment[name] <= hi):
-            return False
-    for row in inst.rows:
-        total = sum(c * assignment[v] for v, c in row.coeffs)
-        if row.relation == LE and not total <= row.rhs:
-            return False
-        if row.relation == EQ and total != row.rhs:
-            return False
-        if row.relation == GE and not total >= row.rhs:
-            return False
-    return True
+def _le_row(terms, rhs: int) -> tuple:
+    """A <= row as (positive terms, negative terms, rhs)."""
+    return tuple((i, c) for i, c in terms if c > 0), tuple((i, c) for i, c in terms if c < 0), rhs
+
+
+class Program(NamedTuple):
+    """An instance compiled for the search: <= rows (pos, neg, rhs) over variable
+    indices, an equality as two rows and a >= row negated. var_rows[i] lists the
+    rows over two or more variables that read variable i (a row over one variable
+    is applied at the root only: bounds only shrink below it)."""
+
+    names: tuple[str, ...]
+    lo: Sequence[int]
+    hi: Sequence[int]
+    rows: tuple[tuple, ...]
+    var_rows: tuple[tuple[int, ...], ...]
+    objective: Optional[tuple[tuple[int, int], ...]]  # (index, coefficient), minimise
+
+    @classmethod
+    def of(cls, inst: ILPInstance) -> "Program":
+        index = {name: i for i, (name, _, _) in enumerate(inst.variables)}
+        rows = []
+        for row in inst.rows:
+            terms = [(index[v], c) for v, c in row.coeffs]
+            if row.relation in (LE, EQ):
+                rows.append(_le_row(terms, row.rhs))
+            if row.relation in (GE, EQ):
+                rows.append(_le_row([(i, -c) for i, c in terms], -row.rhs))
+        var_rows: list[list[int]] = [[] for _ in index]
+        for r, (pos, neg, _) in enumerate(rows):
+            if len(pos) + len(neg) > 1:
+                for i, _ in pos + neg:
+                    var_rows[i].append(r)
+        objective = inst.objective and tuple((index[v], c) for v, c in inst.objective)
+        lo, hi = [v[1] for v in inst.variables], [v[2] for v in inst.variables]
+        return cls(tuple(index), lo, hi, tuple(rows), tuple(map(tuple, var_rows)), objective)
+
+    def with_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> "Program":
+        return self._replace(lo=lo, hi=hi)
+
+    def holds(self, x: Sequence[int]) -> bool:
+        """Is x inside the bounds and on the right side of every row?"""
+        return all(map(le, self.lo, x)) and all(map(le, x, self.hi)) and all(
+            sum(c * x[i] for i, c in pos + neg) <= rhs for pos, neg, rhs in self.rows
+        )
 
 
 def format_instance(inst: ILPInstance) -> str:
@@ -237,58 +271,37 @@ def refutes(rows: list, y: list[int], lo: list[int], hi: list[int]) -> bool:
 
 
 class _Search:
-    """One solve call; all state confined here.
+    """One solve call over a compiled program; all state confined here.
 
-    Rows are stored in <= form as (positive terms, negative terms, rhs) with
-    terms (variable index, coefficient); an equality becomes two rows and a
-    >= row is negated. Rows over one variable are applied once at the root and
-    never indexed by variable, since bounds only shrink below the root. When
-    the instance has an objective, the last row is objective <= cutoff, where
-    the cutoff is one less than the best value found so far or than `below`;
-    before either exists it is the objective's maximum over the root box,
-    which cuts nothing.
+    The program's rows are shared, never changed. When the search minimises,
+    it appends one row of its own, objective <= cutoff, where the cutoff is
+    one less than the best value found so far or than `below`; before either
+    exists it is the objective's maximum over the root box, which cuts
+    nothing.
     """
 
-    def __init__(self, inst: ILPInstance, node_budget: int, below: Optional[int] = None):
-        index = {name: i for i, (name, _, _) in enumerate(inst.variables)}
-        self.lo = [lo for _, lo, _ in inst.variables]
-        self.hi = [hi for _, _, hi in inst.variables]
-        self.rows: list[list] = []
-        for row in inst.rows:
-            terms = [(index[v], c) for v, c in row.coeffs]
-            if row.relation in (LE, EQ):
-                self._add_row(terms, row.rhs)
-            if row.relation in (GE, EQ):
-                self._add_row([(i, -c) for i, c in terms], -row.rhs)
-        self.var_rows: list[list[int]] = [[] for _ in self.lo]
-        for r, (pos, neg, _) in enumerate(self.rows):
-            if len(pos) + len(neg) > 1:
-                for i, _ in pos + neg:
-                    self.var_rows[i].append(r)
-        self.objective: Optional[list[tuple[int, int]]] = None
+    def __init__(self, program: Program, node_budget: int, below: Optional[int] = None):
+        self.program = program
+        self.lo, self.hi = list(program.lo), list(program.hi)
+        self.rows: list = list(program.rows)
+        self.var_rows = program.var_rows
+        self.objective = program.objective
         self.obj_row = -1
-        if inst.objective is not None:
-            self.objective = [(index[v], c) for v, c in inst.objective]
-            ceiling = sum(
-                c * (self.hi[i] if c > 0 else self.lo[i]) for i, c in self.objective
-            )
+        if self.objective is not None:
+            ceiling = sum(c * (self.hi[i] if c > 0 else self.lo[i]) for i, c in self.objective)
             if below is not None:
                 ceiling = min(ceiling, below - 1)
             self.obj_row = len(self.rows)
-            self._add_row(self.objective, ceiling)
+            self.rows.append(list(_le_row(self.objective, ceiling)))  # its rhs moves
+            self.var_rows = list(self.var_rows)
             for i, _ in self.objective:
-                self.var_rows[i].append(self.obj_row)
+                self.var_rows[i] += (self.obj_row,)
         self.cut_active = below is not None
         self.node_budget = node_budget
         self.nodes = 0
         self.lp_refuted = False
         self.best_value: Optional[int] = None
         self.best_assignment: Optional[list[int]] = None
-
-    def _add_row(self, terms: list[tuple[int, int]], rhs: int) -> None:
-        pos = [(i, c) for i, c in terms if c > 0]
-        neg = [(i, c) for i, c in terms if c < 0]
-        self.rows.append([pos, neg, rhs])
 
     def tick(self) -> None:
         self.nodes += 1
@@ -399,36 +412,37 @@ class _Search:
                 return
 
 
-def _result(search: _Search, inst: ILPInstance, optimal: bool) -> ILPResult:
+def _result(search: _Search, optimal: bool) -> ILPResult:
     if search.best_assignment is None:
         return ILPResult("infeasible", nodes=search.nodes, lp_refuted=search.lp_refuted)
-    assignment = {
-        name: search.best_assignment[i]
-        for i, (name, _, _) in enumerate(inst.variables)
-    }
-    assert check_assignment(inst, assignment), "solver returned invalid assignment"
-    if optimal:
-        return ILPResult("optimal", assignment, search.best_value, search.nodes)
-    return ILPResult("feasible", assignment, None, search.nodes)
+    program = search.program
+    assert program.holds(search.best_assignment), "solver returned invalid assignment"
+    assignment = dict(zip(program.names, search.best_assignment))
+    status = "optimal" if optimal else "feasible"  # best_value is None without an objective
+    return ILPResult(status, assignment, search.best_value, search.nodes)
 
 
-def solve_feasibility(inst: ILPInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> ILPResult:
+def solve_feasibility(
+    inst: ILPInstance | Program, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ILPResult:
     """Exact feasibility with a witness, or infeasible."""
-    search = _Search(ILPInstance(inst.variables, inst.rows, None), node_budget)
+    program = inst if isinstance(inst, Program) else Program.of(inst)
+    search = _Search(program._replace(objective=None), node_budget)
     search.run()
-    return _result(search, inst, optimal=False)
+    return _result(search, optimal=False)
 
 
 def solve_min(
-    inst: ILPInstance,
+    inst: ILPInstance | Program,
     node_budget: int = DEFAULT_NODE_BUDGET,
     below: Optional[int] = None,
 ) -> ILPResult:
     """Exact minimisation of the objective, or infeasible. With `below`, only
     solutions whose objective is < below count: the result is the minimum
     when it is below that cut-off and infeasible otherwise."""
-    if inst.objective is None:
+    program = inst if isinstance(inst, Program) else Program.of(inst)
+    if program.objective is None:
         raise ValueError("solve_min requires an objective")
-    search = _Search(inst, node_budget, below)
+    search = _Search(program, node_budget, below)
     search.run()
-    return _result(search, inst, optimal=True)
+    return _result(search, optimal=True)

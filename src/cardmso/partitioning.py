@@ -5,9 +5,9 @@ A part is summarised by its shape: per type, its intersection size capped
 at the small threshold 2^q_S * q_v. Same-type vertices are twins, and inside
 a twin class every size from the threshold up models the same sentences
 (Lampis), so the capped value reads "threshold or more" and sets of one
-shape are interchangeable as models. One representative per shape is model
-checked; a counting program then decides whether satisfying shapes can tile
-the whole vertex set with exactly r parts (Rao).
+shape are interchangeable as models. Each shape is decided once per graph
+(_ShapeCheck); a counting program then decides whether satisfying shapes
+can tile the whole vertex set with exactly r parts (Rao).
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from typing import Optional
 
 from . import ilp
 from .errors import BudgetExceeded
-from .formula import Formula, FormulaStats, Node, analyze
+from .formula import Formula, FormulaStats, Node, Quant, analyze, walk
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
-from .mso_eval import mso_check
+from .mso_eval import DEFAULT_NODE_BUDGET, _as_sentence, mso_check
 from .solver import SolveStats
+from .typed_eval import TypedEvaluator
 
 DEFAULT_SHAPE_BUDGET = 2_000_000
 
@@ -86,28 +87,50 @@ def shape_representative(g: Graph, tp: TypePartition, s: Shape, stats: FormulaSt
     return picked
 
 
-# per graph: (types, shape, sentence, stats) -> truth; an entry dies with
-# its graph, and queries on one live graph (say r = 2, then r = 3) share it
+# per graph: (types, sentence, stats) -> {shape: truth}; an entry dies with its graph (so
+# must not reference it), and queries on one live graph (say r = 2, then r = 3) share it
 _SHAPE_CACHE: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
+class _ShapeCheck:
+    """The cached truths of one (g, tp, phi, stats) and how to decide more.
+    Without set quantifiers, phi is evaluated on a shape's count state
+    ((class of T, 0, count) per type T it takes) by one TypedEvaluator over
+    tp's classes, its memo shared: same-type vertices are twins, so the state
+    is the induced subgraph. With them, mso_check runs on a representative."""
+
+    def __init__(self, g: Graph, tp: TypePartition, phi: Formula | Node, stats: FormulaStats):
+        self.g, self.tp, self.phi, self.stats = g, tp, phi, stats
+        self.truths = _SHAPE_CACHE.setdefault(g, {}).setdefault((tp, phi, stats), {})
+        self.sentence = _as_sentence(phi)
+        self.typed = not any(isinstance(q, Quant) and q.sort == "set" for q in walk(self.sentence))
+        self.ev: Optional[TypedEvaluator] = None
+
+    def decide(self, s: Shape) -> bool:
+        if not self.typed:
+            vertices = shape_representative(self.g, self.tp, s, self.stats)
+            return bool(mso_check(self.g.induced(vertices)[0], self.phi))
+        if self.ev is None:
+            self.ev = TypedEvaluator(self.g, list(self.tp.types), state_budget=DEFAULT_NODE_BUDGET)
+            # the evaluator orders its classes by first member
+            first = {members[0]: b for b, members in enumerate(self.ev.base_members)}
+            self.base = [first[members[0]] for members in self.tp.types]
+        self.ev.calls = 0  # each shape gets the budget mso_check would give it
+        state = sorted((self.base[t], 0, c) for t, c in enumerate(s.per_type) if c)
+        return self.ev.eval(self.sentence, tuple(state), ())
+
+
 def shape_satisfies(
-    g: Graph,
-    tp: TypePartition,
-    s: Shape,
-    phi: Formula | Node,
-    stats: FormulaStats,
+    g: Graph, tp: TypePartition, s: Shape, phi: Formula | Node, stats: FormulaStats,
+    check: Optional[_ShapeCheck] = None,
 ) -> bool:
-    """Does a set of this shape induce a model of phi? One representative
-    decides for all sets of the shape (cached per graph: callers sweep r
-    without re-checking shapes)."""
-    cache = _SHAPE_CACHE.setdefault(g, {})
-    key = (tp, s, phi, stats)
-    holds = cache.get(key)
+    """Does a set of this shape induce a model of phi? Cached per graph, so
+    callers sweep r without re-checking shapes; a caller sweeping shapes
+    passes the _ShapeCheck of (g, tp, phi, stats) it made once."""
+    check = check or _ShapeCheck(g, tp, phi, stats)
+    holds = check.truths.get(s)
     if holds is None:
-        vertices = shape_representative(g, tp, s, stats)
-        sub, _ = g.induced(vertices)
-        holds = cache[key] = bool(mso_check(sub, phi))
+        holds = check.truths[s] = check.decide(s)
     return holds
 
 
@@ -135,11 +158,12 @@ def mso_partition(
     fstats = analyze(inst.formula)
 
     shapes = enumerate_shapes(tp, fstats)
+    check = _ShapeCheck(g, tp, inst.formula, fstats)
     satisfying = []
     for s in shapes:
         if not allow_empty and s.is_zero():
             continue
-        if shape_satisfies(g, tp, s, inst.formula, fstats):
+        if shape_satisfies(g, tp, s, inst.formula, fstats, check):
             satisfying.append(s)
     stats.shapes = len(shapes)
     stats.satisfying_shapes = len(satisfying)

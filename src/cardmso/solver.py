@@ -29,6 +29,8 @@ are the reduced type sizes, so the extension of every unit of a pipeline
 places the same number of further vertices, slack = n - reduced n. With no
 slack the type sums pin every variable and a unit is decided
 arithmetically; otherwise it goes through the branch-and-bound ILP solver.
+One program is compiled per (pre-evaluation, cover-part key), all a pair's
+rows read of its unit, and re-solved under each unit's bounds.
 A unit with set sizes s can comply only with the pre-evaluations of the
 sizes in s + [0, slack]^m. Once per pipeline that box is projected onto the
 constraints' distinct directions (rows up to sign), one axis at a time,
@@ -363,6 +365,7 @@ class _Pipeline:
             for piece in self.pieces
         ]
         self._alpha_profiles: dict[int, tuple[bool, ...]] = {}
+        self._programs: dict = {}
 
         # multinomial numerator of a count state's raw assignments
         self._arrangements = math.prod(
@@ -433,20 +436,27 @@ class _Pipeline:
         Without slack the row is its own and only extension, and the pair's
         alpha is the row's own pre-evaluation."""
         self.stats.ilp_solves += 1
+        if self.dump is not None:
+            self.dump(_build_instance(self.cols, counts, alpha_index, objective))
         if self.slack == 0:
             value = objective.pinned_value(counts) if objective is not None else None
-            if self.dump is not None:
-                self.dump(_build_instance(self.cols, counts, alpha_index, objective))
             if below is not None and value >= below:
                 return False, None, None
             return True, counts, value
-        inst = _build_instance(self.cols, counts, alpha_index, objective)
-        if self.dump is not None:
-            self.dump(inst)
+        key = alpha_index if objective is None else (alpha_index, objective.key(counts))
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = ilp.Program.of(
+                _build_instance(self.cols, counts, alpha_index, objective)
+            )
+        # as in _build_instance; variables past the counts keep their bounds
+        hi = [c if c < self.cols.small else size for c, size in zip(counts, self.cols.sizes)]
+        hi += program.hi[len(counts):]
+        program = program.with_bounds([*counts, *program.lo[len(counts):]], hi)
         if objective is None:
-            res = ilp.solve_feasibility(inst, self.node_budget)
+            res = ilp.solve_feasibility(program, self.node_budget)
         else:
-            res = ilp.solve_min(inst, self.node_budget, below=below)
+            res = ilp.solve_min(program, self.node_budget, below=below)
         self.stats.ilp_nodes += res.nodes
         self.stats.ilp_lp_refutations += res.lp_refuted
         if res.status == "infeasible":

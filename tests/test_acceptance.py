@@ -26,7 +26,7 @@ from cardmso.balanced import cbalanced
 from cardmso.solver import check
 from conftest import (
     assert_witness_valid, atlas_connected, complete_bipartite, complete_graph,
-    cycle_graph, path_graph, random_graph, star_graph,
+    cycle_graph, path_graph, planted_cover, random_graph, star_graph,
 )
 
 WITNESS_CHECKS = {"count": 0}
@@ -236,6 +236,31 @@ class TestAcceptance:
             ratio <= 64,
             "ratio %.2f; " % ratio
             + ", ".join(f"n={n}: {t * 1000:.1f}ms" for n, t in timings.items()),
+        )
+
+    def test_criterion_relabel_invariance_past_brute_force(self):
+        # planted covers with k = 2 and n in {100, 400}, far past the brute
+        # oracles: a random renaming of the vertices keeps every answer
+        start = time.time()
+        indep = parse_formula(corpus.independence_body())
+        clique = parse_formula(corpus.clique_body())
+        rng = random.Random(0x5EED)
+        bad = checked = 0
+        for n in (100, 400):
+            g = planted_cover(rng, 2, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            pairs = [(cbalanced(g, 2).cut_value, cbalanced(h, 2).cut_value)]
+            for phi in (indep, clique):
+                for r in (2, 3):
+                    inst = PartitionInstance(phi, r)
+                    pairs.append((mso_partition(g, inst).holds, mso_partition(h, inst).holds))
+            bad += sum(a != b for a, b in pairs)
+            checked += len(pairs)
+        _report(
+            "relabel invariance past brute force", bad == 0,
+            f"{checked} answers, {time.time() - start:.0f}s",
         )
 
     def test_criterion_witness_integrity(self):

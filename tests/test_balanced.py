@@ -1,10 +1,14 @@
+import random
+
+import pytest
+
 from cardmso import oracle
 from cardmso.balanced import BetaObjective, cbalanced, generate_equitable_formula
 from cardmso.formula import analyze
 from cardmso.graph import Graph
 from cardmso.solver import _Pipeline, extract_witness
 from conftest import (
-    complete_graph, cycle_graph, path_graph, random_graph, star_graph,
+    complete_graph, cycle_graph, path_graph, planted_cover, random_graph, star_graph,
 )
 
 
@@ -74,6 +78,17 @@ class TestCbalanced:
         assert result.stats.reduced_vertices == g.n
         assert result.cut_value == oracle.brute_cbalanced(g, 3)
         assert result.stats.ilp_nodes == 0
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_cut_survives_relabelling(self, n):
+        # past brute force: renaming the vertices moves the cover away from
+        # 0..k-1 and must not change the minimum cut (k = 2 is in the
+        # acceptance suite)
+        rng = random.Random(n)
+        g = planted_cover(rng, 1, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert cbalanced(g.relabel(perm), 2).cut_value == cbalanced(g, 2).cut_value
 
 
 def test_beta_decomposition_matches_direct_count(rng):

@@ -159,6 +159,25 @@ def test_dump_ilp(files, tmp_path, capsys):
     assert "<=" in text or ">=" in text or "=" in text
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--formula", "ids_k.cms", "--param", "k=5"],
+    ["check", "--formula", "ids_k.cms", "--param", "k=6"],
+    ["partition", "--formula", "independence.cms", "-r", "2"],
+    ["cbalance", "-c", "2"],
+])
+def test_dump_ilp_writes_one_program_per_solve(files, tmp_path, capsys, command):
+    # a star with 9 leaves keeps twins past the reduction threshold, so
+    # work pairs reach the ILP; the dump holds the program each one solves
+    graph = tmp_path / "star.g"
+    graph.write_text("p 10 9\n" + "".join(f"e 1 {v}\n" for v in range(2, 11)))
+    dump = tmp_path / "dump.txt"
+    args = [files.get(a, a) for a in command]
+    run([*args[:1], "--graph", str(graph), *args[1:], "--dump-ilp", str(dump), "--json"])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    programs = dump.read_text().count("# instance ")
+    assert programs == stats["ilp_solves"] > 0
+
+
 def test_bad_graph_file_exit_two(tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("p 2 1\ne 1 7\n")

@@ -12,9 +12,25 @@ from hypothesis import strategies as st
 
 from cardmso.errors import BudgetExceeded
 from cardmso.ilp import (
-    EQ, GE, LE, ILPInstance, Row, _Search, check_assignment, farkas_multipliers,
+    EQ, GE, LE, ILPInstance, Program, Row, _Search, farkas_multipliers,
     format_instance, refutes, solve_feasibility, solve_min,
 )
+
+
+def check_assignment(inst: ILPInstance, assignment) -> bool:
+    """Reference check: every bound and every row, read off the instance."""
+    for name, lo, hi in inst.variables:
+        if not (lo <= assignment[name] <= hi):
+            return False
+    for row in inst.rows:
+        total = sum(c * assignment[v] for v, c in row.coeffs)
+        if row.relation == LE and not total <= row.rhs:
+            return False
+        if row.relation == EQ and total != row.rhs:
+            return False
+        if row.relation == GE and not total >= row.rhs:
+            return False
+    return True
 
 
 def grid_solve(inst: ILPInstance):
@@ -308,7 +324,7 @@ def test_queue_propagation_reaches_sweep_fixpoint(seed):
     inst = planted_instance(rng) if seed % 2 else random_instance(rng, False, max_vars=6)
     want_lo, want_hi = [lo for _, lo, _ in inst.variables], [hi for _, _, hi in inst.variables]
     want = sweep_fixpoint(inst, want_lo, want_hi)
-    search = _Search(inst, node_budget=1)
+    search = _Search(Program.of(inst), node_budget=1)
     lo, hi = search.lo[:], search.hi[:]
     got = search.propagate(lo, hi, deque(range(len(search.rows))))
     assert got == want
@@ -367,16 +383,16 @@ class TestCertificateCheck:
         assert not refutes(rows, [-1, -1], [0], [5])
 
     def test_proposals_with_a_flipped_sign_are_rejected(self):
-        search = _Search(ILPInstance.build(
+        search = _Search(Program.of(ILPInstance.build(
             [("x", 0, 4), ("y", 0, 4)],
             [Row.of({"x": 2, "y": 2}, EQ, 5)],
-        ), node_budget=1)
+        )), node_budget=1)
         # 2x + 2y = 5 has real points, so no certificate is proposed
         assert farkas_multipliers(search.rows, search.lo, search.hi) is None
         rng = random.Random(3)
         checked = 0
         for _ in range(200):
-            search = _Search(opposed_instance(rng), node_budget=1)
+            search = _Search(Program.of(opposed_instance(rng)), node_budget=1)
             y = farkas_multipliers(search.rows, search.lo, search.hi)
             if y is None or not refutes(search.rows, y, search.lo, search.hi):
                 continue
@@ -405,3 +421,68 @@ def test_root_refutation_imports_no_scipy():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------- compiled programs
+
+
+def sub_box(rng: random.Random, inst: ILPInstance) -> tuple[list[int], list[int]]:
+    """Random bounds inside the instance's own."""
+    lo, hi = [], []
+    for _, a, b in inst.variables:
+        x, y = rng.randint(a, b), rng.randint(a, b)
+        lo.append(min(x, y))
+        hi.append(max(x, y))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.integers(-12, 12))
+def test_rebounded_program_solves_like_a_rebuilt_instance(seed, below):
+    # re-solving one compiled program under new bounds is solving the
+    # instance rebuilt with those bounds: same status, witness, optimum,
+    # node count and root certificate
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        inst = random_instance(rng, with_objective=True)
+    elif kind == 1:
+        inst = opposed_instance(rng)
+    else:
+        plain = planted_instance(rng)
+        inst = ILPInstance.build(
+            plain.variables, plain.rows, {v: rng.randint(-3, 3) for v, _, _ in plain.variables},
+        )
+    program = Program.of(inst)
+    for _ in range(3):
+        lo, hi = sub_box(rng, inst)
+        rebuilt = ILPInstance(
+            tuple((name, a, b) for (name, _, _), a, b in zip(inst.variables, lo, hi)),
+            inst.rows, inst.objective,
+        )
+        rebounded = program.with_bounds(lo, hi)
+        assert solve_feasibility(rebounded) == solve_feasibility(rebuilt)
+        assert solve_min(rebounded) == solve_min(rebuilt)
+        assert solve_min(rebounded, below=below) == solve_min(rebuilt, below=below)
+    # the rows are shared, and re-solving left them as compiled
+    assert program.rows is rebounded.rows and program.rows == Program.of(inst).rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_compiled_rows_accept_what_check_assignment_accepts(seed):
+    # random points around the box, plus a solved point and its neighbours
+    # one step away, which sit on or next to the rows (an equality is two
+    # compiled rows and must hold as both)
+    rng = random.Random(seed)
+    inst = planted_instance(rng) if seed % 2 else random_instance(rng, False, max_vars=6)
+    program = Program.of(inst)
+    points = [[rng.randint(lo - 1, hi + 1) for _, lo, hi in inst.variables] for _ in range(30)]
+    got = solve_feasibility(inst)
+    if got.status == "feasible":
+        x = [got.assignment[name] for name in program.names]
+        points.append(x)
+        for i in range(len(x)):
+            points += [x[:i] + [x[i] + step] + x[i + 1:] for step in (-1, 1)]
+    for x in points:
+        assert program.holds(x) == check_assignment(inst, dict(zip(program.names, x)))

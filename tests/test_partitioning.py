@@ -7,7 +7,7 @@ import pytest
 from cardmso import corpus, oracle, partitioning
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import FormulaStats, analyze, parse_formula
-from cardmso.graph import Graph, TypePartition, min_vertex_cover, type_partition
+from cardmso.graph import Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from cardmso.mso_eval import mso_check
 from cardmso.partitioning import (
     PartitionInstance, Shape, enumerate_shapes, mso_partition, shape_satisfies,
@@ -18,6 +18,11 @@ from conftest import (
 
 INDEP = parse_formula(corpus.independence_body())
 CLIQUE = parse_formula(corpus.clique_body())
+# more sentences without set quantifiers: a dominating vertex, an induced P3
+DOMINATING = parse_formula("exists u. forall v. (u = v | adj(u, v))")
+INDUCED_P3 = parse_formula(
+    "exists u. exists v. exists w. (adj(u, v) & adj(v, w) & !(u = w) & !adj(u, w))"
+)
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -143,6 +148,32 @@ class TestShapeSatisfies:
             sub, _ = g.induced(picked)
             assert mso_check(sub, INDEP) == base
 
+    @pytest.mark.parametrize("mode", ["vc", "nd"])
+    def test_shared_evaluator_matches_the_table_engine(self, rng, mode):
+        # every shape, on the count state of the one evaluator per query,
+        # against the table engine on the shape's representative
+        checked = 0
+        for i in range(30):
+            g = random_graph(rng, rng.randint(1, 8)) if i % 2 else twin_class_graph(rng)
+            tp = nd_partition(g) if mode == "nd" else self._tp(g)
+            # the library lists types by first member; a partition listed
+            # the other way round must be read just as well
+            last = tp.count - 1
+            flipped = TypePartition(
+                tp.types[::-1], frozenset(last - t for t in tp.cover_types), tp.mode
+            )
+            for types in (tp, flipped):
+                for phi in (INDEP, CLIQUE, DOMINATING, INDUCED_P3):
+                    stats = analyze(phi)
+                    check = partitioning._ShapeCheck(g, types, phi, stats)
+                    assert check.typed
+                    for s in enumerate_shapes(types, stats):
+                        rep = partitioning.shape_representative(g, types, s, stats)
+                        want = mso_check(g.induced(rep)[0], phi, method="table")
+                        assert check.decide(s) == want, (s, types, g.edges)
+                        checked += 1
+        assert checked > 1000
+
     def test_cache_entry_dies_with_its_graph(self, monkeypatch):
         # the cache compares graphs by value: names no other test uses keep
         # an equal graph from elsewhere from holding the entry
@@ -255,6 +286,37 @@ class TestMsoPartition:
                 for phi in (INDEP, CLIQUE):
                     got = mso_partition(g, PartitionInstance(phi, r), mode=mode)
                     assert got.holds == oracle.brute_partition(g, phi, r), (r, g.edges)
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_answers_survive_relabelling(self, n):
+        # no brute force reaches these sizes; renaming the vertices moves
+        # the cover away from 0..k-1 and must not change an answer
+        rng = random.Random(n)
+        for k in (1, 2):
+            g = planted_cover(rng, k, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            for phi in (INDEP, CLIQUE):
+                for r in (2, 3):
+                    want = mso_partition(g, PartitionInstance(phi, r)).holds
+                    assert mso_partition(h, PartitionInstance(phi, r)).holds == want, (k, r)
+                    # a k-vertex cover plus one colour for the rest colours it
+                    if phi is INDEP and r == k + 1:
+                        assert want
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_vertex_cover_and_nd_modes_agree(self, n):
+        rng = random.Random(n + 1)
+        for k in (1, 2):
+            g = planted_cover(rng, k, n)
+            for phi in (INDEP, CLIQUE):
+                for r in (2, 3):
+                    inst = PartitionInstance(phi, r)
+                    assert (
+                        mso_partition(g, inst).holds
+                        == mso_partition(g, inst, mode="nd").holds
+                    ), (k, r)
 
     def test_rejects_prefixed_formula(self):
         with pytest.raises(ValueError):

@@ -754,3 +754,48 @@ def test_profile_fallback_past_the_box_cap(rng, monkeypatch):
         g = star_graph(leaves)
         assert cbalanced(g, 2).cut_value == oracle.brute_cbalanced(g, 2)
     assert calls
+
+
+def decided_units(monkeypatch) -> list:
+    """Record every _decide_unit call as (pipeline, arguments, result)."""
+    calls = []
+    decide = _Pipeline._decide_unit
+
+    def spy(self, counts, alpha_index, objective, below=None):
+        got = decide(self, counts, alpha_index, objective, below)
+        calls.append((self, (counts, alpha_index, objective, below), got))
+        return got
+
+    monkeypatch.setattr(_Pipeline, "_decide_unit", spy)
+    return calls
+
+
+def test_decided_units_match_solving_the_built_instance(monkeypatch):
+    # each work pair re-solves its key's compiled program under the unit's
+    # bounds; that must be what solving the pair's own instance gives
+    calls = decided_units(monkeypatch)
+    # the cover vertex has 57 neighbours, so the minimum cut is positive
+    assert cbalanced(planted_cover(random.Random(8), 1, 100), 2).cut_value == 8
+    ids = parse_formula(corpus.independent_dominating())
+    g = planted_cover(random.Random(1), 2, 40)
+    answers = set()
+    for k in (17, 18, 19, 20, 38, 39):
+        answers.add(check(g, substitute_params(ids, {"k": k})).holds)
+    assert answers == {True, False}
+    nodes = {}
+    for pipeline, (counts, alpha, objective, below), got in calls:
+        assert pipeline.slack > 0
+        inst = solver._build_instance(pipeline.cols, counts, alpha, objective)
+        if objective is None:
+            res = ilp.solve_feasibility(inst)
+        else:
+            res = ilp.solve_min(inst, below=below)
+        want = (False, None, None)
+        if res.status != "infeasible":
+            want = (True, tuple(res.assignment[v] for v in pipeline.cols.names), res.objective_value)
+        assert got == want
+        nodes[pipeline] = nodes.get(pipeline, 0) + res.nodes
+    assert all(p.stats.ilp_nodes == count for p, count in nodes.items())
+    assert {args[2] is None for _, args, _ in calls} == {True, False}
+    # the programs are shared: fewer compiled than solved
+    assert sum(len(p._programs) for p in nodes) < len(calls)

@@ -26,14 +26,20 @@ class Graph:
     @classmethod
     def build(cls, names: tuple[str, ...] | list[str], edge_list) -> "Graph":
         n = len(names)
-        seen = set()
+        keys = set()
         for u, v in edge_list:
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) references unknown vertex")
-            seen.add((u, v) if u < v else (v, u))
-        edges = tuple(sorted(seen))
+            keys.add(u * n + v if u < v else v * n + u)
+        return cls._of_keys(names, keys)
+
+    @classmethod
+    def _of_keys(cls, names: tuple[str, ...] | list[str], keys) -> "Graph":
+        """The graph of validated edge keys u * n + v with u < v."""
+        n = len(names)
+        edges = tuple(divmod(key, n) for key in sorted(keys))
         adj = [set() for _ in range(n)]
         for u, v in edges:
             adj[u].add(v)
@@ -130,8 +136,7 @@ def parse_graph(text: str) -> Graph:
     n = None
     declared_m = None
     names: list[str] = []
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    keys: set[int] = set()  # u * n + v for each edge, u < v
 
     def vertex(tok: str, ln: int) -> int:
         try:
@@ -175,8 +180,7 @@ def parse_graph(text: str) -> Graph:
             u, v = vertex(parts[1], ln), vertex(parts[2], ln)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u + 1}", ln)
-            seen.add((u, v) if u < v else (v, u))
-            edges.append((u, v))
+            keys.add(u * n + v if u < v else v * n + u)
         else:
             raise GraphFormatError(f"unknown line kind {kind!r}", ln)
 
@@ -184,11 +188,11 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("missing `p <n> <m>` header")
     if len(set(names)) != n:
         raise GraphFormatError("vertex names must be distinct")
-    if declared_m != len(seen):
+    if declared_m != len(keys):
         raise GraphFormatError(
-            f"header declares {declared_m} edges but file has {len(seen)} distinct"
+            f"header declares {declared_m} edges but file has {len(keys)} distinct"
         )
-    return Graph.build(tuple(names), edges)
+    return Graph._of_keys(names, keys)
 
 
 def format_graph(g: Graph) -> str:
@@ -210,9 +214,9 @@ def min_vertex_cover(g: Graph, k_max: int = DEFAULT_K_MAX) -> VertexCover:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
 
-    def search(queued: list[tuple[int, int]], removed: set[int], budget: int):
-        # queued is the edge list; skip edges already covered by `removed`
-        i = 0
+    def search(queued: list[tuple[int, int]], start: int, removed: set[int], budget: int):
+        # queued is the edge list; `removed` covers the edges before `start`
+        i = start
         while i < len(queued) and (queued[i][0] in removed or queued[i][1] in removed):
             i += 1
         if i == len(queued):
@@ -222,7 +226,7 @@ def min_vertex_cover(g: Graph, k_max: int = DEFAULT_K_MAX) -> VertexCover:
         u, v = queued[i]
         for pick in (u, v):
             removed.add(pick)
-            sub = search(queued, removed, budget - 1)
+            sub = search(queued, i + 1, removed, budget - 1)
             removed.discard(pick)
             if sub is not None:
                 sub.add(pick)
@@ -231,7 +235,7 @@ def min_vertex_cover(g: Graph, k_max: int = DEFAULT_K_MAX) -> VertexCover:
 
     edges = list(g.edges)
     for k in range(0, k_max + 1):
-        found = search(edges, set(), k)
+        found = search(edges, 0, set(), k)
         if found is not None:
             return VertexCover(frozenset(found))
     raise CoverBudgetExceeded(k_max)

@@ -14,10 +14,11 @@ Prefix assignments are enumerated as subtype-cardinality states, and a work
 unit is nothing but its row of counts, one per (type, signature) column:
 assignments with identical counts induce identical extension programs
 (same-type vertices are interchangeable). While the whole prefix fits one
-table, the states come from the raw truth-table stream: each streamed
-assignment adds one to the column type_of[v] << m | sig(v) of every reduced
-vertex v, from a column map computed once per pipeline, and equal rows
-collapse in first-seen order. Beyond one table they come from the
+table, the states come from its satisfying cells in bulk: a cell's vertex
+signatures are bits of its index, cells with the same sorted signatures in
+every twin class share a row, and only each row's first cell (in
+binary-counter order) becomes counts, one per column type_of[v] << m |
+sig(v) of every reduced vertex v. Beyond one table they come from the
 count-state engine. A solved row lifts to the full graph canonically, with
 no representative assignment.
 
@@ -59,9 +60,8 @@ from .formula import (
     VertexEq, analyze, constraint_truths, walk,
 )
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
-from .mso_eval import (
-    PrefixAssignment, mso_check, reduce_graph, satisfying_prefix_assignments,
-)
+from .mso_eval import PrefixAssignment, mso_check, reduce_graph
+from .mso_eval import satisfying_prefix_assignments  # noqa: F401 - the benchmark's tracer wraps it here
 from .typed_eval import TypedEvaluator
 
 MAX_PIECES = 16
@@ -265,17 +265,11 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _count_row(bases: list[int], sets: tuple[frozenset[int], ...], width: int) -> tuple[int, ...]:
-    """The count row of a prefix assignment: vertex v counts in column
-    bases[v] | sig(v), where bit i of sig(v) is membership in sets[i]."""
-    columns = list(bases)
-    for i, s in enumerate(sets):
-        for v in s:
-            columns[v] |= 1 << i
-    row = [0] * width
-    for c in columns:
-        row[c] += 1
-    return tuple(row)
+def _count_rows(columns: np.ndarray, width: int) -> np.ndarray:
+    """Count rows of assignments given per vertex: columns[a, v] is the
+    column (type << m) | sig of vertex v under assignment a."""
+    flat = columns + width * np.arange(len(columns))[:, None]
+    return np.bincount(flat.ravel(), minlength=len(columns) * width).reshape(len(columns), width)
 
 
 def _build_instance(
@@ -327,14 +321,13 @@ class _Pipeline:
             raise ValueError(f"unknown mode {mode!r}")
         self.fstats = analyze(f)
         self.cols = _Columns(f, self.fstats, [len(members) for members in self.tp.types])
+        self._no_rows = np.zeros((0, len(self.cols.names)), dtype=np.int64)
         self.rg = reduce_graph(g, self.tp, self.fstats)
         self.stats.type_count = self.tp.count
         self.stats.reduced_vertices = self.rg.graph.n
 
         self.m = f.m
         self.k = len(f.constraints)
-        # the first column of each reduced vertex's type, for the stream's rows
-        self._bases = [t << self.m for t in self.rg.types.type_of(self.rg.graph.n)]
         # further vertices the extension of every unit places (every row's
         # type totals are the reduced type sizes); with none the type sums
         # pin every variable
@@ -374,12 +367,12 @@ class _Pipeline:
 
     # ---------------------------------------------------------------- units
 
-    def _units_for_profile(self, values: tuple[bool, ...]) -> list[tuple[int, ...]]:
+    def _units_for_profile(self, values: tuple[bool, ...]) -> np.ndarray:
         """The count rows of a piece-value profile, in enumeration order."""
         folded = _fold(self.skeleton, values, self.rg.graph.n)
-        return [] if isinstance(folded, FalseLit) else self._enumerate_states(folded)
+        return self._no_rows if isinstance(folded, FalseLit) else self._enumerate_states(folded)
 
-    def _enumerate_states(self, body: Node) -> list[tuple[int, ...]]:
+    def _enumerate_states(self, body: Node) -> np.ndarray:
         """One count row per subtype-cardinality state. Uses the truth table
         while the whole prefix and the body fit one table and count-state
         recursion beyond that."""
@@ -390,12 +383,7 @@ class _Pipeline:
                 self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
             ) <= budget
         ):
-            width = len(self.cols.names)
-            rows: dict[tuple[int, ...], None] = {}
-            for chi in self._raw_stream(body):
-                rows[_count_row(self._bases, chi.sets, width)] = None
-                self.stats.prefix_assignments += 1
-            return list(rows)
+            return self._table_rows(body)
         ev = TypedEvaluator(
             self.rg.graph, classes=list(self.rg.types.types),
             state_budget=TYPED_STATE_BUDGET,
@@ -409,18 +397,49 @@ class _Pipeline:
             row = [0] * len(self.cols.names)
             for base, sig, count in classes:
                 row[(base << self.m) | sig] = count
-            out.append(tuple(row))
+            out.append(row)
             self.stats.prefix_assignments += (
                 self._arrangements // math.prod(math.factorial(c) for _, _, c in classes)
             )
-        return out
+        return np.array(out, dtype=np.int64).reshape(len(out), len(self.cols.names))
 
-    def _raw_stream(self, body: Node):
-        if self.m == 0:
-            if mso_check(self.rg.graph, body, method="auto"):
-                yield PrefixAssignment(())
-            return
-        yield from satisfying_prefix_assignments(self.rg.graph, body, self.f.prefix)
+    def _table_rows(self, body: Node) -> np.ndarray:
+        """The distinct count rows of the table's satisfying cells, in
+        first-seen (binary-counter) order. Vertex v's signature bit i is bit
+        (m - 1 - i) * n + v of a cell's index. Cells share a row iff every twin
+        class has the same sorted signatures; sorted with their bases (type <<
+        m) apart, these pack into an n * m-bit key (< 2^27 by the stream gate).
+        Keys are deduplicated per slice of cells, and rows built from each
+        key's first cell only."""
+        g, m = self.rg.graph, self.m
+        if m:
+            cells = np.flatnonzero(table_eval.prefix_table(g, body, self.f.prefix))
+        else:
+            cells = np.arange(int(mso_check(g, body, method="auto")))
+        self.stats.prefix_assignments += len(cells)
+        bases = np.array(self.rg.types.type_of(g.n), dtype=np.int64) << m
+        shifts = [(m - 1 - i) * g.n + np.arange(g.n) for i in range(m)]
+
+        def columns(chunk: np.ndarray) -> np.ndarray:
+            out = np.broadcast_to(bases, (len(chunk), g.n))
+            for i, shift in enumerate(shifts):
+                out = out | ((chunk[:, None] >> shift) & 1) << i
+            return out
+
+        packing = m * np.arange(g.n)
+        keys, firsts = [cells[:0]], [cells[:0]]  # no slices when no cell holds
+        step = 1 << 16
+        for start in range(0, len(cells), step):
+            chunk = cells[start : start + step]
+            key = (np.sort(columns(chunk), axis=1) & ((1 << m) - 1)) << packing
+            key, first = np.unique(key.sum(axis=1), return_index=True)
+            keys.append(key)
+            firsts.append(chunk[first])
+        # a key's first occurrence lies in its earliest slice, and the first
+        # cells in ascending order are the first-seen order
+        _, first = np.unique(np.concatenate(keys), return_index=True)
+        chosen = np.sort(np.concatenate(firsts)[first])
+        return _count_rows(columns(chosen), len(self.cols.names))
 
     # ------------------------------------------------------------------ ILP
 
@@ -539,20 +558,23 @@ class _Pipeline:
         """Every (pre-evaluation, unit) work pair that could possibly be
         feasible, in the (alpha, enumeration position) order the plain loop
         would reach them. alphas determine their profile, so position ties
-        across profiles cannot happen and the sort never compares rows."""
+        across profiles cannot happen and the sort never compares rows. Rows
+        that reach no pre-evaluation are dropped before any becomes a tuple."""
         pairs: list[tuple[int, int, tuple[int, ...]]] = []
         for values in self._profiles():
             rows = self._units_for_profile(values)
-            if not rows:
+            if not len(rows):
                 continue
             fallback = self._profile_alphas(values) if self._offsets is None else None
-            reached: dict[tuple[int, ...], list[int]] = {}
-            sizes = (np.array(rows, dtype=np.int64) @ self.cols.sig_bits).tolist()
-            for pos, (row, size) in enumerate(zip(rows, sizes)):
-                key = tuple(size)
-                if key not in reached:
-                    reached[key] = fallback if fallback is not None else self._reachable(size, values)
-                pairs.extend((alpha, pos, row) for alpha in reached[key])
+            sizes: dict[tuple[int, ...], int] = {}  # distinct set sizes, numbered
+            inverse = np.array([
+                sizes.setdefault(tuple(s), len(sizes)) for s in (rows @ self.cols.sig_bits).tolist()
+            ])
+            reached = [fallback if fallback is not None else self._reachable(s, values) for s in sizes]
+            kept = np.flatnonzero(np.array([bool(alphas) for alphas in reached])[inverse])
+            for pos, group, row in zip(kept.tolist(), inverse[kept].tolist(), rows[kept].tolist()):
+                row = tuple(row)
+                pairs.extend((alpha, pos, row) for alpha in reached[group])
         pairs.sort()
         return pairs
 
@@ -618,8 +640,10 @@ def build_extension_ilp(
     rg = reduce_graph(g, tp, stats)
     cols = _Columns(f, stats, [len(members) for members in tp.types])
     alpha_index = sum((0 if a else 1) << i for i, a in enumerate(alpha))
-    bases = [t << f.m for t in rg.types.type_of(rg.graph.n)]
-    counts = _count_row(bases, chi_phi.sets, len(cols.names))
+    columns = np.array([t << f.m for t in rg.types.type_of(rg.graph.n)], dtype=np.int64)
+    for i, s in enumerate(chi_phi.sets):
+        columns[list(s)] |= 1 << i
+    counts = tuple(_count_rows(columns[None], len(cols.names))[0].tolist())
     return _build_instance(cols, counts, alpha_index)
 
 

@@ -103,7 +103,7 @@ def test_beta_decomposition_matches_direct_count(rng):
         pipeline = _Pipeline(g, f)
         objective = BetaObjective(pipeline)
         all_true = pipeline._alpha_profile(0)
-        for counts in pipeline._units_for_profile(all_true)[:10]:
+        for counts in map(tuple, pipeline._units_for_profile(all_true)[:10].tolist()):
             parts = extract_witness(counts, c, pipeline.rg.types.types).sets
             want = pipeline.rg.graph.cut_size(parts)
             assert objective.pinned_value(counts) == want

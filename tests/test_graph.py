@@ -56,6 +56,21 @@ class TestParse:
     def test_duplicate_edges_collapse(self):
         g = parse_graph("p 2 1\ne 1 2\ne 2 1\n")
         assert g.m == 1
+        # a reversed duplicate counts once against the header
+        with pytest.raises(GraphFormatError, match="declares 2 edges but file has 1 distinct"):
+            parse_graph("p 3 2\ne 1 2\ne 2 1\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_strategy, st.randoms(use_true_random=False))
+    def test_parse_matches_build(self, g, rnd):
+        # each edge written in either direction, some twice, in any order
+        lines = [
+            (u, v) if rnd.random() < 0.5 else (v, u)
+            for u, v in g.edges for _ in range(rnd.randint(1, 2))
+        ]
+        rnd.shuffle(lines)
+        text = f"p {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in lines)
+        assert parse_graph(text) == g
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(GraphFormatError, match="line 2"):
@@ -100,6 +115,25 @@ class TestMinVertexCover:
     @given(graphs_strategy)
     def test_matches_brute_force(self, g):
         assert min_vertex_cover(g, g.n).size == brute_min_cover(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_strategy)
+    def test_same_cover_as_rescanning_every_node(self, g):
+        # branching on the first uncovered edge, found by a scan from edge 0
+        def search(removed: set[int], budget: int):
+            edge = next((e for e in g.edges if not removed & set(e)), None)
+            if edge is None:
+                return set()
+            if budget == 0:
+                return None
+            for pick in edge:
+                sub = search(removed | {pick}, budget - 1)
+                if sub is not None:
+                    return sub | {pick}
+            return None
+
+        want = next(found for k in range(g.n + 1) if (found := search(set(), k)) is not None)
+        assert min_vertex_cover(g, g.n).vertices == frozenset(want)
 
 
 class TestTypePartition:

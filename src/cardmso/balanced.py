@@ -1,12 +1,13 @@
 """Exact c-balanced partitioning: minimise cross-part edges over partitions
 into c parts of sizes pairwise differing by at most one.
 
-Runs the cardinality-MSO pipeline on the equitable c-partition sentence; each
-work item's extension program gains one variable for the cut size, tied to
-the subtype cardinalities by an equality whose constants come from the fixed
-reduced-graph assignment. Every edge has a cover endpoint, so the cut
-decomposes into cover-cover edges (a constant per work item) plus, for every
-cover vertex, the sizes of the adjacent subtypes assigned to other parts.
+Runs the cardinality-MSO pipeline on the equitable c-partition sentence, with
+the cut as the extension program's objective. Every edge has a cover
+endpoint, so the cut of an extension is const0 + w . x over the count
+columns: const0 counts the cover-cover edges between parts, and a one-hot
+subtype's weight is the number of its adjacent cover vertices in other
+parts. Both depend only on the parts of the cover vertices, which a work
+item's count row fixes, so they are computed once per cover-part key.
 All work items are solved and the global minimum kept; there is no early
 exit, but each work item is solved only for cut values below the best found
 so far, so items that cannot improve on it are refuted without a full
@@ -24,7 +25,7 @@ from .errors import CardMSOError
 from .formula import Formula, parse_formula
 from .graph import DEFAULT_K_MAX, Graph
 from .mso_eval import PrefixAssignment
-from .solver import SolveStats, _Pipeline, _var_name
+from .solver import SolveStats, _Pipeline
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ def generate_equitable_formula(c: int) -> Formula:
 
 
 class BetaObjective:
-    """Cut-size variable for one pipeline run.
+    """The cut of one pipeline run as a linear objective over the count
+    columns.
 
     part(v) for a cover vertex is read off the work item's count row (cover
     types are singletons and survive reduction); a non-cover subtype's
@@ -50,85 +52,53 @@ class BetaObjective:
     """
 
     def __init__(self, pipeline: _Pipeline):
-        self.pipe = pipeline
-        g = pipeline.g
-        tp = pipeline.tp
+        g, tp = pipeline.g, pipeline.tp
         self.m = pipeline.m
         self.cover_types = sorted(tp.cover_types)
-        self.cover_vertex = {t: tp.types[t][0] for t in self.cover_types}
-        cover_set = {self.cover_vertex[t] for t in self.cover_types}
+        cover_vertex = {t: tp.types[t][0] for t in self.cover_types}
+        cover_type = {v: t for t, v in cover_vertex.items()}
         self.cover_cover_edges = [
-            (u, v) for u, v in g.edges if u in cover_set and v in cover_set
+            (cover_type[u], cover_type[v])
+            for u, v in g.edges if u in cover_type and v in cover_type
         ]
-        self.vertex_cover_type = {v: t for t, v in self.cover_vertex.items()}
         # adjacency between a non-cover type and each cover vertex is uniform
-        self.type_adjacent_covers: dict[int, list[int]] = {}
-        for t, members in enumerate(tp.types):
-            if t in tp.cover_types:
-                continue
-            probe = members[0]
-            self.type_adjacent_covers[t] = [
-                ct for ct in self.cover_types
-                if g.has_edge(probe, self.cover_vertex[ct])
-            ]
-        self.edge_count = g.m
-        # cover-part tuple -> (const0, [(type, signature, coefficient)])
-        self._terms: dict[tuple[int, ...], tuple[int, list[tuple[int, int, int]]]] = {}
-
-    @staticmethod
-    def _part_of(sig: int) -> Optional[int]:
-        # exactly-one membership: signatures of populated subtypes are one-hot
-        if sig and (sig & (sig - 1)) == 0:
-            return sig.bit_length() - 1
-        return None
+        self.type_adjacent_covers = {
+            t: [ct for ct in self.cover_types if g.has_edge(members[0], cover_vertex[ct])]
+            for t, members in enumerate(tp.types)
+            if t not in tp.cover_types
+        }
+        self._cuts: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
 
     def key(self, counts: tuple[int, ...]) -> tuple[int, ...]:
-        """The cover vertices' parts in the row: all the objective row reads."""
+        """The cover vertices' parts in the row: all the objective reads."""
         parts = []
         for ct in self.cover_types:
             # a cover type is a singleton: one entry of its block is 1
             sig = counts.index(1, ct << self.m, (ct + 1) << self.m) - (ct << self.m)
-            part = self._part_of(sig)
-            if part is None:
+            # exactly-one membership: the signature is one-hot
+            if not sig or sig & (sig - 1):
                 raise AssertionError("cover vertex without one-hot membership")
-            parts.append(part)
+            parts.append(sig.bit_length() - 1)
         return tuple(parts)
 
-    def _cut_terms(self, counts: tuple[int, ...]) -> tuple[int, list[tuple[int, int, int]]]:
-        """The cut of every extension of the row `counts` is const0 plus the
-        sum of coefficient * x_{t,sig} over the returned (t, sig,
-        coefficient) terms. Both depend only on the parts of the cover
-        vertices. Only one-hot signatures carry a coefficient: the others
-        are empty subtypes, pinned at zero."""
+    def augment(self, counts: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(const0, ((column, weight), ...)): the cut of every extension x of
+        the row `counts` is const0 + sum of weight * x[column]. Both depend
+        only on the parts of the cover vertices. Only one-hot signatures
+        carry a weight: the others are empty subtypes, pinned at zero."""
         key = self.key(counts)
-        cover_parts = dict(zip(self.cover_types, key))
-        got = self._terms.get(key)
+        got = self._cuts.get(key)
         if got is None:
-            const0 = sum(
-                1
-                for u, v in self.cover_cover_edges
-                if cover_parts[self.vertex_cover_type[u]]
-                != cover_parts[self.vertex_cover_type[v]]
-            )
-            terms = []
+            part = dict(zip(self.cover_types, key))
+            const0 = sum(part[s] != part[t] for s, t in self.cover_cover_edges)
+            weights = []
             for t, covers in self.type_adjacent_covers.items():
-                for part in range(self.m):
-                    coeff = sum(1 for ct in covers if cover_parts[ct] != part)
-                    if coeff:
-                        terms.append((t, 1 << part, coeff))
-            got = self._terms[key] = (const0, terms)
+                for i in range(self.m):
+                    weight = sum(part[ct] != i for ct in covers)
+                    if weight:
+                        weights.append(((t << self.m) | (1 << i), weight))
+            got = self._cuts[key] = (const0, tuple(weights))
         return got
-
-    def augment(self, counts: tuple[int, ...]):
-        const0, terms = self._cut_terms(counts)
-        coeffs = {"beta": 1}
-        coeffs.update((_var_name(t, sig), -coeff) for t, sig, coeff in terms)
-        row = ilp.Row.of(coeffs, ilp.EQ, const0)
-        return [row], ("beta", 0, self.edge_count), {"beta": 1}
-
-    def pinned_value(self, counts: tuple[int, ...]) -> int:
-        const0, terms = self._cut_terms(counts)
-        return const0 + sum(coeff * counts[(t << self.m) | sig] for t, sig, coeff in terms)
 
 
 def cbalanced(

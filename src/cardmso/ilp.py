@@ -6,8 +6,8 @@ propagation before every branch. Branching picks the variable with the
 smallest remaining domain and tries values lowest-first, so witnesses are
 deterministic. Strict inequalities are never stored; callers encode a > b as
 a >= b + 1. The search runs over a Program (<= rows over variable indices),
-compiled once and re-solved under new bounds by with_bounds; an ILPInstance
-is compiled on entry.
+compiled once and re-solved under new bounds or objectives by _replace; an
+ILPInstance is compiled on entry.
 
 Propagation is event-driven: a first-in-first-out queue holds each row at
 most once, the root queues every row and a child only the rows of the
@@ -155,9 +155,6 @@ class Program(NamedTuple):
         objective = inst.objective and tuple((index[v], c) for v, c in inst.objective)
         lo, hi = [v[1] for v in inst.variables], [v[2] for v in inst.variables]
         return cls(tuple(index), lo, hi, tuple(rows), tuple(map(tuple, var_rows)), objective)
-
-    def with_bounds(self, lo: Sequence[int], hi: Sequence[int]) -> "Program":
-        return self._replace(lo=lo, hi=hi)
 
     def holds(self, x: Sequence[int]) -> bool:
         """Is x inside the bounds and on the right side of every row?"""

@@ -30,8 +30,8 @@ are the reduced type sizes, so the extension of every unit of a pipeline
 places the same number of further vertices, slack = n - reduced n. With no
 slack the type sums pin every variable and a unit is decided
 arithmetically; otherwise it goes through the branch-and-bound ILP solver.
-One program is compiled per (pre-evaluation, cover-part key), all a pair's
-rows read of its unit, and re-solved under each unit's bounds.
+One program is compiled per pre-evaluation and re-solved under each unit's
+bounds, with the unit's objective weights, if any, attached per solve.
 A unit with set sizes s can comply only with the pre-evaluations of the
 sizes in s + [0, slack]^m. Once per pipeline that box is projected onto the
 constraints' distinct directions (rows up to sign), one axis at a time,
@@ -288,9 +288,8 @@ def _build_instance(
         rows.append(reversed_row if (alpha_index >> j) & 1 else guessed_true)
     obj = None
     if objective is not None:
-        beta_rows, beta_var, obj = objective.augment(counts)
-        variables.append(beta_var)
-        rows.extend(beta_rows)
+        # the cut less its constant part
+        obj = {cols.names[column]: weight for column, weight in objective.augment(counts)[1]}
     return ilp.ILPInstance.build(variables, rows, obj)
 
 
@@ -457,31 +456,31 @@ class _Pipeline:
         self.stats.ilp_solves += 1
         if self.dump is not None:
             self.dump(_build_instance(self.cols, counts, alpha_index, objective))
+        const0, weights = objective.augment(counts) if objective is not None else (0, None)
         if self.slack == 0:
-            value = objective.pinned_value(counts) if objective is not None else None
+            value = None if weights is None else const0 + sum(w * counts[col] for col, w in weights)
             if below is not None and value >= below:
                 return False, None, None
             return True, counts, value
-        key = alpha_index if objective is None else (alpha_index, objective.key(counts))
-        program = self._programs.get(key)
+        program = self._programs.get(alpha_index)
         if program is None:
-            program = self._programs[key] = ilp.Program.of(
-                _build_instance(self.cols, counts, alpha_index, objective)
+            program = self._programs[alpha_index] = ilp.Program.of(
+                _build_instance(self.cols, counts, alpha_index)
             )
-        # as in _build_instance; variables past the counts keep their bounds
+        # bounds as in _build_instance; the count columns are the program's
+        # variable indices, so the weights are its objective as they stand
         hi = [c if c < self.cols.small else size for c, size in zip(counts, self.cols.sizes)]
-        hi += program.hi[len(counts):]
-        program = program.with_bounds([*counts, *program.lo[len(counts):]], hi)
-        if objective is None:
+        program = program._replace(lo=counts, hi=hi, objective=weights)
+        if weights is None:
             res = ilp.solve_feasibility(program, self.node_budget)
         else:
-            res = ilp.solve_min(program, self.node_budget, below=below)
+            res = ilp.solve_min(program, self.node_budget, None if below is None else below - const0)
         self.stats.ilp_nodes += res.nodes
         self.stats.ilp_lp_refutations += res.lp_refuted
         if res.status == "infeasible":
             return False, None, None
         counts = tuple(res.assignment[name] for name in self.cols.names)
-        return True, counts, res.objective_value
+        return True, counts, None if weights is None else const0 + res.objective_value
 
     # ------------------------------------------------------------- main loop
 
@@ -579,39 +578,30 @@ class _Pipeline:
         return pairs
 
     def run_decision(self) -> Verdict:
+        best = self.run_minimize(None)
+        if best is None:
+            return Verdict(False, None, None, self.stats)
+        return Verdict(True, best[1], best[2], self.stats)
+
+    def run_minimize(self, objective: Optional["BetaObjective"]):
+        """Work pairs solved in order, each only for values below the best
+        found so far; without an objective the first feasible pair ends the
+        loop. Returns (best value, witness, alpha) or None."""
         start = time.perf_counter()
+        best: Optional[tuple[Optional[int], PrefixAssignment, PreEvaluation]] = None
         tried: set[int] = set()
         for alpha_index, _pos, counts in self._collect_pairs():
             tried.add(alpha_index)
-            feasible, solved, _ = self._decide_unit(counts, alpha_index, None)
-            if feasible:
-                witness = extract_witness(solved, self.m, self.tp.types)
-                self.stats.pre_evaluations = len(tried)
-                self.stats.elapsed = time.perf_counter() - start
-                alpha = self.alpha_bools(alpha_index)
-                self._assert_compliance(witness, alpha)
-                return Verdict(True, witness, alpha, self.stats)
-        self.stats.pre_evaluations = len(tried)
-        self.stats.elapsed = time.perf_counter() - start
-        return Verdict(False, None, None, self.stats)
-
-    def run_minimize(self, objective: "BetaObjective"):
-        """All work pairs solved, each only for values below the best found
-        so far; returns (best value, witness, alpha) or None."""
-        start = time.perf_counter()
-        best: Optional[tuple[int, PrefixAssignment, PreEvaluation]] = None
-        pairs = self._collect_pairs()
-        for alpha_index, _pos, counts in pairs:
             below = best[0] if best is not None else None
-            feasible, solved, value = self._decide_unit(
-                counts, alpha_index, objective, below
-            )
+            feasible, solved, value = self._decide_unit(counts, alpha_index, objective, below)
             if feasible:
                 witness = extract_witness(solved, self.m, self.tp.types)
                 alpha = self.alpha_bools(alpha_index)
                 self._assert_compliance(witness, alpha)
                 best = (value, witness, alpha)
-        self.stats.pre_evaluations = len({alpha for alpha, _, _ in pairs})
+                if objective is None:
+                    break
+        self.stats.pre_evaluations = len(tried)
         self.stats.elapsed = time.perf_counter() - start
         return best
 

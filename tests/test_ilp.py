@@ -460,7 +460,7 @@ def test_rebounded_program_solves_like_a_rebuilt_instance(seed, below):
             tuple((name, a, b) for (name, _, _), a, b in zip(inst.variables, lo, hi)),
             inst.rows, inst.objective,
         )
-        rebounded = program.with_bounds(lo, hi)
+        rebounded = program._replace(lo=lo, hi=hi)
         assert solve_feasibility(rebounded) == solve_feasibility(rebuilt)
         assert solve_min(rebounded) == solve_min(rebuilt)
         assert solve_min(rebounded, below=below) == solve_min(rebuilt, below=below)

@@ -771,11 +771,15 @@ def decided_units(monkeypatch) -> list:
 
 
 def test_decided_units_match_solving_the_built_instance(monkeypatch):
-    # each work pair re-solves its key's compiled program under the unit's
-    # bounds; that must be what solving the pair's own instance gives
+    # each work pair re-solves its pre-evaluation's compiled program under
+    # the unit's bounds and objective; that must be what solving the pair's
+    # own instance gives
     calls = decided_units(monkeypatch)
     # the cover vertex has 57 neighbours, so the minimum cut is positive
     assert cbalanced(planted_cover(random.Random(8), 1, 100), 2).cut_value == 8
+    # joined cover vertices: the cut's constant part is 1 when they are split
+    joined = [(0, 1)] + [(u, v) for u in (0, 1) for v in range(2, 40) if (u + v) % 3]
+    cbalanced(Graph.from_edges(40, joined), 2)
     ids = parse_formula(corpus.independent_dominating())
     g = planted_cover(random.Random(1), 2, 40)
     answers = set()
@@ -789,10 +793,13 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
         if objective is None:
             res = ilp.solve_feasibility(inst)
         else:
-            res = ilp.solve_min(inst, below=below)
+            # the instance minimises the cut less its constant part
+            const0 = objective.augment(counts)[0]
+            res = ilp.solve_min(inst, below=None if below is None else below - const0)
         want = (False, None, None)
         if res.status != "infeasible":
-            want = (True, tuple(res.assignment[v] for v in pipeline.cols.names), res.objective_value)
+            value = None if objective is None else const0 + res.objective_value
+            want = (True, tuple(res.assignment[v] for v in pipeline.cols.names), value)
         assert got == want
         nodes[pipeline] = nodes.get(pipeline, 0) + res.nodes
     assert all(p.stats.ilp_nodes == count for p, count in nodes.items())

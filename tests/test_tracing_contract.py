@@ -46,7 +46,9 @@ def test_traced_layers_are_reached():
     recorded = {span[0] for span in tracer.spans}
     # the table stream's rows are built in bulk from table_eval.prefix_table,
     # so no mso_eval.satisfying_prefix_assignments span is opened
+    # check's work-pair loop is run_minimize without an objective
     for name in (
         "table_eval.prefix_table", "typed_eval.satisfying_states", "solver.extract_witness",
+        "solver.run_minimize",
     ):
         assert name in recorded, name

@@ -19,8 +19,11 @@ signatures are bits of its index, cells with the same sorted signatures in
 every twin class share a row, and only each row's first cell (in
 binary-counter order) becomes counts, one per column type_of[v] << m |
 sig(v) of every reduced vertex v. Beyond one table they come from the
-count-state engine. A solved row lifts to the full graph canonically, with
-no representative assignment.
+count-state engine. Both read the vertex-local signature filter
+(typed_eval._local_split): count states give no vertices to a signature it
+rules out, and the table path lists only the cells it allows when that is
+at most half (a listed cell costs 20-50 table cells). A solved row lifts
+to the full graph canonically, with no representative assignment.
 
 Reduction keeps min(|T|, threshold) vertices of every type; inside a twin
 class every size from the threshold up models the same sentences (Lampis's
@@ -62,7 +65,7 @@ from .formula import (
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import PrefixAssignment, mso_check, reduce_graph
 from .mso_eval import satisfying_prefix_assignments  # noqa: F401 - the benchmark's tracer wraps it here
-from .typed_eval import TypedEvaluator
+from .typed_eval import TypedEvaluator, _local_split
 
 MAX_PIECES = 16
 MAX_FALLBACK_ALPHAS = 1 << 20
@@ -408,14 +411,17 @@ class _Pipeline:
         (m - 1 - i) * n + v of a cell's index. Cells share a row iff every twin
         class has the same sorted signatures; sorted with their bases (type <<
         m) apart, these pack into an n * m-bit key (< 2^27 by the stream gate).
-        Keys are deduplicated per slice of cells, and rows built from each
-        key's first cell only."""
+        Keys are deduplicated per ascending slice of the cells listed, and
+        rows built from each key's first cell only."""
         g, m = self.rg.graph, self.m
-        if m:
-            cells = np.flatnonzero(table_eval.prefix_table(g, body, self.f.prefix))
+        allowed, rest = _local_split(self.f.prefix, body)
+        if not m:
+            slices = [np.arange(int(mso_check(g, body, method="auto")))]
+        elif allowed is not None and 2 * len(allowed) <= 1 << m:
+            slices = table_eval.allowed_cells(g, rest, self.f.prefix, allowed)
         else:
-            cells = np.arange(int(mso_check(g, body, method="auto")))
-        self.stats.prefix_assignments += len(cells)
+            cells = np.flatnonzero(table_eval.prefix_table(g, body, self.f.prefix))
+            slices = np.split(cells, range(1 << 16, len(cells), 1 << 16))
         bases = np.array(self.rg.types.type_of(g.n), dtype=np.int64) << m
         shifts = [(m - 1 - i) * g.n + np.arange(g.n) for i in range(m)]
 
@@ -426,10 +432,9 @@ class _Pipeline:
             return out
 
         packing = m * np.arange(g.n)
-        keys, firsts = [cells[:0]], [cells[:0]]  # no slices when no cell holds
-        step = 1 << 16
-        for start in range(0, len(cells), step):
-            chunk = cells[start : start + step]
+        keys, firsts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for chunk in slices:
+            self.stats.prefix_assignments += len(chunk)
             key = (np.sort(columns(chunk), axis=1) & ((1 << m) - 1)) << packing
             key, first = np.unique(key.sum(axis=1), return_index=True)
             keys.append(key)

@@ -52,6 +52,7 @@ from .formula import (
     Or, Quant, SetEq, TrueLit, VertexEq, free_vars, walk,
 )
 from .graph import Graph
+from .typed_eval import _signature_prefixes
 
 DEFAULT_CELL_BUDGET = 1 << 27
 
@@ -446,6 +447,56 @@ def prefix_table(
         np.right_shift(table, i, out=bits[:, i : i + 1])
     np.bitwise_and(bits, 1, out=bits)
     return bits.reshape((8 * engine.width,) + rest)[: engine.subsets].view(bool)
+
+
+def allowed_cells(
+    g: Graph, rest: Node, prefix: tuple[str, ...], allowed: frozenset[int], step: int = 1 << 16,
+):
+    """Ascending slices (at most step cells each) of the satisfying cells, in
+    prefix_table's order, of a body that holds iff every vertex's signature
+    (bit i = membership in prefix[i]) is allowed and rest holds. Depth first
+    over the axes, a cell spreads over the subsets of the next one that keep
+    every vertex's signature a prefix of an allowed one, so only the
+    |allowed|^n candidates are listed. A candidate holds when each of rest's
+    unjoined factors has its byte (bit on axis 0) there set."""
+    n, m = g.n, len(prefix)
+    engine = TableEngine(g, rest, tuple(prefix))
+    factors = engine.eval(rest, {})
+    prefixes = _signature_prefixes(allowed, m)
+    weights = np.int64(1) << np.arange(n, dtype=np.int64)
+
+    def descend(i: int, cells: np.ndarray):
+        if i == m:
+            subsets = [(cells >> ((m - 1 - a) * n)) & (engine.subsets - 1) for a in range(m)]
+            coords = [subsets[0] >> 3] + subsets[1:]
+            keep = np.ones(len(cells), dtype=bool)
+            for span, table in factors.items():
+                got = table[tuple(coords[a] if (span >> a) & 1 else 0 for a in range(engine.naxes))]
+                keep &= ((got >> (subsets[0] & 7 if span & 1 else 0)) & 1) == 1
+            yield cells[keep]
+            return
+        ends = np.isin(np.arange(2 << i), list(prefixes[i]))
+        sig = np.zeros((len(cells), n), dtype=np.int64)
+        for j in range(i):
+            sig |= ((cells[:, None] >> ((i - 1 - j) * n + np.arange(n))) & 1) << j
+        zero, one = ends[sig], ends[sig | (1 << i)]
+        free, force = (zero & one) @ weights, (one & ~zero) @ weights  # bit i: either, or 1
+        counts = np.where((zero | one).all(axis=1), 1 << np.count_nonzero(zero & one, axis=1), 0)
+        starts, total = np.cumsum(counts) - counts, int(counts.sum())
+        for lo in range(0, total, step):
+            # child k of a cell puts k's bits on its free vertices in order,
+            # so the children ascend
+            t = np.arange(lo, min(lo + step, total))
+            parent = np.searchsorted(starts, t, side="right") - 1
+            k, free_of = t - starts[parent], free[parent]
+            child = (cells[parent] << n) | force[parent]
+            for v in range(n):
+                bit = (free_of >> v) & 1
+                child |= (k & bit) << v
+                k >>= bit
+            yield from descend(i + 1, child)
+
+    yield from descend(0, np.zeros(1, dtype=np.int64))
 
 
 def estimate_worst_cells(

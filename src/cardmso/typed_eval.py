@@ -9,11 +9,12 @@ and vertex quantifiers enumerate picks per class plus aliases to earlier
 picks. With memoisation on the state projected to each node's free variables
 this decides sentences on graphs far beyond raw 2^n enumeration.
 
-Count-state enumeration (satisfying_states) first reads the conjuncts
-`forall v. psi(v)` on the body's top-level And spine whose psi is a Boolean
-combination of `v in X` for prefix sets X, and never gives vertices to a
-signature that such a conjunct rules out (Knop, Koutecky, Masarik, Toufar,
-"Simplified algorithmic metatheorems beyond MSO", LMCS 2019).
+The vertex-local signature filter (_local_split) reads the conjuncts
+`forall v. psi(v)` on a body's top-level And spine whose psi is a Boolean
+combination of `v in X` for prefix sets X (Knop, Koutecky, Masarik, Toufar,
+"Simplified algorithmic metatheorems beyond MSO", LMCS 2019). Count-state
+enumeration (satisfying_states) never gives vertices to a signature they
+rule out; the solver's table path reads only the cells they allow.
 
 Classes must have uniform adjacency: inside a class all pairs adjacent or
 none, and between two classes all pairs or none. Type partitions (with or
@@ -67,26 +68,32 @@ def _local_mask(node: Node, var: str, bit_of: dict[str, int], full: int) -> int 
     return None
 
 
-def _allowed_signatures(prefix: tuple[str, ...], body: Node) -> frozenset[int] | None:
-    """The signatures (bit i = membership in prefix[i]) a vertex may carry
-    in a state satisfying body: those that every vertex-local conjunct
-    `forall v. psi(v)` on body's top-level And spine accepts. None when there
-    is no such conjunct."""
+def _local_split(prefix: tuple[str, ...], body: Node) -> tuple[frozenset[int] | None, Node]:
+    """One walk of body's top-level And spine: the signatures (bit i =
+    membership in prefix[i]) every vertex-local conjunct accepts (None when
+    there is none), and the rest, the And of the others (true when none).
+    body holds iff every vertex's signature is allowed and the rest holds."""
     bit_of = {name: i for i, name in enumerate(prefix)}
     full = (1 << (1 << len(prefix))) - 1
-    allowed = None
-    spine = [body]
+    allowed, rest, spine = None, None, [body]
     while spine:
         node = spine.pop()
+        local = isinstance(node, Quant) and node.quantifier == "forall" and node.sort == "vertex"
+        mask = _local_mask(node.child, node.var, bit_of, full) if local else None
         if isinstance(node, And):
             spine += (node.right, node.left)
-        elif isinstance(node, Quant) and node.quantifier == "forall" and node.sort == "vertex":
-            mask = _local_mask(node.child, node.var, bit_of, full)
-            if mask is not None:
-                allowed = mask if allowed is None else allowed & mask
-    if allowed is None:
-        return None
-    return frozenset(s for s in range(1 << len(prefix)) if (allowed >> s) & 1)
+        elif mask is None:
+            rest = node if rest is None else And(rest, node)
+        else:
+            allowed = mask if allowed is None else allowed & mask
+    if allowed is not None:
+        allowed = frozenset(s for s in range(1 << len(prefix)) if (allowed >> s) & 1)
+    return allowed, TrueLit() if rest is None else rest
+
+
+def _signature_prefixes(allowed: frozenset[int], m: int) -> list[frozenset[int]]:
+    """Entry i: the signatures on bits 0..i some allowed signature extends."""
+    return [frozenset(s & ((2 << i) - 1) for s in allowed) for i in range(m)]
 
 
 class TypedEvaluator:
@@ -341,16 +348,13 @@ class TypedEvaluator:
         """Bind the prefix sets in order (variable i on sig bit i) and yield
         every class-count state whose body evaluates true, in deterministic
         enumeration order. States carry no picks. A class part whose
-        signature has no completion among _allowed_signatures gets no
-        vertices, which skips only states whose body is false."""
+        signature has no completion among _local_split's allowed signatures
+        gets no vertices, which skips only states whose body is false."""
         if any(name in self.set_bits for name in prefix):
             raise ValueError("prefix variable already bound")
-        allowed = _allowed_signatures(prefix, body)
-        # keep[i]: the signatures on bits 0..i some allowed signature extends
-        keep = [None] * len(prefix)
-        if allowed is not None:
-            for i in range(len(prefix)):
-                keep[i] = frozenset(s & ((2 << i) - 1) for s in allowed).__contains__
+        allowed = _local_split(prefix, body)[0]
+        prefixes = [] if allowed is None else _signature_prefixes(allowed, len(prefix))
+        keep = [ends.__contains__ for ends in prefixes] or [None] * len(prefix)
 
         def descend(i: int, classes):
             if i == len(prefix):

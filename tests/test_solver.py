@@ -806,3 +806,40 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
     assert {args[2] is None for _, args, _ in calls} == {True, False}
     # the programs are shared: fewer compiled than solved
     assert sum(len(p._programs) for p in nodes) < len(calls)
+
+
+def dominated_cover(rng: random.Random, n: int, joined: bool) -> Graph:
+    """A 2-vertex cover {0, 1}, adjacent iff joined, whose every other vertex
+    has one or two cover neighbours. With no edge 0-1 the cover is an
+    independent dominating set; with it, no two vertices are (each cover
+    vertex misses many others, and every other vertex dominates only the
+    cover and itself)."""
+    edges = [(0, 1)] if joined else []
+    for v in range(2, n):
+        edges += [(u, v) for u in rng.choice([(0,), (1,), (0, 1)])]
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_check_survives_relabelling_and_modes_agree(n):
+    # past brute force: renaming the vertices moves the cover away from
+    # 0..k-1, and the nd partition groups the twins without a cover; neither
+    # may change an answer, and both sentences have a reference answer here
+    rng = random.Random(n)
+    bip = parse_formula(corpus.bipartite_equal())
+    ids = substitute_params(parse_formula(corpus.independent_dominating()), {"k": 2})
+    for trial in range(4):
+        # n is even: cover vertex 0 on one side and its neighbours on the
+        # other, the isolated vertices filling both up
+        g = planted_cover(rng, 1, n)
+        cases = [(bip, g, len(g.adj[0]) <= n // 2)]
+        cases.append((ids, dominated_cover(rng, n, trial % 2 == 1), trial % 2 == 0))
+        for f, g, want in cases:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            verdict = check(g, f)
+            assert verdict.holds == want
+            assert check(g.relabel(perm), f).holds == want
+            assert check(g, f, mode="nd").holds == want
+            if want:
+                assert_witness_valid(g, f, verdict)

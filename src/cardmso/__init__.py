@@ -23,7 +23,7 @@ from .partitioning import (
     PartitionInstance, PartitionVerdict, Shape, enumerate_shapes,
     mso_partition, shape_satisfies,
 )
-from .solver import SolveStats, Verdict, build_extension_ilp, check, extract_witness
+from .solver import SolveStats, Verdict, check, extract_witness
 
 __all__ = [
     "BalancedResult", "BudgetExceeded", "CardMSOError", "CoverBudgetExceeded",
@@ -32,7 +32,7 @@ __all__ = [
     "InvalidCoverError", "LinearConstraint", "PartitionInstance",
     "PartitionVerdict", "PreEvaluation", "PrefixAssignment", "ReducedGraph",
     "Row", "Shape", "SolveStats", "TypePartition", "Verdict", "VertexCover",
-    "WitnessError", "analyze", "build_extension_ilp", "cbalanced", "check",
+    "WitnessError", "analyze", "cbalanced", "check",
     "enumerate_shapes", "extract_witness", "format_formula", "format_graph",
     "generate_equitable_formula", "min_vertex_cover", "mso_check",
     "mso_partition", "nd_partition", "parse_formula", "parse_graph",

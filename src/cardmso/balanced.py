@@ -114,6 +114,7 @@ def cbalanced(
     None when no admissible partition exists (only with empty parts
     disallowed and c > |V|).
     """
+    start = time.perf_counter()
     if c < 1:
         raise ValueError("c must be >= 1")
     if not allow_empty and c > g.n:
@@ -121,7 +122,6 @@ def cbalanced(
     f = generate_equitable_formula(c)
     pipeline = _Pipeline(g, f, "vertex-cover", k_max, node_budget, dump)
     objective = BetaObjective(pipeline)
-    start = time.perf_counter()
     best = pipeline.run_minimize(objective)
     if best is None:
         raise CardMSOError("no equitable partition found; this should be impossible")

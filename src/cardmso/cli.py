@@ -45,21 +45,41 @@ class _Dumper:
             handle.write(ilp.format_instance(instance))
 
 
-def _add_common(p: argparse.ArgumentParser, formula: bool, params: bool) -> None:
+def _add_input(p: argparse.ArgumentParser, problem: str) -> None:
+    """The flags that a problem's handler and its oracle's both read."""
     p.add_argument("--graph", required=True, metavar="PATH")
-    if formula:
+    if problem != "cbalance":
         p.add_argument("--formula", required=True, metavar="PATH")
-    if params:
+    if problem == "check":
         p.add_argument(
             "--param", action="append", default=[], metavar="NAME=INT",
             help="bind an integer parameter (repeatable)",
         )
-    p.add_argument("--mode", choices=["vc", "nd"], default="vc")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
+    else:
+        p.add_argument("--no-empty-parts", action="store_true")
+    if problem == "partition":
+        p.add_argument("-r", type=int, required=True)
+    if problem == "cbalance":
+        p.add_argument("-c", type=int, required=True)
     p.add_argument("--json", action="store_true")
+
+
+def _add_solver(p: argparse.ArgumentParser, problem: str) -> None:
+    """The flags of the pipeline, which the oracles do not run. cbalance
+    needs a vertex cover (its cut decomposition assumes every edge has a
+    cover endpoint), so it has no --mode."""
+    if problem != "cbalance":
+        p.add_argument("--mode", choices=["vc", "nd"], default="vc")
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--dump-ilp", metavar="PATH")
-    p.add_argument("--no-empty-parts", action="store_true")
     p.add_argument("--node-budget", type=int, default=ilp.DEFAULT_NODE_BUDGET)
+
+
+_PROBLEMS = {
+    "check": "decide a cardinality-MSO sentence",
+    "partition": "partition into r parts each modelling a sentence",
+    "cbalance": "minimum cut over equitable c-partitions",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,29 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "c-balanced partitioning on graphs of small vertex cover.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide a cardinality-MSO sentence")
-    _add_common(p, formula=True, params=True)
-
-    p = sub.add_parser("partition", help="partition into r parts each modelling a sentence")
-    _add_common(p, formula=True, params=False)
-    p.add_argument("-r", type=int, required=True)
-
-    p = sub.add_parser("cbalance", help="minimum cut over equitable c-partitions")
-    _add_common(p, formula=False, params=False)
-    p.add_argument("-c", type=int, required=True)
-
-    p = sub.add_parser("oracle-check", help="brute-force reference for check")
-    _add_common(p, formula=True, params=True)
-
-    p = sub.add_parser("oracle-partition", help="brute-force reference for partition")
-    _add_common(p, formula=True, params=False)
-    p.add_argument("-r", type=int, required=True)
-
-    p = sub.add_parser("oracle-cbalance", help="brute-force reference for cbalance")
-    _add_common(p, formula=False, params=False)
-    p.add_argument("-c", type=int, required=True)
-
+    for problem, summary in _PROBLEMS.items():
+        p = sub.add_parser(problem, help=summary)
+        _add_input(p, problem)
+        _add_solver(p, problem)
+    for problem in _PROBLEMS:
+        p = sub.add_parser(f"oracle-{problem}", help=f"brute-force reference for {problem}")
+        _add_input(p, problem)
     return parser
 
 
@@ -211,11 +215,6 @@ def _run_partition(args) -> int:
 
 
 def _run_cbalance(args) -> int:
-    if args.mode == "nd":
-        raise CardMSOError(
-            "cbalance needs a vertex cover (the cut decomposition assumes "
-            "every edge has a cover endpoint); --mode nd is not supported"
-        )
     g = _load_graph(args.graph)
     dump = _Dumper(args.dump_ilp) if args.dump_ilp else None
     result = cbalanced(

@@ -180,7 +180,6 @@ class FormulaStats:
     m: int
     q_S: int
     q_v: int
-    constraint_count: int
 
     @property
     def small_threshold(self) -> int:
@@ -203,6 +202,28 @@ def walk(node: Node) -> Iterator[Node]:
         yield from walk(node.right)
     elif isinstance(node, Quant):
         yield from walk(node.child)
+
+
+def sentence(f: Formula) -> Node:
+    """The body under its prefix: `exists Z1 ... exists Zm. body`."""
+    node = f.body
+    for var in reversed(f.prefix):
+        node = Quant("exists", var, "set", node)
+    return node
+
+
+def set_vars(node: Node, first: tuple[str, ...] = ()) -> list[str]:
+    """The set-variable names of node in first-occurrence order, after first."""
+    names = dict.fromkeys(first)
+    for sub in walk(node):
+        if isinstance(sub, Quant) and sub.sort == "set":
+            names.setdefault(sub.var)
+        elif isinstance(sub, Member):
+            names.setdefault(sub.set)
+        elif isinstance(sub, SetEq):
+            names.setdefault(sub.a)
+            names.setdefault(sub.b)
+    return list(names)
 
 
 def free_vars(node: Node, memo: dict) -> tuple[frozenset[str], frozenset[str]]:
@@ -293,9 +314,6 @@ class _Parser:
         if tok.text != text:
             raise FormulaSyntaxError(f"expected {text!r}, got {tok.text!r}", tok.pos)
         return tok
-
-    def fail(self, msg: str) -> None:
-        raise FormulaSyntaxError(msg, self.peek().pos)
 
     # expr := iff; iff := imp ('<->' imp)*; imp := or ('->' imp)?
     def parse_expr(self) -> Node:
@@ -505,7 +523,7 @@ def parse_formula(text: str) -> Formula:
 
 # --------------------------------------------------------------------------- printing
 
-def _format_rho(r: Rho, constraint_params_ok: bool = True) -> str:
+def _format_rho(r: Rho) -> str:
     parts = [f"|{s}|" for s in r.sets] + [f"${p}" for p in r.params]
     if r.const or not parts:
         parts.append(str(r.const))
@@ -559,7 +577,7 @@ def analyze(f: Formula) -> FormulaStats:
     for node in walk(f.body):
         if isinstance(node, Quant):
             (set_names if node.sort == "set" else vertex_names).add(node.var)
-    return FormulaStats(f.m, len(set_names), len(vertex_names), len(f.constraints))
+    return FormulaStats(f.m, len(set_names), len(vertex_names))
 
 
 def substitute_params(f: Formula, bindings: Mapping[str, int]) -> Formula:

@@ -111,7 +111,6 @@ class TypePartition:
 
     types: tuple[tuple[int, ...], ...]
     cover_types: frozenset[int]
-    mode: str  # "vertex-cover" | "neighborhood-diversity"
 
     @property
     def count(self) -> int:
@@ -262,7 +261,7 @@ def type_partition(g: Graph, cover: VertexCover) -> TypePartition:
     cover_idx = frozenset(
         i for i, t in enumerate(types) if len(t) == 1 and t[0] in cover.vertices
     )
-    return TypePartition(types, cover_idx, "vertex-cover")
+    return TypePartition(types, cover_idx)
 
 
 def nd_partition(g: Graph) -> TypePartition:
@@ -304,4 +303,4 @@ def nd_partition(g: Graph) -> TypePartition:
         groups.setdefault(find(v), []).append(v)
     types = tuple(sorted((tuple(sorted(ms)) for ms in groups.values()),
                          key=lambda c: c[0]))
-    return TypePartition(types, frozenset(), "neighborhood-diversity")
+    return TypePartition(types, frozenset())

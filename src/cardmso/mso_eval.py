@@ -1,17 +1,18 @@
 """Reduced-graph construction and MSO model checking.
 
-mso_check dispatches between two engines with identical semantics:
+mso_check picks between two engines with identical semantics:
 
   table  vectorised truth tables (table_eval): set quantifiers range over
          all 2^n subsets as array axes
   typed  count-state recursion (typed_eval): same-type vertices are
          interchangeable, so sets are enumerated as per-class counts
 
-auto picks typed for sentences without set quantifiers (there is no subset
+It sends sentences without set quantifiers to typed (there is no subset
 axis to vectorise, and typed picks one vertex per class where table loops
-over every vertex), table when the largest intermediate table fits the cell
-budget, and typed otherwise. The engine tests compare both against the
-oracle's plain recursion, oracle._LoopEval.
+over every vertex), the others to table when the largest intermediate table
+fits the cell budget and to typed otherwise. The engine tests call both
+directly and compare them against the oracle's plain recursion,
+oracle._LoopEval.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from typing import Iterator
 import numpy as np
 
 from . import table_eval
-from .formula import Formula, FormulaStats, Node, Quant, free_vars, walk
+from .formula import Formula, FormulaStats, Node, Quant, free_vars, sentence, walk
 from .graph import Graph, TypePartition
 from .typed_eval import TypedEvaluator
-
-DEFAULT_NODE_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -52,56 +51,40 @@ def reduce_graph(g: Graph, tp: TypePartition, stats: FormulaStats) -> ReducedGra
     kept = tuple(members[: stats.reduce_threshold] for members in tp.types)
     reduced, remap = g.induced(v for members in kept for v in members)
     new_types = tuple(tuple(remap[v] for v in members) for members in kept)
-    return ReducedGraph(reduced, TypePartition(new_types, tp.cover_types, tp.mode))
+    return ReducedGraph(reduced, TypePartition(new_types, tp.cover_types))
 
 
 def _as_sentence(f: Formula | Node) -> Node:
     if isinstance(f, Formula):
         if f.constraints:
             raise ValueError("mso_check needs a constraint-free sentence; pre-evaluate first")
-        node = f.body
-        for var in reversed(f.prefix):
-            node = Quant("exists", var, "set", node)
-        return node
+        return sentence(f)
     return f
 
 
 def mso_check(
     g: Graph,
     f: Formula | Node,
-    method: str = "auto",
     fixed_sets: dict[str, frozenset[int]] | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
-    """Exact truth of g |= f for a constraint-free sentence.
-
-    fixed_sets binds named set constants (used to re-check witnesses);
-    node_budget caps the typed engine's states.
-    """
+    """Exact truth of g |= f for a constraint-free sentence; fixed_sets binds
+    named set constants (used to re-check witnesses)."""
     node = _as_sentence(f)
-    if method == "auto":
-        if not any(isinstance(sub, Quant) and sub.sort == "set" for sub in walk(node)):
-            method = "typed"
-        else:
-            worst = table_eval.estimate_worst_cells(g, node, ())
-            method = "table" if worst <= table_eval.DEFAULT_CELL_BUDGET else "typed"
-    if method == "table":
+    has_sets = any(isinstance(sub, Quant) and sub.sort == "set" for sub in walk(node))
+    if has_sets and table_eval.estimate_worst_cells(g, node, ()) <= table_eval.DEFAULT_CELL_BUDGET:
         return table_eval.evaluate_sentence(g, node, fixed_sets)
-    if method == "typed":
-        return TypedEvaluator(g, None, fixed_sets, node_budget).check(node)
-    raise ValueError(f"unknown method {method!r}")
+    return TypedEvaluator(g, None, fixed_sets).check(node)
 
 
 def satisfying_prefix_assignments(
     g: Graph,
     body: Node,
     prefix: tuple[str, ...],
-    cell_budget: int = table_eval.DEFAULT_CELL_BUDGET,
 ) -> Iterator[PrefixAssignment]:
     """Every assignment of the prefix variables making the body true, streamed
     in binary-counter order (vertex 0 is the least significant bit and the
     last prefix variable is the fastest counter) from one truth table; a
-    table past cell_budget is refused with BudgetExceeded("mso-cells").
+    table past the cell budget is refused with BudgetExceeded("mso-cells").
 
     The true cells are decoded in fixed slices, one unravel per slice, and
     each distinct vertex mask of a slice becomes one frozenset shared by the
@@ -113,14 +96,13 @@ def satisfying_prefix_assignments(
     stray = (free_sets - set(prefix)) | free_vertices
     if stray:
         raise ValueError(f"body has free variables beyond the prefix: {sorted(stray)}")
-    table = table_eval.prefix_table(g, body, prefix, cell_budget)
+    table = table_eval.prefix_table(g, body, prefix)
     cells = np.flatnonzero(table.reshape(-1))
     shape = (1 << g.n,) * m
-    step = 1 << 16
-    for start in range(0, len(cells), step):
+    for start in range(0, len(cells), table_eval.SLICE_CELLS):
         memo: dict[int, frozenset[int]] = {}
         columns = []
-        for axis in np.unravel_index(cells[start : start + step], shape):
+        for axis in np.unravel_index(cells[start : start + table_eval.SLICE_CELLS], shape):
             masks = axis.tolist()
             for mask in set(masks).difference(memo):
                 memo[mask] = frozenset(v for v in range(g.n) if (mask >> v) & 1)

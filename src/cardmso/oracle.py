@@ -6,8 +6,8 @@ evaluated numerically from the current prefix sets. Two interchangeable
 implementations guard each other: a plain recursive loop and a vectorised
 pass over the whole assignment space; tests pin them together. The loop
 evaluator (_LoopEval) is also the reference the tests compare mso_check's
-table and typed engines against. brute_check defaults to the vector pass,
-the faster of the two on the oracle's graph sizes.
+table and typed engines against. brute_check runs the vector pass, the
+faster of the two on the oracle's graph sizes.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ import numpy as np
 from .errors import BudgetExceeded
 from .formula import (
     Adjacent, And, ConstraintRef, FalseLit, Formula, Iff, Implies, Member,
-    Node, Not, Or, Quant, SetEq, TrueLit, VertexEq,
+    Node, Not, Or, Quant, SetEq, TrueLit, VertexEq, sentence, set_vars,
 )
 from .graph import Graph
 
 DEFAULT_CAP = 8
 
 
-def _require_small(g: Graph, cap: int) -> None:
-    if g.n > cap:
-        raise BudgetExceeded("oracle-vertices", cap, g.n)
+def _require_small(g: Graph) -> None:
+    if g.n > DEFAULT_CAP:
+        raise BudgetExceeded("oracle-vertices", DEFAULT_CAP, g.n)
 
 
 def _require_closed(f: Formula) -> None:
@@ -99,11 +99,7 @@ class _LoopEval:
 
 
 def _loop_check(g: Graph, f: Formula) -> bool:
-    ev = _LoopEval(g, f.constraints)
-    node = f.body
-    for var in reversed(f.prefix):
-        node = Quant("exists", var, "set", node)
-    return ev.eval(node, {}, {})
+    return _LoopEval(g, f.constraints).eval(sentence(f), {}, {})
 
 
 # --------------------------------------------------------------- vector path
@@ -118,8 +114,7 @@ class _VectorEval:
         self.n = g.n
         self.subsets = 1 << g.n
         self.constraints = f.constraints
-        names: dict[str, bool] = {v: True for v in f.prefix}
-        self._collect(f.body, names)
+        names = set_vars(f.body, f.prefix)
         self.axis = {v: i for i, v in enumerate(names)}
         self.naxes = len(names)
         self.pc = np.array([bin(s).count("1") for s in range(self.subsets)], dtype=np.int64)
@@ -129,22 +124,6 @@ class _VectorEval:
         self.adj2d = np.zeros((g.n, g.n), dtype=bool)
         for a, b in g.edges:
             self.adj2d[a, b] = self.adj2d[b, a] = True
-
-    def _collect(self, node: Node, acc: dict[str, bool]) -> None:
-        if isinstance(node, Quant):
-            if node.sort == "set":
-                acc.setdefault(node.var, True)
-            self._collect(node.child, acc)
-        elif isinstance(node, Not):
-            self._collect(node.child, acc)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            self._collect(node.left, acc)
-            self._collect(node.right, acc)
-        elif isinstance(node, Member):
-            acc.setdefault(node.set, True)
-        elif isinstance(node, SetEq):
-            acc.setdefault(node.a, True)
-            acc.setdefault(node.b, True)
 
     def _const(self, value: bool) -> np.ndarray:
         return np.full((1,) * self.naxes, value, dtype=bool)
@@ -218,11 +197,7 @@ class _VectorEval:
 
 
 def _vector_check(g: Graph, f: Formula) -> bool:
-    ev = _VectorEval(g, f)
-    node = f.body
-    for var in reversed(f.prefix):
-        node = Quant("exists", var, "set", node)
-    out = ev.eval(node, {})
+    out = _VectorEval(g, f).eval(sentence(f), {})
     if out.size != 1:
         raise AssertionError("sentence left free axes")
     return bool(out.reshape(-1)[0])
@@ -230,12 +205,10 @@ def _vector_check(g: Graph, f: Formula) -> bool:
 
 # ----------------------------------------------------------------- interface
 
-def brute_check(g: Graph, f: Formula, cap: int = DEFAULT_CAP, method: str = "vector") -> bool:
+def brute_check(g: Graph, f: Formula) -> bool:
     """Direct semantics of the full sentence on g itself."""
-    _require_small(g, cap)
+    _require_small(g)
     _require_closed(f)
-    if method == "loop":
-        return _loop_check(g, f)
     return _vector_check(g, f)
 
 
@@ -267,7 +240,6 @@ def brute_partition(
     g: Graph,
     phi,
     r: int | None = None,
-    cap: int = DEFAULT_CAP,
     allow_empty: bool = True,
 ) -> bool:
     """Can V(G) be split into r parts whose induced subgraphs all model phi?
@@ -276,7 +248,7 @@ def brute_partition(
     """
     if r is None:
         phi, r = phi.formula, phi.r
-    _require_small(g, cap)
+    _require_small(g)
     _require_closed(phi)
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -284,7 +256,7 @@ def brute_partition(
     @lru_cache(maxsize=None)
     def part_ok(vertices: frozenset[int]) -> bool:
         sub, _ = g.induced(vertices)
-        return brute_check(sub, phi, cap=cap)
+        return brute_check(sub, phi)
 
     empty_ok = allow_empty and part_ok(frozenset())
     for parts in _partitions(list(range(g.n)), r):
@@ -305,13 +277,12 @@ def equitable_sizes(n: int, c: int) -> list[int]:
 def brute_cbalanced(
     g: Graph,
     c: int,
-    cap: int = DEFAULT_CAP,
     allow_empty: bool = True,
 ) -> int | None:
     """Minimum cross-part edge count over all partitions into c parts with
     sizes pairwise differing by at most one; None when no such partition is
     admissible (only with empty parts forbidden and c > n)."""
-    _require_small(g, cap)
+    _require_small(g)
     if c < 1:
         raise ValueError("c must be >= 1")
     sizes = equitable_sizes(g.n, c)

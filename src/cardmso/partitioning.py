@@ -23,7 +23,7 @@ from . import ilp
 from .errors import BudgetExceeded
 from .formula import Formula, FormulaStats, Node, Quant, analyze, walk
 from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
-from .mso_eval import DEFAULT_NODE_BUDGET, _as_sentence, mso_check
+from .mso_eval import _as_sentence, mso_check
 from .solver import SolveStats
 from .typed_eval import TypedEvaluator
 
@@ -60,18 +60,15 @@ class PartitionVerdict:
     stats: SolveStats
 
 
-def enumerate_shapes(
-    tp: TypePartition,
-    stats: FormulaStats,
-    shape_budget: int = DEFAULT_SHAPE_BUDGET,
-) -> list[Shape]:
+def enumerate_shapes(tp: TypePartition, stats: FormulaStats) -> list[Shape]:
     """All shapes in mixed-radix counter order (last type fastest, counts
-    ascending): the product of [0, min(|T|, threshold)] over the types."""
+    ascending): the product of [0, min(|T|, threshold)] over the types, at
+    most DEFAULT_SHAPE_BUDGET of them."""
     small = stats.small_threshold
     ranges = [range(min(len(members), small) + 1) for members in tp.types]
     total = math.prod(len(r) for r in ranges)
-    if total > shape_budget:
-        raise BudgetExceeded("shapes", shape_budget, total)
+    if total > DEFAULT_SHAPE_BUDGET:
+        raise BudgetExceeded("shapes", DEFAULT_SHAPE_BUDGET, total)
     return [Shape(per) for per in itertools.product(*ranges)]
 
 
@@ -111,7 +108,7 @@ class _ShapeCheck:
             vertices = shape_representative(self.g, self.tp, s, self.stats)
             return bool(mso_check(self.g.induced(vertices)[0], self.phi))
         if self.ev is None:
-            self.ev = TypedEvaluator(self.g, list(self.tp.types), state_budget=DEFAULT_NODE_BUDGET)
+            self.ev = TypedEvaluator(self.g, list(self.tp.types))
             # the evaluator orders its classes by first member
             first = {members[0]: b for b, members in enumerate(self.ev.base_members)}
             self.base = [first[members[0]] for members in self.tp.types]

@@ -62,7 +62,7 @@ from .formula import (
     Implies, Member, Node, Not, Or, PreEvaluation, Quant, SetEq, TrueLit,
     VertexEq, analyze, constraint_truths, walk,
 )
-from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
+from .graph import DEFAULT_K_MAX, Graph, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import PrefixAssignment, mso_check, reduce_graph
 from .mso_eval import satisfying_prefix_assignments  # noqa: F401 - the benchmark's tracer wraps it here
 from .typed_eval import TypedEvaluator, _local_split
@@ -308,7 +308,6 @@ class _Pipeline:
     ):
         self.g = g
         self.f = f
-        self.mode = mode
         self.node_budget = node_budget
         self.dump = dump
         self.stats = SolveStats()
@@ -416,12 +415,13 @@ class _Pipeline:
         g, m = self.rg.graph, self.m
         allowed, rest = _local_split(self.f.prefix, body)
         if not m:
-            slices = [np.arange(int(mso_check(g, body, method="auto")))]
+            slices = [np.arange(int(mso_check(g, body)))]
         elif allowed is not None and 2 * len(allowed) <= 1 << m:
             slices = table_eval.allowed_cells(g, rest, self.f.prefix, allowed)
         else:
             cells = np.flatnonzero(table_eval.prefix_table(g, body, self.f.prefix))
-            slices = np.split(cells, range(1 << 16, len(cells), 1 << 16))
+            step = table_eval.SLICE_CELLS
+            slices = np.split(cells, range(step, len(cells), step))
         bases = np.array(self.rg.types.type_of(g.n), dtype=np.int64) << m
         shifts = [(m - 1 - i) * g.n + np.arange(g.n) for i in range(m)]
 
@@ -592,7 +592,6 @@ class _Pipeline:
         """Work pairs solved in order, each only for values below the best
         found so far; without an objective the first feasible pair ends the
         loop. Returns (best value, witness, alpha) or None."""
-        start = time.perf_counter()
         best: Optional[tuple[Optional[int], PrefixAssignment, PreEvaluation]] = None
         tried: set[int] = set()
         for alpha_index, _pos, counts in self._collect_pairs():
@@ -607,7 +606,6 @@ class _Pipeline:
                 if objective is None:
                     break
         self.stats.pre_evaluations = len(tried)
-        self.stats.elapsed = time.perf_counter() - start
         return best
 
     def _assert_compliance(self, witness: PrefixAssignment, alpha: PreEvaluation) -> None:
@@ -617,30 +615,6 @@ class _Pipeline:
 
 
 # ---------------------------------------------------------------- public ops
-
-def build_extension_ilp(
-    g: Graph,
-    tp: TypePartition,
-    chi_phi: PrefixAssignment,
-    alpha: PreEvaluation,
-    f: Formula,
-    stats: FormulaStats,
-) -> ilp.ILPInstance:
-    """The extension program for one satisfying prefix assignment on the
-    reduced graph: one variable per (type, signature), type-cardinality sums,
-    and the pre-evaluated cardinality constraints (reversed with a +1 shift
-    where guessed false). A subtype count below the small threshold pins its
-    variable and any other is its lower bound; both are the variable's
-    domain, not rows."""
-    rg = reduce_graph(g, tp, stats)
-    cols = _Columns(f, stats, [len(members) for members in tp.types])
-    alpha_index = sum((0 if a else 1) << i for i, a in enumerate(alpha))
-    columns = np.array([t << f.m for t in rg.types.type_of(rg.graph.n)], dtype=np.int64)
-    for i, s in enumerate(chi_phi.sets):
-        columns[list(s)] |= 1 << i
-    counts = tuple(_count_rows(columns[None], len(cols.names))[0].tolist())
-    return _build_instance(cols, counts, alpha_index)
-
 
 def extract_witness(
     counts: Sequence[int], m: int, types: Sequence[Sequence[int]]
@@ -674,5 +648,7 @@ def check(
     dump: Optional[Callable[[ilp.ILPInstance], None]] = None,
 ) -> Verdict:
     """Does g model the sentence? Exact; witness returned when it holds."""
-    pipeline = _Pipeline(g, f, mode, k_max, node_budget, dump)
-    return pipeline.run_decision()
+    start = time.perf_counter()
+    verdict = _Pipeline(g, f, mode, k_max, node_budget, dump).run_decision()
+    verdict.stats.elapsed = time.perf_counter() - start
+    return verdict

@@ -49,12 +49,14 @@ import numpy as np
 from .errors import BudgetExceeded
 from .formula import (
     Adjacent, And, ConstraintRef, FalseLit, Iff, Implies, Member, Node, Not,
-    Or, Quant, SetEq, TrueLit, VertexEq, free_vars, walk,
+    Or, Quant, SetEq, TrueLit, VertexEq, free_vars, set_vars, walk,
 )
 from .graph import Graph
 from .typed_eval import _signature_prefixes
 
 DEFAULT_CELL_BUDGET = 1 << 27
+# satisfying cells decoded or listed at a time
+SLICE_CELLS = 1 << 16
 
 # span bitmask -> factor; see the module docstring
 Factors = dict[int, np.ndarray]
@@ -62,18 +64,6 @@ Factors = dict[int, np.ndarray]
 _FALSE_TRUE = np.array([0x00, 0xFF], dtype=np.uint8)
 # packed byte of "vertex v is in the subset" for v < 3: bit i is subset i
 _LOW_MEMBER_BYTES = (0xAA, 0xCC, 0xF0)
-
-
-def collect_set_vars(node: Node, acc: dict[str, bool]) -> None:
-    """Set-variable names in first-occurrence order (value unused)."""
-    for sub in walk(node):
-        if isinstance(sub, Quant) and sub.sort == "set":
-            acc.setdefault(sub.var, True)
-        elif isinstance(sub, Member):
-            acc.setdefault(sub.set, True)
-        elif isinstance(sub, SetEq):
-            acc.setdefault(sub.a, True)
-            acc.setdefault(sub.b, True)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -96,7 +86,8 @@ class TableEngine:
 
     free_sets are set variables left unbound (the prefix); they take the
     first axes in the given order so the final table ravels with the first
-    variable most significant.
+    variable most significant. Every array is charged to
+    DEFAULT_CELL_BUDGET as it stands when the engine is built.
     """
 
     def __init__(
@@ -105,21 +96,16 @@ class TableEngine:
         root: Node,
         free_sets: tuple[str, ...] = (),
         fixed_sets: dict[str, frozenset[int]] | None = None,
-        cell_budget: int = DEFAULT_CELL_BUDGET,
     ):
         self.g = g
         self.n = g.n
         self.subsets = 1 << g.n
         # bytes on the packed axis 0
         self.width = max(1, self.subsets >> 3)
-        self.cell_budget = cell_budget
+        self.cell_budget = DEFAULT_CELL_BUDGET
         self.fixed_sets = fixed_sets or {}
 
-        names: dict[str, bool] = {v: True for v in free_sets}
-        collect_set_vars(root, names)
-        for name in self.fixed_sets:
-            names.pop(name, None)
-        order = list(names)
+        order = [v for v in set_vars(root, free_sets) if v not in self.fixed_sets]
         self.axis = {v: i for i, v in enumerate(order)}
         self.naxes = len(order)
 
@@ -403,10 +389,9 @@ def evaluate_sentence(
     g: Graph,
     node: Node,
     fixed_sets: dict[str, frozenset[int]] | None = None,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> bool:
     """Truth of a closed formula (all variables quantified or fixed)."""
-    engine = TableEngine(g, node, (), fixed_sets, cell_budget)
+    engine = TableEngine(g, node, (), fixed_sets)
     factors = engine.eval(node, {})
     if any(table.size != 1 for table in factors.values()):
         raise ValueError("sentence has free variables")
@@ -417,7 +402,6 @@ def prefix_table(
     g: Graph,
     body: Node,
     prefix: tuple[str, ...],
-    cell_budget: int = DEFAULT_CELL_BUDGET,
     fixed_sets: dict[str, frozenset[int]] | None = None,
 ) -> np.ndarray:
     """Truth table of the body over the prefix set variables (any fixed_sets
@@ -428,7 +412,7 @@ def prefix_table(
     binary counter. The body's factors are joined into this one table last,
     which is unpacked into bools once.
     """
-    engine = TableEngine(g, body, tuple(prefix), fixed_sets, cell_budget)
+    engine = TableEngine(g, body, tuple(prefix), fixed_sets)
     m = len(prefix)
     factors = engine.eval(body, {})
     engine._charge(engine.subsets ** m)
@@ -449,10 +433,8 @@ def prefix_table(
     return bits.reshape((8 * engine.width,) + rest)[: engine.subsets].view(bool)
 
 
-def allowed_cells(
-    g: Graph, rest: Node, prefix: tuple[str, ...], allowed: frozenset[int], step: int = 1 << 16,
-):
-    """Ascending slices (at most step cells each) of the satisfying cells, in
+def allowed_cells(g: Graph, rest: Node, prefix: tuple[str, ...], allowed: frozenset[int]):
+    """Ascending slices (at most SLICE_CELLS each) of the satisfying cells, in
     prefix_table's order, of a body that holds iff every vertex's signature
     (bit i = membership in prefix[i]) is allowed and rest holds. Depth first
     over the axes, a cell spreads over the subsets of the next one that keep
@@ -483,10 +465,10 @@ def allowed_cells(
         free, force = (zero & one) @ weights, (one & ~zero) @ weights  # bit i: either, or 1
         counts = np.where((zero | one).all(axis=1), 1 << np.count_nonzero(zero & one, axis=1), 0)
         starts, total = np.cumsum(counts) - counts, int(counts.sum())
-        for lo in range(0, total, step):
+        for lo in range(0, total, SLICE_CELLS):
             # child k of a cell puts k's bits on its free vertices in order,
             # so the children ascend
-            t = np.arange(lo, min(lo + step, total))
+            t = np.arange(lo, min(lo + SLICE_CELLS, total))
             parent = np.searchsorted(starts, t, side="right") - 1
             k, free_of = t - starts[parent], free[parent]
             child = (cells[parent] << n) | force[parent]

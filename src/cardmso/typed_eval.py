@@ -32,7 +32,7 @@ from .formula import (
 )
 from .graph import Graph, nd_partition
 
-DEFAULT_STATE_BUDGET = 200_000_000
+DEFAULT_STATE_BUDGET = 50_000_000
 
 # state entries: classes = ((base_id, sig, count), ...) with count > 0,
 # picks = ((base_id, sig), ...); sig bit i = membership in the i-th bound set

@@ -125,6 +125,19 @@ class TestCbalanced:
         assert result.cut_value == min_cost_flow_cut(g, 2, 2)
 
     @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("k", [1, pytest.param(2, marks=pytest.mark.acceptance)])
+    def test_planted_cover_matches_the_flow_reference(self, k, n):
+        # past brute force, against a reference that shares no code with
+        # the pipeline; a lone cover vertex of degree d costs
+        # max(0, d + 1 - n/2), so some draws cut nothing and others do
+        cuts = []
+        for seed in range(6):
+            g = planted_cover(random.Random(seed), k, n)
+            cuts.append(cbalanced(g, 2).cut_value)
+            assert cuts[-1] == min_cost_flow_cut(g, k, 2), seed
+        assert max(cuts) > 0
+
+    @pytest.mark.parametrize("n", [100, 400])
     def test_cut_survives_relabelling(self, n):
         # past brute force: renaming the vertices moves the cover away from
         # 0..k-1 and must not change the minimum cut (k = 2 is in the

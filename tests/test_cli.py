@@ -60,6 +60,38 @@ def test_cbalance_nd_rejected(files, capsys):
     assert run(["cbalance", "--graph", files["p4.g"], "-c", "2", "--mode", "nd"]) == 2
 
 
+# flags a subcommand used to parse and then ignore: each is now unknown to it
+UNREAD_FLAGS = [
+    ("check", "--no-empty-parts"),
+    ("cbalance", "--mode"),
+    *[
+        ("oracle-check", flag)
+        for flag in ("--mode", "--k-max", "--dump-ilp", "--no-empty-parts", "--node-budget")
+    ],
+    *[
+        (command, flag)
+        for command in ("oracle-partition", "oracle-cbalance")
+        for flag in ("--mode", "--k-max", "--dump-ilp", "--node-budget")
+    ],
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flags_are_usage_errors(files, tmp_path, command, flag):
+    inputs = {
+        "check": ["--formula", files["bipartite_equal.cms"]],
+        "oracle-check": ["--formula", files["bipartite_equal.cms"]],
+        "oracle-partition": ["--formula", files["independence.cms"], "-r", "2"],
+        "cbalance": ["-c", "2"],
+        "oracle-cbalance": ["-c", "2"],
+    }[command]
+    dump = tmp_path / "dump.ilp"
+    value = {"--mode": ["vc"], "--k-max": ["0"], "--dump-ilp": [str(dump)], "--node-budget": ["1"]}
+    argv = [command, "--graph", files["c4.g"], *inputs, flag, *value.get(flag, [])]
+    assert run(argv) == 2
+    assert not dump.exists()
+
+
 def test_partition(files):
     assert run(["partition", "--graph", files["c4.g"], "--formula", files["independence.cms"], "-r", "2"]) == 0
     assert run(["partition", "--graph", files["c4.g"], "--formula", files["clique.cms"], "-r", "1"]) == 1

@@ -21,7 +21,7 @@ class TestParse:
     def test_trivial_zero(self):
         f = parse_formula("exists Z. [|Z| = 0]")
         st = analyze(f)
-        assert (f.m, st.q_S, st.q_v, st.constraint_count) == (1, 0, 0, 2)
+        assert (f.m, st.q_S, st.q_v, len(f.constraints)) == (1, 0, 0, 2)
 
     def test_ids_has_parameter(self):
         f = parse_formula(corpus.independent_dominating())

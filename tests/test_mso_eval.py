@@ -7,7 +7,7 @@ from cardmso import corpus, oracle, table_eval
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import (
     Adjacent, And, FalseLit, Iff, Implies, Member, Not, Or, Quant,
-    SetEq, TrueLit, VertexEq, analyze, parse_formula, pre_evaluate,
+    SetEq, TrueLit, VertexEq, analyze, parse_formula, pre_evaluate, sentence,
 )
 from cardmso.graph import Graph, min_vertex_cover, nd_partition, type_partition
 from cardmso.mso_eval import (
@@ -16,7 +16,11 @@ from cardmso.mso_eval import (
 from cardmso.typed_eval import TypedEvaluator
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 
-ENGINES = ("table", "typed")
+# mso_check's two engines, called directly on a sentence node
+ENGINES = {
+    "table": table_eval.evaluate_sentence,
+    "typed": lambda g, node: TypedEvaluator(g).check(node),
+}
 
 
 # ------------------------------------------------------------ random formulas
@@ -84,7 +88,7 @@ small_graphs = st.integers(0, 5).flatmap(
 @given(small_graphs, formula_nodes(3))
 def test_engines_agree(g, node):
     want = oracle._LoopEval(g, ()).eval(node, {}, {})
-    results = {m: mso_check(g, node, method=m) for m in ENGINES}
+    results = {m: engine(g, node) for m, engine in ENGINES.items()}
     assert set(results.values()) == {want}, (want, results)
 
 
@@ -110,15 +114,15 @@ class TestMsoCheckExamples:
             " & (exists w. w in X))"
         )
         k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert oracle.brute_check(k3, f, method="loop")
-        for m in ENGINES:
-            assert mso_check(k3, f, method=m)
+        assert oracle._loop_check(k3, f)
+        for engine in ENGINES.values():
+            assert engine(k3, sentence(f))
 
     def test_empty_graph_vacuous_forall(self):
         f = parse_formula("forall x. false")
-        assert oracle.brute_check(Graph.from_edges(0, []), f, method="loop")
-        for m in ENGINES:
-            assert mso_check(Graph.from_edges(0, []), f, method=m)
+        assert oracle._loop_check(Graph.from_edges(0, []), f)
+        for engine in ENGINES.values():
+            assert engine(Graph.from_edges(0, []), sentence(f))
 
     def test_c4_bipartite_equal_whole_pipeline_body(self):
         bip = parse_formula(corpus.bipartite_equal())
@@ -128,7 +132,7 @@ class TestMsoCheckExamples:
     def test_typed_state_budget(self):
         f = parse_formula("exists X. exists Y. (X = Y & !(X = Y))")
         with pytest.raises(BudgetExceeded) as err:
-            mso_check(star_graph(5), f, method="typed", node_budget=50)
+            TypedEvaluator(star_graph(5), state_budget=50).check(sentence(f))
         assert (err.value.kind, err.value.limit, err.value.used) == ("mso-states", 50, 51)
 
     def test_auto_sends_set_free_sentences_to_typed(self, monkeypatch):
@@ -165,7 +169,7 @@ class TestTypedClasses:
 class TestReduceGraph:
     def _stats(self, m, q_S, q_v):
         from cardmso.formula import FormulaStats
-        return FormulaStats(m, q_S, q_v, 0)
+        return FormulaStats(m, q_S, q_v)
 
     def test_threshold_sixteen(self):
         g = star_graph(20)
@@ -296,13 +300,15 @@ class TestSatisfyingAssignments:
             for mask in range(1 << 17)
         ]
 
-    def test_prefix_past_the_cell_budget_is_refused(self):
+    def test_prefix_past_the_cell_budget_is_refused(self, monkeypatch):
         # two prefix variables on the 4 vertices of C4 need (2^4)^2 = 256 cells
         bip = pre_evaluate(parse_formula(corpus.bipartite_equal()), (True, True))
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 255)
         with pytest.raises(BudgetExceeded) as refusal:
-            list(satisfying_prefix_assignments(cycle_graph(4), bip.body, bip.prefix, 255))
+            list(satisfying_prefix_assignments(cycle_graph(4), bip.body, bip.prefix))
         assert refusal.value.kind == "mso-cells"
-        assert list(satisfying_prefix_assignments(cycle_graph(4), bip.body, bip.prefix, 256))
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 256)
+        assert list(satisfying_prefix_assignments(cycle_graph(4), bip.body, bip.prefix))
 
 
 def test_shrinking_preserves_verdicts_small(rng):

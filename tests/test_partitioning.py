@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cardmso import corpus, oracle, partitioning
+from cardmso import corpus, oracle, partitioning, table_eval
 from cardmso.errors import BudgetExceeded
 from cardmso.formula import FormulaStats, analyze, parse_formula
 from cardmso.graph import Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
@@ -37,31 +37,32 @@ def brute_chromatic(g: Graph) -> int:
 class TestShapes:
     def test_two_types_nine_shapes(self):
         # threshold 2: counts 0, 1 and "2 or more" on both types
-        tp = TypePartition(((0, 1, 2), tuple(range(3, 13))), frozenset(), "nd")
-        shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1, 0))
+        tp = TypePartition(((0, 1, 2), tuple(range(3, 13))), frozenset())
+        shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1))
         assert [s.per_type for s in shapes] == [
             (a, b) for a in range(3) for b in range(3)
         ]
 
     def test_singleton_type(self):
-        tp = TypePartition(((0,),), frozenset(), "nd")
-        shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1, 0))
+        tp = TypePartition(((0,),), frozenset())
+        shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1))
         assert [s.per_type for s in shapes] == [(0,), (1,)]
 
     def test_empty_graph_single_shape(self):
-        tp = TypePartition((), frozenset(), "nd")
-        assert enumerate_shapes(tp, FormulaStats(0, 1, 1, 0)) == [Shape(())]
+        tp = TypePartition((), frozenset())
+        assert enumerate_shapes(tp, FormulaStats(0, 1, 1)) == [Shape(())]
 
-    def test_budget(self):
-        tp = TypePartition(tuple((i,) for i in range(40)), frozenset(), "nd")
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(partitioning, "DEFAULT_SHAPE_BUDGET", 1000)
+        tp = TypePartition(tuple((i,) for i in range(40)), frozenset())
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_shapes(tp, FormulaStats(0, 1, 1, 0), shape_budget=1000)
+            enumerate_shapes(tp, FormulaStats(0, 1, 1))
         # 40 singleton types, each count 0 or 1
         assert (err.value.kind, err.value.limit, err.value.used) == ("shapes", 1000, 2 ** 40)
 
     def test_counts_stop_at_the_type_size(self):
-        tp = TypePartition(((0,), (1, 2, 3)), frozenset(), "nd")
-        shapes = enumerate_shapes(tp, FormulaStats(0, 2, 1, 0))  # threshold 4
+        tp = TypePartition(((0,), (1, 2, 3)), frozenset())
+        shapes = enumerate_shapes(tp, FormulaStats(0, 2, 1))  # threshold 4
         assert [s.per_type for s in shapes] == [
             (a, b) for a in range(2) for b in range(4)
         ]
@@ -159,9 +160,7 @@ class TestShapeSatisfies:
             # the library lists types by first member; a partition listed
             # the other way round must be read just as well
             last = tp.count - 1
-            flipped = TypePartition(
-                tp.types[::-1], frozenset(last - t for t in tp.cover_types), tp.mode
-            )
+            flipped = TypePartition(tp.types[::-1], frozenset(last - t for t in tp.cover_types))
             for types in (tp, flipped):
                 for phi in (INDEP, CLIQUE, DOMINATING, INDUCED_P3):
                     stats = analyze(phi)
@@ -169,7 +168,7 @@ class TestShapeSatisfies:
                     assert check.typed
                     for s in enumerate_shapes(types, stats):
                         rep = partitioning.shape_representative(g, types, s, stats)
-                        want = mso_check(g.induced(rep)[0], phi, method="table")
+                        want = table_eval.evaluate_sentence(g.induced(rep)[0], phi.body)
                         assert check.decide(s) == want, (s, types, g.edges)
                         checked += 1
         assert checked > 1000

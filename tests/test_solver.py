@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardmso import corpus, ilp, oracle, solver, table_eval
+from cardmso import corpus, ilp, oracle, partitioning, solver, table_eval
 from cardmso.balanced import cbalanced
 from cardmso.errors import BudgetExceeded, CoverBudgetExceeded, WitnessError
 from cardmso.formula import (
@@ -16,7 +16,8 @@ from cardmso.formula import (
 )
 from cardmso.graph import Graph, VertexCover, min_vertex_cover, type_partition
 from cardmso.mso_eval import PrefixAssignment, reduce_graph, satisfying_prefix_assignments
-from cardmso.solver import _Pipeline, build_extension_ilp, check, extract_witness
+from cardmso.partitioning import PartitionInstance, mso_partition
+from cardmso.solver import _Pipeline, _build_instance, check, extract_witness
 from conftest import (
     assert_witness_valid, complete_bipartite, complete_graph, cycle_graph,
     path_graph, planted_cover, random_graph, star_graph, twin_class_graph,
@@ -25,6 +26,15 @@ from conftest import (
 
 def edgeless(n: int) -> Graph:
     return Graph.from_edges(n, [])
+
+
+def extension_program(g: Graph, f, chi: PrefixAssignment, alpha) -> ilp.ILPInstance:
+    """The pipeline's extension program for an assignment chi of its reduced
+    graph under the pre-evaluation alpha."""
+    pipeline = _Pipeline(g, f)
+    counts = full_counts(pipeline.rg.types, f.m, chi)
+    alpha_index = sum((not a) << i for i, a in enumerate(alpha))
+    return _build_instance(pipeline.cols, tuple(counts), alpha_index)
 
 
 class TestBuildExtensionIlp:
@@ -43,7 +53,7 @@ class TestBuildExtensionIlp:
 
     def test_alpha_true_structure_and_feasibility(self):
         g, f, stats, tp, rg, chi = self._setup()
-        inst = build_extension_ilp(g, tp, chi, (True,), f, stats)
+        inst = extension_program(g, f, chi, (True,))
         assert [v[0] for v in inst.variables] == ["x_t0_s0", "x_t0_s1"]
         group1 = [r for r in inst.rows if len(r.coeffs) == 2 and r.relation == ilp.EQ]
         assert group1[0].rhs == 5
@@ -54,7 +64,7 @@ class TestBuildExtensionIlp:
 
     def test_alpha_false_is_infeasible(self):
         g, f, stats, tp, rg, chi = self._setup()
-        inst = build_extension_ilp(g, tp, chi, (False,), f, stats)
+        inst = extension_program(g, f, chi, (False,))
         # the reversed constraint demands |Z1| >= 1 against the pinned 0
         assert ilp.solve_feasibility(inst).status == "infeasible"
 
@@ -65,7 +75,7 @@ class TestBuildExtensionIlp:
         tp = type_partition(g, min_vertex_cover(g, 4))
         rg = reduce_graph(g, tp, stats)
         chi = PrefixAssignment((frozenset(), frozenset()))
-        inst = build_extension_ilp(g, tp, chi, (True, True), f, stats)
+        inst = extension_program(g, f, chi, (True, True))
         assert len(inst.variables) == tp.count * (1 << f.m)
 
     def test_lemma_instance_for_c6_bipartite(self):
@@ -76,7 +86,7 @@ class TestBuildExtensionIlp:
         tp = type_partition(g, min_vertex_cover(g, 6))
         rg = reduce_graph(g, tp, stats)
         chi = PrefixAssignment((frozenset({0, 2, 4}), frozenset({1, 3, 5})))
-        inst = build_extension_ilp(g, tp, chi, (True, True), f, stats)
+        inst = extension_program(g, f, chi, (True, True))
         assert ilp.solve_feasibility(inst).status == "feasible"
 
 
@@ -843,3 +853,20 @@ def test_check_survives_relabelling_and_modes_agree(n):
             assert check(g, f, mode="nd").holds == want
             if want:
                 assert_witness_valid(g, f, verdict)
+
+
+def test_elapsed_covers_the_whole_call(monkeypatch):
+    # the cover search comes before the types, the reduction and the work
+    # pairs: a clock started later misses it
+    cover = solver.min_vertex_cover
+
+    def slow_cover(*args):
+        time.sleep(0.05)
+        return cover(*args)
+
+    monkeypatch.setattr(solver, "min_vertex_cover", slow_cover)
+    monkeypatch.setattr(partitioning, "min_vertex_cover", slow_cover)
+    assert check(cycle_graph(4), parse_formula(corpus.bipartite_equal())).stats.elapsed >= 0.05
+    assert cbalanced(path_graph(4), 2).stats.elapsed >= 0.05
+    inst = PartitionInstance(parse_formula(corpus.independence_body()), 2)
+    assert mso_partition(cycle_graph(4), inst).stats.elapsed >= 0.05

@@ -160,15 +160,19 @@ def test_edge_clause_stays_factored(monkeypatch, rng):
     assert requests[:-1] and max(requests[:-1]) <= 1 << 10
 
 
-def test_joint_tables_are_charged():
+def test_joint_tables_are_charged(monkeypatch):
+    def with_budget(cells, *args):
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", cells)
+        return table_eval.prefix_table(*args)
+
     g = cycle_graph(6)
     # the final join: (2^6)^3 cells against a budget one cell short
     clause = _edge_clause()
     prefix = ("P1", "P2", "P3")
     with pytest.raises(BudgetExceeded) as err:
-        table_eval.prefix_table(g, clause, prefix, cell_budget=(1 << 6) ** 3 - 1)
+        with_budget((1 << 6) ** 3 - 1, g, clause, prefix)
     assert err.value.kind == "mso-cells"
-    table = table_eval.prefix_table(g, clause, prefix, cell_budget=(1 << 6) ** 3)
+    table = with_budget((1 << 6) ** 3, g, clause, prefix)
     assert np.array_equal(table, oracle_table(g, clause, prefix))
     # a join inside `exists T` spans T, X, Y and Z: (2^3)^4 cells, while the
     # final table over X, Y and Z has (2^3)^3
@@ -180,15 +184,16 @@ def test_joint_tables_are_charged():
     )
     p3 = path_graph(3)
     with pytest.raises(BudgetExceeded):
-        table_eval.prefix_table(p3, body, prefix, cell_budget=8 ** 4 - 1)
-    table = table_eval.prefix_table(p3, body, prefix, cell_budget=8 ** 4)
+        with_budget(8 ** 4 - 1, p3, body, prefix)
+    table = with_budget(8 ** 4, p3, body, prefix)
     assert np.array_equal(table, oracle_table(p3, body, prefix))
 
 
-def test_cell_refusal_reports_the_request():
+def test_cell_refusal_reports_the_request(monkeypatch):
+    monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 1000)
     g = cycle_graph(6)
     with pytest.raises(BudgetExceeded) as err:
-        table_eval.prefix_table(g, _edge_clause(), ("P1", "P2", "P3"), cell_budget=1000)
+        table_eval.prefix_table(g, _edge_clause(), ("P1", "P2", "P3"))
     # the clause stays factored, so the first request past 1000 cells is the
     # final join over three 2^6-subset axes
     assert (err.value.kind, err.value.limit, err.value.used) == ("mso-cells", 1000, 1 << 18)

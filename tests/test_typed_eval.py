@@ -178,13 +178,15 @@ def test_filter_yields_the_unfiltered_states_in_order(g, cover_types, prefix_bod
 
 # ---------------------------------------------------------- table cells
 
-def table_cells(g: Graph, prefix, body, step: int = 1 << 16) -> np.ndarray:
+def table_cells(g: Graph, prefix, body, step: int = table_eval.SLICE_CELLS) -> np.ndarray:
     """table_eval.allowed_cells on the filter's split of body (every
-    signature allowed when no conjunct is vertex-local), all slices joined."""
+    signature allowed when no conjunct is vertex-local), all slices of at
+    most step cells joined."""
     allowed, rest = _local_split(prefix, body)
     if allowed is None:
         allowed = frozenset(range(1 << len(prefix)))
-    slices = table_eval.allowed_cells(g, rest, prefix, allowed, step)
+    with mock.patch.object(table_eval, "SLICE_CELLS", step):
+        slices = list(table_eval.allowed_cells(g, rest, prefix, allowed))
     return np.concatenate([np.zeros(0, dtype=np.int64), *slices])
 
 

@@ -14,7 +14,7 @@ from .graph import (
     Graph, TypePartition, VertexCover, format_graph, min_vertex_cover,
     nd_partition, parse_graph, type_partition,
 )
-from .ilp import ILPInstance, ILPResult, Row, solve_feasibility, solve_min
+from .ilp import ILPResult, Program, solve_feasibility, solve_min
 from .mso_eval import (
     PrefixAssignment, ReducedGraph, mso_check, reduce_graph,
     satisfying_prefix_assignments,
@@ -28,10 +28,10 @@ from .solver import SolveStats, Verdict, check, extract_witness
 __all__ = [
     "BalancedResult", "BudgetExceeded", "CardMSOError", "CoverBudgetExceeded",
     "Formula", "FormulaStats", "FormulaStructureError", "FormulaSyntaxError",
-    "Graph", "GraphFormatError", "ILPInstance", "ILPResult",
+    "Graph", "GraphFormatError", "ILPResult",
     "InvalidCoverError", "LinearConstraint", "PartitionInstance",
-    "PartitionVerdict", "PreEvaluation", "PrefixAssignment", "ReducedGraph",
-    "Row", "Shape", "SolveStats", "TypePartition", "Verdict", "VertexCover",
+    "PartitionVerdict", "PreEvaluation", "PrefixAssignment", "Program", "ReducedGraph",
+    "Shape", "SolveStats", "TypePartition", "Verdict", "VertexCover",
     "WitnessError", "analyze", "cbalanced", "check",
     "enumerate_shapes", "extract_witness", "format_formula", "format_graph",
     "generate_equitable_formula", "min_vertex_cover", "mso_check",

@@ -38,11 +38,11 @@ class _Dumper:
         self.count = 0
         self.path.write_text("")
 
-    def __call__(self, instance: ilp.ILPInstance) -> None:
+    def __call__(self, program: ilp.Program) -> None:
         self.count += 1
         with self.path.open("a") as handle:
             handle.write(f"# instance {self.count}\n")
-            handle.write(ilp.format_instance(instance))
+            handle.write(program.format())
 
 
 def _add_input(p: argparse.ArgumentParser, problem: str) -> None:

@@ -5,9 +5,9 @@ Depth-first branch and bound over integer domains with interval constraint
 propagation before every branch. Branching picks the variable with the
 smallest remaining domain and tries values lowest-first, so witnesses are
 deterministic. Strict inequalities are never stored; callers encode a > b as
-a >= b + 1. The search runs over a Program (<= rows over variable indices),
-compiled once and re-solved under new bounds or objectives by _replace; an
-ILPInstance is compiled on entry.
+a >= b + 1. A Program is the one form of an integer program: Program.build
+compiles rows over variable indices into <= rows once, and the program is
+re-solved under new bounds or objectives by _replace.
 
 Propagation is event-driven: a first-in-first-out queue holds each row at
 most once, the root queues every row and a child only the rows of the
@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import le, sub
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,57 +63,9 @@ _RELATIONS = (LE, EQ, GE)
 
 
 @dataclass(frozen=True)
-class Row:
-    coeffs: tuple[tuple[str, int], ...]  # (variable, coefficient), names unique
-    relation: str
-    rhs: int
-
-    @classmethod
-    def of(cls, coeffs: Mapping[str, int], relation: str, rhs: int) -> "Row":
-        if relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}")
-        items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-        return cls(items, relation, rhs)
-
-
-@dataclass(frozen=True)
-class ILPInstance:
-    variables: tuple[tuple[str, int, int], ...]  # (name, lower, upper)
-    rows: tuple[Row, ...]
-    objective: Optional[tuple[tuple[str, int], ...]] = None  # minimise
-
-    def __post_init__(self):
-        names = {v for v, _, _ in self.variables}
-        if len(names) != len(self.variables):
-            raise ValueError("duplicate variable names")
-        for v, lo, hi in self.variables:
-            if lo > hi:
-                raise ValueError(f"variable {v!r} has empty domain [{lo},{hi}]")
-        for row in self.rows:
-            for v, _ in row.coeffs:
-                if v not in names:
-                    raise ValueError(f"row references undeclared variable {v!r}")
-        if self.objective is not None:
-            for v, _ in self.objective:
-                if v not in names:
-                    raise ValueError(f"objective references undeclared variable {v!r}")
-
-    @classmethod
-    def build(cls, variables, rows, objective: Mapping[str, int] | None = None):
-        var_tuple = tuple((str(n), int(lo), int(hi)) for n, lo, hi in variables)
-        row_tuple = tuple(
-            r if isinstance(r, Row) else Row.of(r[0], r[1], r[2]) for r in rows
-        )
-        obj = None
-        if objective is not None:
-            obj = tuple(sorted((v, c) for v, c in objective.items() if c != 0))
-        return cls(var_tuple, row_tuple, obj)
-
-
-@dataclass(frozen=True)
 class ILPResult:
     status: str  # "feasible" | "infeasible" | "optimal"
-    assignment: Optional[dict[str, int]] = None
+    assignment: Optional[tuple[int, ...]] = None  # in variable order
     objective_value: Optional[int] = None
     nodes: int = 0
     lp_refuted: bool = False  # closed at the root by a Farkas certificate
@@ -124,11 +76,16 @@ def _le_row(terms, rhs: int) -> tuple:
     return tuple((i, c) for i, c in terms if c > 0), tuple((i, c) for i, c in terms if c < 0), rhs
 
 
+def _format_terms(names: Sequence[str], terms) -> str:
+    return " + ".join(f"{c}*{names[i]}" for i, c in terms) or "0"
+
+
 class Program(NamedTuple):
-    """An instance compiled for the search: <= rows (pos, neg, rhs) over variable
-    indices, an equality as two rows and a >= row negated. var_rows[i] lists the
-    rows over two or more variables that read variable i (a row over one variable
-    is applied at the root only: bounds only shrink below it)."""
+    """An integer program as the search runs it: <= rows (pos, neg, rhs) over
+    variable indices, an equality as two rows and a >= row negated.
+    var_rows[i] lists the rows over two or more variables that read variable
+    i (a row over one variable is applied at the root only: bounds only
+    shrink below it)."""
 
     names: tuple[str, ...]
     lo: Sequence[int]
@@ -138,23 +95,39 @@ class Program(NamedTuple):
     objective: Optional[tuple[tuple[int, int], ...]]  # (index, coefficient), minimise
 
     @classmethod
-    def of(cls, inst: ILPInstance) -> "Program":
-        index = {name: i for i, (name, _, _) in enumerate(inst.variables)}
-        rows = []
-        for row in inst.rows:
-            terms = [(index[v], c) for v, c in row.coeffs]
-            if row.relation in (LE, EQ):
-                rows.append(_le_row(terms, row.rhs))
-            if row.relation in (GE, EQ):
-                rows.append(_le_row([(i, -c) for i, c in terms], -row.rhs))
-        var_rows: list[list[int]] = [[] for _ in index]
-        for r, (pos, neg, _) in enumerate(rows):
+    def build(
+        cls,
+        names: Sequence[str],
+        lo: Sequence[int],
+        hi: Sequence[int],
+        rows,
+        objective: Optional[Sequence[tuple[int, int]]] = None,
+    ) -> "Program":
+        """Compile rows (((index, coefficient), ...), LE | EQ | GE, rhs) over
+        the variables names[i] in [lo[i], hi[i]]; zero coefficients are
+        dropped, and the objective, if any, is minimised."""
+        for name, a, b in zip(names, lo, hi):
+            if a > b:
+                raise ValueError(f"variable {name!r} has empty domain [{a},{b}]")
+        compiled = []
+        for terms, relation, rhs in rows:
+            if relation not in _RELATIONS:
+                raise ValueError(f"relation must be one of {_RELATIONS}")
+            if relation in (LE, EQ):
+                compiled.append(_le_row(terms, rhs))
+            if relation in (GE, EQ):
+                compiled.append(_le_row([(i, -c) for i, c in terms], -rhs))
+        var_rows: list[list[int]] = [[] for _ in names]
+        for r, (pos, neg, _) in enumerate(compiled):
             if len(pos) + len(neg) > 1:
                 for i, _ in pos + neg:
                     var_rows[i].append(r)
-        objective = inst.objective and tuple((index[v], c) for v, c in inst.objective)
-        lo, hi = [v[1] for v in inst.variables], [v[2] for v in inst.variables]
-        return cls(tuple(index), lo, hi, tuple(rows), tuple(map(tuple, var_rows)), objective)
+        if objective is not None:
+            objective = tuple((i, c) for i, c in objective if c)
+        return cls(
+            tuple(names), list(lo), list(hi), tuple(compiled),
+            tuple(map(tuple, var_rows)), objective,
+        )
 
     def holds(self, x: Sequence[int]) -> bool:
         """Is x inside the bounds and on the right side of every row?"""
@@ -162,19 +135,16 @@ class Program(NamedTuple):
             sum(c * x[i] for i, c in pos + neg) <= rhs for pos, neg, rhs in self.rows
         )
 
-
-def format_instance(inst: ILPInstance) -> str:
-    """Debug dump: one line per constraint `<coef>*<var> ... <rel> <rhs>`."""
-    lines = []
-    for name, lo, hi in inst.variables:
-        lines.append(f"# var {name} in [{lo}, {hi}]")
-    if inst.objective is not None:
-        terms = " + ".join(f"{c}*{v}" for v, c in inst.objective) or "0"
-        lines.append(f"# minimize {terms}")
-    for row in inst.rows:
-        terms = " + ".join(f"{c}*{v}" for v, c in row.coeffs) or "0"
-        lines.append(f"{terms} {row.relation} {row.rhs}")
-    return "\n".join(lines) + "\n"
+    def format(self) -> str:
+        """Debug dump: a `# var <name> in [lo, hi]` line per variable, the
+        objective, if any, as `# minimize ...`, then one line
+        `<coef>*<var> + ... <= <rhs>` per row as the search runs it."""
+        lines = [f"# var {name} in [{a}, {b}]" for name, a, b in zip(self.names, self.lo, self.hi)]
+        if self.objective is not None:
+            lines.append(f"# minimize {_format_terms(self.names, self.objective)}")
+        for pos, neg, rhs in self.rows:
+            lines.append(f"{_format_terms(self.names, pos + neg)} <= {rhs}")
+        return "\n".join(lines) + "\n"
 
 
 def farkas_multipliers(rows: list, lo: list[int], hi: list[int]) -> Optional[list[int]]:
@@ -412,32 +382,26 @@ class _Search:
 def _result(search: _Search, optimal: bool) -> ILPResult:
     if search.best_assignment is None:
         return ILPResult("infeasible", nodes=search.nodes, lp_refuted=search.lp_refuted)
-    program = search.program
-    assert program.holds(search.best_assignment), "solver returned invalid assignment"
-    assignment = dict(zip(program.names, search.best_assignment))
+    assert search.program.holds(search.best_assignment), "solver returned invalid assignment"
     status = "optimal" if optimal else "feasible"  # best_value is None without an objective
-    return ILPResult(status, assignment, search.best_value, search.nodes)
+    return ILPResult(status, tuple(search.best_assignment), search.best_value, search.nodes)
 
 
-def solve_feasibility(
-    inst: ILPInstance | Program, node_budget: int = DEFAULT_NODE_BUDGET
-) -> ILPResult:
+def solve_feasibility(program: Program, node_budget: int = DEFAULT_NODE_BUDGET) -> ILPResult:
     """Exact feasibility with a witness, or infeasible."""
-    program = inst if isinstance(inst, Program) else Program.of(inst)
     search = _Search(program._replace(objective=None), node_budget)
     search.run()
     return _result(search, optimal=False)
 
 
 def solve_min(
-    inst: ILPInstance | Program,
+    program: Program,
     node_budget: int = DEFAULT_NODE_BUDGET,
     below: Optional[int] = None,
 ) -> ILPResult:
     """Exact minimisation of the objective, or infeasible. With `below`, only
     solutions whose objective is < below count: the result is the minimum
     when it is below that cut-off and infeasible otherwise."""
-    program = inst if isinstance(inst, Program) else Program.of(inst)
     if program.objective is None:
         raise ValueError("solve_min requires an objective")
     search = _Search(program, node_budget, below)

@@ -62,18 +62,13 @@ def _as_sentence(f: Formula | Node) -> Node:
     return f
 
 
-def mso_check(
-    g: Graph,
-    f: Formula | Node,
-    fixed_sets: dict[str, frozenset[int]] | None = None,
-) -> bool:
-    """Exact truth of g |= f for a constraint-free sentence; fixed_sets binds
-    named set constants (used to re-check witnesses)."""
+def mso_check(g: Graph, f: Formula | Node) -> bool:
+    """Exact truth of g |= f for a constraint-free sentence."""
     node = _as_sentence(f)
     has_sets = any(isinstance(sub, Quant) and sub.sort == "set" for sub in walk(node))
     if has_sets and table_eval.estimate_worst_cells(g, node, ()) <= table_eval.DEFAULT_CELL_BUDGET:
-        return table_eval.evaluate_sentence(g, node, fixed_sets)
-    return TypedEvaluator(g, None, fixed_sets).check(node)
+        return table_eval.evaluate_sentence(g, node)
+    return TypedEvaluator(g).check(node)
 
 
 def satisfying_prefix_assignments(

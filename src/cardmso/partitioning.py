@@ -168,24 +168,19 @@ def mso_partition(
     # per type, the parts take at least their counts (fit) and together
     # cover the type (demand), where a part at the threshold can take all
     small = fstats.small_threshold
-    variables = [(f"x_{i}", 0, inst.r) for i in range(len(satisfying))]
-    rows = [ilp.Row.of({f"x_{i}": 1 for i in range(len(satisfying))}, ilp.EQ, inst.r)]
+    count = len(satisfying)
+    rows = [(tuple((i, 1) for i in range(count)), ilp.EQ, inst.r)]
     for t, members in enumerate(tp.types):
         size = len(members)
-        fit = {}
-        demand = {}
-        for i, s in enumerate(satisfying):
-            want = s.per_type[t]
-            if want:
-                fit[f"x_{i}"] = want
-                demand[f"x_{i}"] = size if want == small else want
-        rows.append(ilp.Row.of(fit, ilp.LE, size))
-        rows.append(ilp.Row.of(demand, ilp.GE, size))
-    instance = ilp.ILPInstance.build(variables, rows)
+        fit = [(i, s.per_type[t]) for i, s in enumerate(satisfying) if s.per_type[t]]
+        rows.append((fit, ilp.LE, size))
+        rows.append(([(i, size if want == small else want) for i, want in fit], ilp.GE, size))
+    names = [f"x_{i}" for i in range(count)]
+    program = ilp.Program.build(names, [0] * count, [inst.r] * count, rows)
     if dump is not None:
-        dump(instance)
+        dump(program)
     stats.ilp_solves += 1
-    result = ilp.solve_feasibility(instance, node_budget)
+    result = ilp.solve_feasibility(program, node_budget)
     stats.ilp_nodes += result.nodes
     stats.ilp_lp_refutations += result.lp_refuted
     stats.elapsed = time.perf_counter() - start
@@ -202,15 +197,15 @@ def _reconstruct(
     g: Graph,
     tp: TypePartition,
     satisfying: list[Shape],
-    assignment: dict[str, int],
+    copies: tuple[int, ...],
     small: int,
 ) -> tuple[frozenset[int], ...]:
     """Build the parts: per type, each chosen shape copy takes its count;
     leftovers go to the lowest-indexed part whose count at that type is the
     threshold."""
     chosen: list[Shape] = []
-    for i, s in enumerate(satisfying):
-        chosen.extend([s] * assignment[f"x_{i}"])
+    for s, c in zip(satisfying, copies):
+        chosen.extend([s] * c)
     parts: list[set[int]] = [set() for _ in chosen]
     for t, members in enumerate(tp.types):
         queue = list(members)

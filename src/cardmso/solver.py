@@ -244,17 +244,21 @@ class _Columns:
             [1 << j for j in range(k)], dtype=np.int64 if k < 63 else object
         )
         self.sizes = np.repeat(type_sizes, 1 << m).tolist()  # type size per column
+        # each type's subtype counts add up to its size
         self.group1 = [
-            ilp.Row.of(dict.fromkeys(self.names[t << m : (t + 1) << m], 1), ilp.EQ, size)
+            (tuple((c, 1) for c in range(t << m, (t + 1) << m)), ilp.EQ, size)
             for t, size in enumerate(type_sizes)
         ]
         # per constraint: the row guessed true, and the reversed row
         self.group3 = []
         for coeffs, const in zip((self.sig_bits @ self.coeffs.T).T.tolist(), self.consts.tolist()):
-            terms = dict(zip(self.names, coeffs))
-            self.group3.append(
-                (ilp.Row.of(terms, ilp.LE, const), ilp.Row.of(terms, ilp.GE, const + 1))
-            )
+            terms = tuple(enumerate(coeffs))
+            self.group3.append(((terms, ilp.LE, const), (terms, ilp.GE, const + 1)))
+
+    def upper(self, counts: Sequence[int]) -> list[int]:
+        """Upper bounds of a row's extension: a count below the threshold
+        pins its variable, any other is a lower bound."""
+        return [c if c < self.small else size for c, size in zip(counts, self.sizes)]
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -275,25 +279,18 @@ def _count_rows(columns: np.ndarray, width: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=len(columns) * width).reshape(len(columns), width)
 
 
-def _build_instance(
+def _build_program(
     cols: _Columns,
     counts: tuple[int, ...],
     alpha_index: int,
-    objective: Optional["BetaObjective"] = None,
-) -> ilp.ILPInstance:
-    # a count below the threshold pins its variable, any other is a lower bound
-    variables = [
-        (name, c, c if c < cols.small else size)
-        for name, c, size in zip(cols.names, counts, cols.sizes)
-    ]
+    weights: Optional[tuple[tuple[int, int], ...]] = None,
+) -> ilp.Program:
+    """The extension program of a count row under a pre-evaluation, over the
+    count columns; weights, if any, are its objective."""
     rows = list(cols.group1)
     for j, (guessed_true, reversed_row) in enumerate(cols.group3):
         rows.append(reversed_row if (alpha_index >> j) & 1 else guessed_true)
-    obj = None
-    if objective is not None:
-        # the cut less its constant part
-        obj = {cols.names[column]: weight for column, weight in objective.augment(counts)[1]}
-    return ilp.ILPInstance.build(variables, rows, obj)
+    return ilp.Program.build(cols.names, counts, cols.upper(counts), rows, weights)
 
 
 class _Pipeline:
@@ -304,7 +301,7 @@ class _Pipeline:
         mode: str = "vertex-cover",
         k_max: int = DEFAULT_K_MAX,
         node_budget: int = ilp.DEFAULT_NODE_BUDGET,
-        dump: Optional[Callable[[ilp.ILPInstance], None]] = None,
+        dump: Optional[Callable[[ilp.Program], None]] = None,
     ):
         self.g = g
         self.f = f
@@ -459,9 +456,9 @@ class _Pipeline:
         Without slack the row is its own and only extension, and the pair's
         alpha is the row's own pre-evaluation."""
         self.stats.ilp_solves += 1
-        if self.dump is not None:
-            self.dump(_build_instance(self.cols, counts, alpha_index, objective))
         const0, weights = objective.augment(counts) if objective is not None else (0, None)
+        if self.dump is not None:
+            self.dump(_build_program(self.cols, counts, alpha_index, weights))
         if self.slack == 0:
             value = None if weights is None else const0 + sum(w * counts[col] for col, w in weights)
             if below is not None and value >= below:
@@ -469,13 +466,10 @@ class _Pipeline:
             return True, counts, value
         program = self._programs.get(alpha_index)
         if program is None:
-            program = self._programs[alpha_index] = ilp.Program.of(
-                _build_instance(self.cols, counts, alpha_index)
-            )
-        # bounds as in _build_instance; the count columns are the program's
-        # variable indices, so the weights are its objective as they stand
-        hi = [c if c < self.cols.small else size for c, size in zip(counts, self.cols.sizes)]
-        program = program._replace(lo=counts, hi=hi, objective=weights)
+            program = self._programs[alpha_index] = _build_program(self.cols, counts, alpha_index)
+        # the weights (the cut less its constant part) are over the count
+        # columns, which are the program's variable indices
+        program = program._replace(lo=counts, hi=self.cols.upper(counts), objective=weights)
         if weights is None:
             res = ilp.solve_feasibility(program, self.node_budget)
         else:
@@ -484,8 +478,7 @@ class _Pipeline:
         self.stats.ilp_lp_refutations += res.lp_refuted
         if res.status == "infeasible":
             return False, None, None
-        counts = tuple(res.assignment[name] for name in self.cols.names)
-        return True, counts, None if weights is None else const0 + res.objective_value
+        return True, res.assignment, None if weights is None else const0 + res.objective_value
 
     # ------------------------------------------------------------- main loop
 
@@ -645,7 +638,7 @@ def check(
     mode: str = "vertex-cover",
     k_max: int = DEFAULT_K_MAX,
     node_budget: int = ilp.DEFAULT_NODE_BUDGET,
-    dump: Optional[Callable[[ilp.ILPInstance], None]] = None,
+    dump: Optional[Callable[[ilp.Program], None]] = None,
 ) -> Verdict:
     """Does g model the sentence? Exact; witness returned when it holds."""
     start = time.perf_counter()

@@ -30,9 +30,9 @@ conjunction; `exists X` joins only the factors that span X into one array
 and folds that. A fold is a bitwise AND (forall) or OR (exists) reduction
 over the axis; on axis 0 the reduced byte is then tested for all bits or any
 bit and spread back to 0x00 or 0xFF. A disjunction and `<->` join each side
-into one array. An operand without free set variables (adj, `=`, fixed
-sets) is evaluated first: its scalar decides the node or drops the operand.
-The one table over every prefix variable is joined once, at the end of
+into one array. An operand without free set variables (adj, `=`) is
+evaluated first: its scalar decides the node or drops the operand. The one
+table over every prefix variable is joined once, at the end of
 prefix_table, and unpacked into a bool table there.
 
 Vertex variables are never axes: a vertex quantifier loops over the domain
@@ -95,7 +95,6 @@ class TableEngine:
         g: Graph,
         root: Node,
         free_sets: tuple[str, ...] = (),
-        fixed_sets: dict[str, frozenset[int]] | None = None,
     ):
         self.g = g
         self.n = g.n
@@ -103,9 +102,8 @@ class TableEngine:
         # bytes on the packed axis 0
         self.width = max(1, self.subsets >> 3)
         self.cell_budget = DEFAULT_CELL_BUDGET
-        self.fixed_sets = fixed_sets or {}
 
-        order = [v for v in set_vars(root, free_sets) if v not in self.fixed_sets]
+        order = set_vars(root, free_sets)
         self.axis = {v: i for i, v in enumerate(order)}
         self.naxes = len(order)
 
@@ -115,9 +113,6 @@ class TableEngine:
         self.adj = np.zeros((g.n, g.n), dtype=bool)
         for a, b in g.edges:
             self.adj[a, b] = self.adj[b, a] = True
-        self._fixed_masks = {
-            name: sum(1 << x for x in vs) for name, vs in self.fixed_sets.items()
-        }
         # packed -> the set-equality identity over two set axes
         self._identities: dict[bool, np.ndarray] = {}
         # shared arrays are read-only, so no in-place update can reach them
@@ -170,9 +165,8 @@ class TableEngine:
         return column.reshape(shape)
 
     def _free_sets(self, node: Node) -> frozenset[str]:
-        """Set variables free in node, fixed sets excepted."""
-        free = free_vars(node, self._free_memo)[0]
-        return free.difference(self.fixed_sets) if self.fixed_sets else free
+        """Set variables free in node."""
+        return free_vars(node, self._free_memo)[0]
 
     # ----------------------------------------------------------------- factors
 
@@ -263,11 +257,8 @@ class TableEngine:
         if isinstance(node, ConstraintRef):
             raise ValueError("table evaluation requires a constraint-free body")
         if isinstance(node, Member):
-            v = venv[node.vertex]
-            if node.set in self.fixed_sets:
-                return self._scalar(bool((self._fixed_masks[node.set] >> v) & 1) != negate)
             ax = self.axis[node.set]
-            column = self._place1(self._membership(v, ax == 0), node.set)
+            column = self._place1(self._membership(venv[node.vertex], ax == 0), node.set)
             if negate:
                 self._charge(self.subsets)
                 column = ~column
@@ -359,20 +350,8 @@ class TableEngine:
         return self._add(out, span & ~bit, self._fold(table, ax, False))
 
     def _set_eq(self, node: SetEq, negate: bool) -> Factors:
-        a_fixed = node.a in self.fixed_sets
-        b_fixed = node.b in self.fixed_sets
         if node.a == node.b:
             return self._scalar(not negate)
-        if a_fixed and b_fixed:
-            same = self._fixed_masks[node.a] == self._fixed_masks[node.b]
-            return self._scalar(same != negate)
-        if a_fixed or b_fixed:
-            fixed, free = (node.a, node.b) if a_fixed else (node.b, node.a)
-            self._charge(self.subsets)
-            bits = np.full(self.subsets, negate, dtype=bool)
-            bits[self._fixed_masks[fixed]] = not negate
-            column = self._layout(bits, self.axis[free] == 0)
-            return {1 << self.axis[free]: self._place1(column, free)}
         self._charge(self.subsets * self.subsets)
         low, high = sorted((self.axis[node.a], self.axis[node.b]))
         identity = self._identities.get(low == 0)
@@ -385,34 +364,24 @@ class TableEngine:
         return {(1 << low) | (1 << high): ~table if negate else table}
 
 
-def evaluate_sentence(
-    g: Graph,
-    node: Node,
-    fixed_sets: dict[str, frozenset[int]] | None = None,
-) -> bool:
-    """Truth of a closed formula (all variables quantified or fixed)."""
-    engine = TableEngine(g, node, (), fixed_sets)
+def evaluate_sentence(g: Graph, node: Node) -> bool:
+    """Truth of a closed formula."""
+    engine = TableEngine(g, node)
     factors = engine.eval(node, {})
     if any(table.size != 1 for table in factors.values()):
         raise ValueError("sentence has free variables")
     return bool(engine._join(factors)[1].reshape(-1)[0])
 
 
-def prefix_table(
-    g: Graph,
-    body: Node,
-    prefix: tuple[str, ...],
-    fixed_sets: dict[str, frozenset[int]] | None = None,
-) -> np.ndarray:
-    """Truth table of the body over the prefix set variables (any fixed_sets
-    are bound as constants instead of getting axes).
+def prefix_table(g: Graph, body: Node, prefix: tuple[str, ...]) -> np.ndarray:
+    """Truth table of the body over the prefix set variables.
 
     Shape is (2^n,) * m with the first prefix variable on the first axis, so
     flat C-order enumerates assignments with the last variable as the fastest
     binary counter. The body's factors are joined into this one table last,
     which is unpacked into bools once.
     """
-    engine = TableEngine(g, body, tuple(prefix), fixed_sets)
+    engine = TableEngine(g, body, tuple(prefix))
     m = len(prefix)
     factors = engine.eval(body, {})
     engine._charge(engine.subsets ** m)
@@ -489,8 +458,9 @@ def estimate_worst_cells(
 ) -> int:
     """Upper bound on the largest table the engine would materialise: the
     product of subset-domain sizes over the largest simultaneously-live set
-    of set variables (vertex variables are looped and fixed sets are bound
-    as constants, so neither is materialised)."""
+    of set variables, less the ones named in `fixed` (vertex variables are
+    looped, so never materialised). The solver passes the prefix as `fixed`
+    and bounds the prefix's own table separately."""
     set_dim = 1 << g.n
     cap = 1 << 62
 

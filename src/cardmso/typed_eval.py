@@ -101,34 +101,17 @@ class TypedEvaluator:
         self,
         g: Graph,
         classes: list[tuple[int, ...]] | None = None,
-        fixed_sets: dict[str, frozenset[int]] | None = None,
         state_budget: int = DEFAULT_STATE_BUDGET,
     ):
         self.g = g
         self.state_budget = state_budget
         self.calls = 0
         self.leaves = 0  # candidate states satisfying_states evaluated
-        fixed_sets = fixed_sets or {}
-        self.fixed_names = tuple(sorted(fixed_sets))
 
         if classes is None:
             classes = list(nd_partition(g).types)
-        # refine by the fixed sets so class membership in them is uniform
-        refined: list[tuple[tuple[int, ...], tuple[bool, ...]]] = []
-        for members in classes:
-            buckets: dict[tuple[bool, ...], list[int]] = {}
-            for v in members:
-                key = tuple(v in fixed_sets[name] for name in self.fixed_names)
-                buckets.setdefault(key, []).append(v)
-            for key in sorted(buckets):
-                refined.append((tuple(sorted(buckets[key])), key))
-        refined.sort(key=lambda item: item[0][0])
-
-        self.base_members = tuple(m for m, _ in refined)
-        self.fixed_bits = tuple(
-            {name: bits[i] for i, name in enumerate(self.fixed_names)}
-            for _, bits in refined
-        )
+        # classes ordered by first member, each sorted (_ShapeCheck relies on it)
+        self.base_members = tuple(sorted(tuple(sorted(members)) for members in classes))
         self._validate_uniform()
 
         nb = len(self.base_members)
@@ -218,10 +201,8 @@ class TypedEvaluator:
         if isinstance(node, ConstraintRef):
             raise ValueError("typed evaluation requires a constraint-free body")
         if isinstance(node, Member):
-            base, sig = picks[self.vertex_pick[node.vertex]]
-            if node.set in self.set_bits:
-                return bool((sig >> self.set_bits[node.set]) & 1)
-            return self.fixed_bits[base][node.set]
+            _, sig = picks[self.vertex_pick[node.vertex]]
+            return bool((sig >> self.set_bits[node.set]) & 1)
         if isinstance(node, Adjacent):
             p, q = self.vertex_pick[node.a], self.vertex_pick[node.b]
             if p == q:
@@ -252,21 +233,11 @@ class TypedEvaluator:
             return got
         raise TypeError(f"unknown node {node!r}")
 
-    def _membership_bit(self, base: int, sig: int, name: str) -> bool:
-        if name in self.set_bits:
-            return bool((sig >> self.set_bits[name]) & 1)
-        return self.fixed_bits[base][name]
-
     def _set_eq(self, node: SetEq, classes, picks) -> bool:
-        if node.a == node.b:
-            return True
-        for base, sig, _count in classes:
-            if self._membership_bit(base, sig, node.a) != self._membership_bit(base, sig, node.b):
-                return False
-        for base, sig in picks:
-            if self._membership_bit(base, sig, node.a) != self._membership_bit(base, sig, node.b):
-                return False
-        return True
+        both = (1 << self.set_bits[node.a]) | (1 << self.set_bits[node.b])
+        return all(sig & both in (0, both) for _, sig, _ in classes) and all(
+            sig & both in (0, both) for _, sig in picks
+        )
 
     def _eval_quant(self, node: Quant, classes, picks) -> bool:
         want = node.quantifier == "exists"

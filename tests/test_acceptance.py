@@ -202,16 +202,16 @@ class TestAcceptance:
         rng = random.Random(0xACCE97)
         bad = 0
         for i in range(1000):
-            inst = random_instance(rng, with_objective=(i % 2 == 0))
-            want_feasible, want_min = grid_solve(inst)
-            if inst.objective is not None:
-                got = solve_min(inst)
+            spec = random_instance(rng, with_objective=(i % 2 == 0))
+            want_feasible, want_min = grid_solve(spec)
+            if spec.objective is not None:
+                got = solve_min(spec.program())
                 ok = (
                     (got.status == "optimal") == want_feasible
                     and (not want_feasible or got.objective_value == want_min)
                 )
             else:
-                got = solve_feasibility(inst)
+                got = solve_feasibility(spec.program())
                 ok = (got.status == "feasible") == want_feasible
             if not ok:
                 bad += 1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cardmso import cli, corpus
+from cardmso import cli, corpus, oracle
 from cardmso.cli import run
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
@@ -165,19 +165,19 @@ def test_json_witness_reverifies_with_oracle(files, capsys):
         "check", "--graph", files["c4.g"], "--formula", files["bipartite_equal.cms"], "--json",
     ])
     doc = json.loads(capsys.readouterr().out)
-    from cardmso.formula import parse_formula, pre_evaluate
+    from cardmso.formula import constraint_truths, parse_formula
     from cardmso.graph import parse_graph
-    from cardmso.mso_eval import mso_check
 
     g = parse_graph(C4)
     f = parse_formula(corpus.bipartite_equal())
     name_to_index = {name: i for i, name in enumerate(g.names)}
-    fixed = {
-        item["variable"]: frozenset(name_to_index[v] for v in item["vertices"])
+    masks = {
+        item["variable"]: sum(1 << name_to_index[v] for v in item["vertices"])
         for item in doc["witness"]
     }
-    body = pre_evaluate(f, tuple(doc["alpha"]))
-    assert mso_check(g, body.body, fixed_sets=fixed)
+    sizes = {name: mask.bit_count() for name, mask in masks.items()}
+    assert constraint_truths(f, sizes) == tuple(doc["alpha"])
+    assert oracle._LoopEval(g, f.constraints).eval(f.body, masks, {})
 
 
 def test_dump_ilp(files, tmp_path, capsys):
@@ -208,6 +208,48 @@ def test_dump_ilp_writes_one_program_per_solve(files, tmp_path, capsys, command)
     stats = json.loads(capsys.readouterr().out)["stats"]
     programs = dump.read_text().count("# instance ")
     assert programs == stats["ilp_solves"] > 0
+
+
+def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
+    # ids_k with k=9 holds on a star with 9 leaves: reduction keeps 4 leaves,
+    # so the witness's 9 comes out of the search over the last program dumped
+    from cardmso.formula import parse_formula
+    from cardmso.graph import min_vertex_cover, parse_graph, type_partition
+
+    star = "p 10 9\n" + "".join(f"e 1 {v}\n" for v in range(2, 11))
+    graph, dump = tmp_path / "star.g", tmp_path / "dump.txt"
+    graph.write_text(star)
+    code = run([
+        "check", "--graph", str(graph), "--formula", files["ids_k.cms"], "--param", "k=9",
+        "--dump-ilp", str(dump), "--json",
+    ])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["stats"]["reduced_vertices"] < 10
+    domains, rows = {}, []
+    for line in dump.read_text().split("# instance ")[-1].splitlines()[1:]:
+        if line.startswith("# var "):
+            name, bounds = line[len("# var "):].split(" in ")
+            domains[name] = json.loads(bounds)
+        else:
+            lhs, rhs = line.split(" <= ")
+            terms = [term.split("*") for term in lhs.split(" + ")] if lhs != "0" else []
+            rows.append(([(int(c), name) for c, name in terms], int(rhs)))
+    # the witness's count per (type, signature) column
+    g = parse_graph(star)
+    prefix = parse_formula(corpus.independent_dominating()).prefix
+    index = {name: i for i, name in enumerate(g.names)}
+    sets = {item["variable"]: {index[v] for v in item["vertices"]} for item in doc["witness"]}
+    counts = dict.fromkeys(domains, 0)
+    for t, members in enumerate(type_partition(g, min_vertex_cover(g)).types):
+        for v in members:
+            sig = sum(1 << i for i, name in enumerate(prefix) if v in sets[name])
+            counts[f"x_t{t}_s{sig}"] += 1
+    assert len(counts) == len(domains) and rows
+    assert max(hi - lo for lo, hi in domains.values()) > 0  # the search had room
+    for name, (lo, hi) in domains.items():
+        assert lo <= counts[name] <= hi, name
+    for terms, rhs in rows:
+        assert sum(c * counts[name] for c, name in terms) <= rhs
 
 
 def test_bad_graph_file_exit_two(tmp_path):

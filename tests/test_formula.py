@@ -161,7 +161,6 @@ def test_compliance_consistency_on_small_graphs(rng):
     # the numeric truth vector is the unique complying pre-evaluation:
     # body truth equals the pre-evaluated body truth under the same sets
     from cardmso import oracle
-    from cardmso.mso_eval import mso_check
     from conftest import random_graph
 
     f = parse_formula(corpus.bipartite_equal())
@@ -174,13 +173,12 @@ def test_compliance_consistency_on_small_graphs(rng):
             )
             sizes = {name: len(s) for name, s in zip(f.prefix, sets)}
             alpha = constraint_truths(f, sizes)
-            fixed = dict(zip(f.prefix, sets))
-            direct = mso_check(g, pre_evaluate(f, alpha).body, fixed_sets=fixed)
+            ev = oracle._LoopEval(g, f.constraints)
+            masks = {name: sum(1 << v for v in s) for name, s in zip(f.prefix, sets)}
+            direct = ev.eval(pre_evaluate(f, alpha).body, dict(masks), {})
             # flipping any guessed value must change compliance, so evaluating
             # under the flipped pre-evaluation cannot agree with direct
             # semantics when a constraint leaf is actually reachable
-            ev = oracle._LoopEval(g, f.constraints)
-            masks = {name: sum(1 << v for v in s) for name, s in zip(f.prefix, sets)}
             truth = ev.eval(f.body, dict(masks), {})
             assert truth == direct
 

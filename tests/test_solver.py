@@ -17,7 +17,7 @@ from cardmso.formula import (
 from cardmso.graph import Graph, VertexCover, min_vertex_cover, type_partition
 from cardmso.mso_eval import PrefixAssignment, reduce_graph, satisfying_prefix_assignments
 from cardmso.partitioning import PartitionInstance, mso_partition
-from cardmso.solver import _Pipeline, _build_instance, check, extract_witness
+from cardmso.solver import _Pipeline, _build_program, check, extract_witness
 from conftest import (
     assert_witness_valid, complete_bipartite, complete_graph, cycle_graph,
     path_graph, planted_cover, random_graph, star_graph, twin_class_graph,
@@ -28,13 +28,13 @@ def edgeless(n: int) -> Graph:
     return Graph.from_edges(n, [])
 
 
-def extension_program(g: Graph, f, chi: PrefixAssignment, alpha) -> ilp.ILPInstance:
+def extension_program(g: Graph, f, chi: PrefixAssignment, alpha) -> ilp.Program:
     """The pipeline's extension program for an assignment chi of its reduced
     graph under the pre-evaluation alpha."""
     pipeline = _Pipeline(g, f)
     counts = full_counts(pipeline.rg.types, f.m, chi)
     alpha_index = sum((not a) << i for i, a in enumerate(alpha))
-    return _build_instance(pipeline.cols, tuple(counts), alpha_index)
+    return _build_program(pipeline.cols, tuple(counts), alpha_index)
 
 
 class TestBuildExtensionIlp:
@@ -53,20 +53,22 @@ class TestBuildExtensionIlp:
 
     def test_alpha_true_structure_and_feasibility(self):
         g, f, stats, tp, rg, chi = self._setup()
-        inst = extension_program(g, f, chi, (True,))
-        assert [v[0] for v in inst.variables] == ["x_t0_s0", "x_t0_s1"]
-        group1 = [r for r in inst.rows if len(r.coeffs) == 2 and r.relation == ilp.EQ]
-        assert group1[0].rhs == 5
-        assert ("x_t0_s1", 0, 0) in inst.variables  # group 2: the pin is the domain
-        rows = [r for r in inst.rows if r.coeffs == (("x_t0_s1", 1),)]
-        assert any(r.relation == ilp.LE and r.rhs == 0 for r in rows)  # group 3
-        assert ilp.solve_feasibility(inst).status == "feasible"
+        program = extension_program(g, f, chi, (True,))
+        assert program.names == ("x_t0_s0", "x_t0_s1")
+        # group 1, the type sum as two rows; group 3, the constraint |Z1| <= 0
+        assert program.rows == (
+            (((0, 1), (1, 1)), (), 5), ((), ((0, -1), (1, -1)), -5), (((1, 1),), (), 0),
+        )
+        # group 2: the pin is the domain
+        assert (program.lo[1], program.hi[1]) == (0, 0)
+        assert ilp.solve_feasibility(program).status == "feasible"
 
     def test_alpha_false_is_infeasible(self):
         g, f, stats, tp, rg, chi = self._setup()
-        inst = extension_program(g, f, chi, (False,))
+        program = extension_program(g, f, chi, (False,))
         # the reversed constraint demands |Z1| >= 1 against the pinned 0
-        assert ilp.solve_feasibility(inst).status == "infeasible"
+        assert program.rows[-1] == ((), ((1, -1),), -1)
+        assert ilp.solve_feasibility(program).status == "infeasible"
 
     def test_variable_count_is_types_times_signatures(self):
         g = star_graph(4)
@@ -75,8 +77,8 @@ class TestBuildExtensionIlp:
         tp = type_partition(g, min_vertex_cover(g, 4))
         rg = reduce_graph(g, tp, stats)
         chi = PrefixAssignment((frozenset(), frozenset()))
-        inst = extension_program(g, f, chi, (True, True))
-        assert len(inst.variables) == tp.count * (1 << f.m)
+        program = extension_program(g, f, chi, (True, True))
+        assert len(program.names) == len(program.lo) == tp.count * (1 << f.m)
 
     def test_lemma_instance_for_c6_bipartite(self):
         # the 3+3 bipartition of C6 must extend
@@ -86,8 +88,8 @@ class TestBuildExtensionIlp:
         tp = type_partition(g, min_vertex_cover(g, 6))
         rg = reduce_graph(g, tp, stats)
         chi = PrefixAssignment((frozenset({0, 2, 4}), frozenset({1, 3, 5})))
-        inst = extension_program(g, f, chi, (True, True))
-        assert ilp.solve_feasibility(inst).status == "feasible"
+        program = extension_program(g, f, chi, (True, True))
+        assert ilp.solve_feasibility(program).status == "feasible"
 
 
 def full_counts(tp, m: int, chi: PrefixAssignment) -> list[int]:
@@ -783,7 +785,7 @@ def decided_units(monkeypatch) -> list:
 def test_decided_units_match_solving_the_built_instance(monkeypatch):
     # each work pair re-solves its pre-evaluation's compiled program under
     # the unit's bounds and objective; that must be what solving the pair's
-    # own instance gives
+    # own program, built afresh, gives
     calls = decided_units(monkeypatch)
     # the cover vertex has 57 neighbours, so the minimum cut is positive
     assert cbalanced(planted_cover(random.Random(8), 1, 100), 2).cut_value == 8
@@ -799,17 +801,17 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
     nodes = {}
     for pipeline, (counts, alpha, objective, below), got in calls:
         assert pipeline.slack > 0
-        inst = solver._build_instance(pipeline.cols, counts, alpha, objective)
         if objective is None:
-            res = ilp.solve_feasibility(inst)
+            res = ilp.solve_feasibility(_build_program(pipeline.cols, counts, alpha))
         else:
-            # the instance minimises the cut less its constant part
-            const0 = objective.augment(counts)[0]
-            res = ilp.solve_min(inst, below=None if below is None else below - const0)
+            # the program minimises the cut less its constant part
+            const0, weights = objective.augment(counts)
+            program = _build_program(pipeline.cols, counts, alpha, weights)
+            res = ilp.solve_min(program, below=None if below is None else below - const0)
         want = (False, None, None)
         if res.status != "infeasible":
             value = None if objective is None else const0 + res.objective_value
-            want = (True, tuple(res.assignment[v] for v in pipeline.cols.names), value)
+            want = (True, res.assignment, value)
         assert got == want
         nodes[pipeline] = nodes.get(pipeline, 0) + res.nodes
     assert all(p.stats.ilp_nodes == count for p, count in nodes.items())

@@ -35,25 +35,21 @@ def oracle_table(g: Graph, body, prefix: tuple[str, ...]) -> np.ndarray:
     return np.broadcast_to(out, full).reshape((ev.subsets,) * m)
 
 
-def split(text: str, axes: tuple[str, ...], fixed: tuple[str, ...] = ()):
-    """Parse `exists ... . body`; prefix variables outside axes and fixed are
+def split(text: str, axes: tuple[str, ...]):
+    """Parse `exists ... . body`; prefix variables outside axes are
     quantified again inside the body."""
     f = parse_formula(text)
     body = f.body
     for name in reversed(f.prefix):
-        if name not in axes + fixed:
+        if name not in axes:
             body = Quant("exists", name, "set", body)
     return body
 
 
-def assert_matches_oracle(g: Graph, text: str, axes=("X", "Y"), fixed=()) -> None:
-    """The sets named in fixed are bound to the odd vertices."""
-    body = split(text, axes, fixed)
-    odd = frozenset(range(1, g.n, 2))
-    got = table_eval.prefix_table(g, body, axes, fixed_sets={v: odd for v in fixed} or None)
-    want = oracle_table(g, body, axes + fixed)
-    mask = sum(1 << v for v in odd)
-    want = want[(Ellipsis,) + (mask,) * len(fixed)]
+def assert_matches_oracle(g: Graph, text: str, axes=("X", "Y")) -> None:
+    body = split(text, axes)
+    got = table_eval.prefix_table(g, body, axes)
+    want = oracle_table(g, body, axes)
     assert got.dtype == bool and got.shape == want.shape
     assert np.array_equal(got, want), text
 
@@ -105,17 +101,6 @@ def test_named_cases(texts):
     for g in GRAPHS:
         for text in texts:
             assert_matches_oracle(g, text)
-
-
-def test_fixed_sets():
-    texts = (
-        "exists X. exists Y. exists F. ((X = F) | (forall x. (x in F -> !(x in X))))",
-        "exists X. exists Y. exists F. (!(Y = F) & (exists x. (x in F & x in X)))",
-        "exists X. exists Y. exists F. !(forall x. (x in X <-> x in F))",
-    )
-    for g in GRAPHS:
-        for text in texts:
-            assert_matches_oracle(g, text, fixed=("F",))
 
 
 def test_empty_graph_under_negation():
@@ -271,16 +256,6 @@ def test_packed_cases(cases, g):
 
 
 @pytest.mark.parametrize("g", PACKED_GRAPHS, ids=lambda g: f"n{g.n}")
-def test_packed_fixed_sets(g):
-    for text in (
-        "exists X. exists F. (X = F | forall x. (x in F -> !(x in X)))",
-        "exists X. exists F. !(F = X)",
-        "exists X. exists F. exists x. (x in F & x in X)",
-    ):
-        assert_matches_oracle(g, text, axes=("X",), fixed=("F",))
-
-
-@pytest.mark.parametrize("g", PACKED_GRAPHS, ids=lambda g: f"n{g.n}")
 def test_folds_over_axis_0(g):
     """In a sentence the first quantified set variable is axis 0, so its
     quantifier folds the packed bytes."""
@@ -295,17 +270,6 @@ def test_folds_over_axis_0(g):
     ):
         sentence = split(text, ())
         assert table_eval.evaluate_sentence(g, sentence) == oracle_truth(g, sentence), text
-    # with F fixed, X is axis 0 and meets F's column there
-    for text in (
-        "exists F. forall X. (X = F | !(F = X))",
-        "exists F. forall X. (X = F -> forall x. (x in X <-> x in F))",
-        "exists F. exists X. (X = F & exists x. x in X)",
-    ):
-        body = split(text, ("F",))
-        want = oracle_table(g, body, ("F",))
-        for mask in {0, sum(1 << v for v in range(1, g.n, 2)), (1 << g.n) - 1}:
-            fixed = {"F": frozenset(v for v in range(g.n) if (mask >> v) & 1)}
-            assert table_eval.evaluate_sentence(g, body, fixed) == want[mask], (text, mask)
 
 
 def test_prefix_table_peak_memory():

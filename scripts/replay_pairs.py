@@ -6,7 +6,8 @@ leave every record equal.
 record runs rounds 0..N-1 of every benchmark workload for one seed through
 bench/run.py's prepare/execute, importing cardmso from ROOT/src, and writes
 one entry per query: the answer, the witness, every work-pair list
-(solver._Pipeline._collect_pairs) and the solve counters of every pipeline
+(solver._Pipeline._collect_pairs, as [alpha, pos, row] lists whether it
+returns tuples or columns) and the solve counters of every pipeline
 and partition the query made (elapsed times left out).
 
 Examples:
@@ -33,6 +34,14 @@ def _plain(value):
     return int(value) if hasattr(value, "__index__") else repr(value)
 
 
+def _pair_list(pairs) -> list:
+    """Work pairs as [alpha, pos, row] lists, from a list of (alpha, pos,
+    row) tuples or from the columns (alphas, positions, rows)."""
+    if isinstance(pairs, tuple):
+        pairs = zip(*(column.tolist() for column in pairs))
+    return _plain(list(pairs))
+
+
 def _counters(stats) -> dict:
     return {k: v for k, v in dataclasses.asdict(stats).items() if k != "elapsed"}
 
@@ -51,7 +60,7 @@ def record(root: Path, seed: int, rounds: int) -> list[dict]:
 
     def spy_collect(self):
         pairs = collect(self)
-        made["pairs"].append(_plain(pairs))
+        made["pairs"].append(_pair_list(pairs))
         return pairs
 
     def spy_init(self, *args, **kwargs):

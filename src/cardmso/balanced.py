@@ -8,17 +8,20 @@ columns: const0 counts the cover-cover edges between parts, and a one-hot
 subtype's weight is the number of its adjacent cover vertices in other
 parts. Both depend only on the parts of the cover vertices, which a work
 item's count row fixes, so they are computed once per cover-part key.
-All work items are solved and the global minimum kept; there is no early
-exit, but each work item is solved only for cut values below the best found
-so far, so items that cannot improve on it are refuted without a full
-search.
+Without slack the cuts of all work items are read off the count matrix at
+once. Otherwise every item is solved, only for cut values below the best
+found so far, so items that cannot improve on it are refuted without a
+full search.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import corpus, ilp
 from .errors import CardMSOError
@@ -35,6 +38,7 @@ class BalancedResult:
     stats: SolveStats
 
 
+@functools.cache
 def generate_equitable_formula(c: int) -> Formula:
     """Equitable c-partition sentence: c prefix variables, exactly-one
     membership for every vertex, pairwise size difference at most one."""
@@ -93,12 +97,27 @@ class BetaObjective:
             const0 = sum(part[s] != part[t] for s, t in self.cover_cover_edges)
             weights = []
             for t, covers in self.type_adjacent_covers.items():
-                for i in range(self.m):
-                    weight = sum(part[ct] != i for ct in covers)
-                    if weight:
-                        weights.append(((t << self.m) | (1 << i), weight))
+                inside = [0] * self.m  # adjacent cover vertices per part
+                for ct in covers:
+                    inside[part[ct]] += 1
+                weights += [((t << self.m) | (1 << i), len(covers) - inside[i])
+                            for i in range(self.m) if inside[i] < len(covers)]
             got = self._cuts[key] = (const0, tuple(weights))
         return got
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """The cut of each count row as its own extension (no slack). Rows are
+        grouped by placement of the cover vertices, numbered one vertex at a
+        time, and augment runs on one row per group."""
+        group = np.zeros(len(rows), dtype=np.int64)
+        for sig in rows.reshape(len(rows), -1, 1 << self.m)[:, self.cover_types].argmax(axis=2).T:
+            group = np.unique(group << self.m | sig, return_inverse=True)[1]
+        cuts = [self.augment(tuple(row)) for row in rows[np.unique(group, return_index=True)[1]].tolist()]
+        weights = np.zeros((len(cuts), rows.shape[1]), dtype=np.int64)
+        for i, (_, terms) in enumerate(cuts):
+            weights[i, [column for column, _ in terms]] = [weight for _, weight in terms]
+        const0 = np.array([const0 for const0, _ in cuts], dtype=np.int64)[group]
+        return const0 + np.einsum("ij,ij->i", rows, weights[group])
 
 
 def cbalanced(

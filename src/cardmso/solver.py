@@ -31,10 +31,10 @@ threshold argument). A subtype count below the threshold pins its variable,
 and a count at or above it is only a lower bound. Every row's type totals
 are the reduced type sizes, so the extension of every unit of a pipeline
 places the same number of further vertices, slack = n - reduced n. With no
-slack the type sums pin every variable and a unit is decided
-arithmetically; otherwise it goes through the branch-and-bound ILP solver.
-One program is compiled per pre-evaluation and re-solved under each unit's
-bounds, with the unit's objective weights, if any, attached per solve.
+slack the type sums pin every variable and all work pairs are decided in
+bulk off the count matrix; otherwise each goes through the branch-and-bound
+ILP solver. One program is compiled per pre-evaluation and re-solved under
+each unit's bounds, with the unit's objective weights, if any, attached.
 A unit with set sizes s can comply only with the pre-evaluations of the
 sizes in s + [0, slack]^m. Once per pipeline that box is projected onto the
 constraints' distinct directions (rows up to sign), one axis at a time,
@@ -333,13 +333,12 @@ class _Pipeline:
         # distinct projections of [0, slack]^m onto the constraint
         # directions, added up one axis at a time, then spread to one signed
         # column per constraint: offsets[:, j] = coeffs[j] . o; None once a
-        # growth step would build more than the cap (without slack they stay
-        # the zero row, the only pre-evaluation a pinned unit can meet)
+        # growth step would build more than the cap (read only with slack)
         self._offsets: Optional[np.ndarray] = None
         side = self.slack + 1
         offsets = np.zeros((1, len(self.cols.dirs)), dtype=np.int64)
         for column in self.cols.dirs.T:
-            if self.slack and len(offsets) * side * len(column) > _CANDIDATE_BOX_CAP:
+            if len(offsets) * side * len(column) > _CANDIDATE_BOX_CAP:
                 break
             grown = offsets[:, None, :] + np.outer(np.arange(side), column)
             offsets = _distinct_rows(grown.reshape(len(grown) * side, len(column)))
@@ -452,18 +451,11 @@ class _Pipeline:
         below: Optional[int] = None,
     ) -> tuple[bool, Optional[tuple[int, ...]], Optional[int]]:
         """(feasible, solved count row, objective value) for one work pair;
-        with `below`, only objective values < below count as feasible.
-        Without slack the row is its own and only extension, and the pair's
-        alpha is the row's own pre-evaluation."""
+        with `below`, only objective values < below count as feasible."""
         self.stats.ilp_solves += 1
         const0, weights = objective.augment(counts) if objective is not None else (0, None)
         if self.dump is not None:
             self.dump(_build_program(self.cols, counts, alpha_index, weights))
-        if self.slack == 0:
-            value = None if weights is None else const0 + sum(w * counts[col] for col, w in weights)
-            if below is not None and value >= below:
-                return False, None, None
-            return True, counts, value
         program = self._programs.get(alpha_index)
         if program is None:
             program = self._programs[alpha_index] = _build_program(self.cols, counts, alpha_index)
@@ -551,29 +543,34 @@ class _Pipeline:
         alphas = np.unique((self._offsets > limits) @ self.cols.weights)
         return [alpha for alpha in alphas.tolist() if self._alpha_member(alpha, values)]
 
-    def _collect_pairs(self) -> list[tuple[int, int, tuple[int, ...]]]:
+    def _collect_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (pre-evaluation, unit) work pair that could possibly be
-        feasible, in the (alpha, enumeration position) order the plain loop
-        would reach them. alphas determine their profile, so position ties
-        across profiles cannot happen and the sort never compares rows. Rows
-        that reach no pre-evaluation are dropped before any becomes a tuple."""
-        pairs: list[tuple[int, int, tuple[int, ...]]] = []
+        feasible, as columns (alphas, enumeration positions, count rows) in
+        the (alpha, position) order the plain loop would reach them (alphas
+        determine their profile, so positions never tie). Without slack the
+        zero row is the only offset: a row reaches just its own alpha."""
+        columns = [(np.zeros(0, self.cols.weights.dtype), np.zeros(0, np.int64), self._no_rows)]
         for values in self._profiles():
             rows = self._units_for_profile(values)
             if not len(rows):
                 continue
-            fallback = self._profile_alphas(values) if self._offsets is None else None
-            sizes: dict[tuple[int, ...], int] = {}  # distinct set sizes, numbered
-            inverse = np.array([
-                sizes.setdefault(tuple(s), len(sizes)) for s in (rows @ self.cols.sig_bits).tolist()
-            ])
-            reached = [fallback if fallback is not None else self._reachable(s, values) for s in sizes]
-            kept = np.flatnonzero(np.array([bool(alphas) for alphas in reached])[inverse])
-            for pos, group, row in zip(kept.tolist(), inverse[kept].tolist(), rows[kept].tolist()):
-                row = tuple(row)
-                pairs.extend((alpha, pos, row) for alpha in reached[group])
-        pairs.sort()
-        return pairs
+            sizes = rows @ self.cols.sig_bits
+            if self.slack == 0:
+                alpha = (sizes @ self.cols.coeffs.T > self.cols.consts) @ self.cols.weights
+                own = [a for a in np.unique(alpha).tolist() if self._alpha_member(a, values)]
+                pos = np.flatnonzero(np.isin(alpha, own))
+                alpha = alpha[pos]
+            else:
+                fallback = self._profile_alphas(values) if self._offsets is None else None
+                groups: dict[tuple[int, ...], int] = {}  # distinct set sizes, numbered
+                inverse = [groups.setdefault(tuple(s), len(groups)) for s in sizes.tolist()]
+                reached = [fallback if fallback is not None else self._reachable(s, values) for s in groups]
+                alpha = np.array([a for group in inverse for a in reached[group]], self.cols.weights.dtype)
+                pos = np.repeat(np.arange(len(rows)), [len(reached[group]) for group in inverse])
+            columns.append((alpha, pos, rows[pos]))
+        alpha, pos, rows = map(np.concatenate, zip(*columns))
+        order = np.lexsort((pos, alpha))
+        return alpha[order], pos[order], rows[order]
 
     def run_decision(self) -> Verdict:
         best = self.run_minimize(None)
@@ -584,22 +581,45 @@ class _Pipeline:
     def run_minimize(self, objective: Optional["BetaObjective"]):
         """Work pairs solved in order, each only for values below the best
         found so far; without an objective the first feasible pair ends the
-        loop. Returns (best value, witness, alpha) or None."""
-        best: Optional[tuple[Optional[int], PrefixAssignment, PreEvaluation]] = None
-        tried: set[int] = set()
-        for alpha_index, _pos, counts in self._collect_pairs():
-            tried.add(alpha_index)
-            below = best[0] if best is not None else None
-            feasible, solved, value = self._decide_unit(counts, alpha_index, objective, below)
-            if feasible:
-                witness = extract_witness(solved, self.m, self.tp.types)
-                alpha = self.alpha_bools(alpha_index)
-                self._assert_compliance(witness, alpha)
-                best = (value, witness, alpha)
-                if objective is None:
-                    break
-        self.stats.pre_evaluations = len(tried)
-        return best
+        loop. Without slack they are decided in bulk. Returns (best value,
+        witness, alpha) or None."""
+        alphas, _positions, rows = self._collect_pairs()
+        best = None  # (value, solved count row, alpha index)
+        if self.slack == 0 and len(alphas):
+            best = self._decide_pinned(alphas, rows, objective)
+        else:
+            tried: set[int] = set()
+            for alpha_index, counts in zip(alphas.tolist(), map(tuple, rows.tolist())):
+                tried.add(alpha_index)
+                below = best[0] if best is not None else None
+                feasible, solved, value = self._decide_unit(counts, alpha_index, objective, below)
+                if feasible:
+                    best = (value, solved, alpha_index)
+                    if objective is None:
+                        break
+            self.stats.pre_evaluations = len(tried)
+        if best is None:
+            return None
+        witness = extract_witness(best[1], self.m, self.tp.types)
+        alpha = self.alpha_bools(best[2])
+        self._assert_compliance(witness, alpha)
+        return best[0], witness, alpha
+
+    def _decide_pinned(self, alphas: np.ndarray, rows: np.ndarray, objective):
+        """The pair the loop keeps when each pair's row is its only extension:
+        the first, or with an objective the first of least value."""
+        decided = len(alphas) if objective is not None else 1
+        self.stats.ilp_solves += decided
+        self.stats.pre_evaluations = len(np.unique(alphas[:decided]))
+        if self.dump is not None:
+            for alpha_index, counts in zip(alphas[:decided].tolist(), map(tuple, rows.tolist())):
+                weights = objective.augment(counts)[1] if objective is not None else None
+                self.dump(_build_program(self.cols, counts, alpha_index, weights))
+        if objective is None:
+            return None, rows[0].tolist(), int(alphas[0])
+        values = objective.values(rows)
+        best = int(np.argmin(values))  # argmin keeps the first of several
+        return int(values[best]), rows[best].tolist(), int(alphas[best])
 
     def _assert_compliance(self, witness: PrefixAssignment, alpha: PreEvaluation) -> None:
         sizes = {name: len(s) for name, s in zip(self.f.prefix, witness.sets)}

@@ -210,6 +210,18 @@ def test_dump_ilp_writes_one_program_per_solve(files, tmp_path, capsys, command)
     assert programs == stats["ilp_solves"] > 0
 
 
+def test_dump_ilp_without_slack_writes_one_program_per_decided_pair(tmp_path, capsys):
+    # reduction keeps an 8-cycle whole (every non-cover vertex has its own
+    # pair of cover neighbours), so cbalance decides its pairs in bulk; the
+    # dump still holds one program per pair decided
+    graph, dump = tmp_path / "c8.g", tmp_path / "dump.txt"
+    graph.write_text("p 8 8\n" + "".join(f"e {v + 1} {(v + 1) % 8 + 1}\n" for v in range(8)))
+    run(["cbalance", "--graph", str(graph), "-c", "3", "--dump-ilp", str(dump), "--json"])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["reduced_vertices"] == 8
+    assert dump.read_text().count("# instance ") == stats["ilp_solves"] > 1
+
+
 def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
     # ids_k with k=9 holds on a star with 9 leaves: reduction keeps 4 leaves,
     # so the witness's 9 comes out of the search over the last program dumped

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardmso import corpus, ilp, oracle, partitioning, solver, table_eval
-from cardmso.balanced import cbalanced
+from cardmso.balanced import BetaObjective, cbalanced
 from cardmso.errors import BudgetExceeded, CoverBudgetExceeded, WitnessError
 from cardmso.formula import (
     And, ConstraintRef, FalseLit, Iff, Implies, Not, Or, Quant, TrueLit, analyze,
@@ -709,6 +709,12 @@ def per_unit_pairs(pipeline: _Pipeline) -> list:
     return sorted(pairs)
 
 
+def pair_list(pipeline: _Pipeline) -> list:
+    """_collect_pairs' columns as (alpha, position, row) tuples."""
+    alphas, positions, rows = pipeline._collect_pairs()
+    return list(zip(alphas.tolist(), positions.tolist(), map(tuple, rows.tolist())))
+
+
 def test_collect_pairs_match_the_per_unit_sweep(rng, monkeypatch):
     # m = 3 reduces only types past 8 vertices, where the raw stream would
     # decode every assignment; count states are cheaper there
@@ -730,7 +736,7 @@ def test_collect_pairs_match_the_per_unit_sweep(rng, monkeypatch):
                         f = substitute_params(f, {"K": rng.randint(0, 3)})
                     pipeline = _Pipeline(g, f)
                     assert pipeline._offsets is not None
-                    assert pipeline._collect_pairs() == per_unit_pairs(pipeline), (body, g.edges)
+                    assert pair_list(pipeline) == per_unit_pairs(pipeline), (body, g.edges)
                     seen.add((m, pipeline.slack > 0))
     assert seen == {(m, reduced) for m in PAIR_BODIES for reduced in (False, True)}
 
@@ -818,6 +824,83 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
     assert {args[2] is None for _, args, _ in calls} == {True, False}
     # the programs are shared: fewer compiled than solved
     assert sum(len(p._programs) for p in nodes) < len(calls)
+
+
+def collected_pairs(monkeypatch) -> list:
+    """Record every _collect_pairs call as (pipeline, columns)."""
+    calls = []
+    collect = _Pipeline._collect_pairs
+
+    def spy(self):
+        got = collect(self)
+        calls.append((self, got))
+        return got
+
+    monkeypatch.setattr(_Pipeline, "_collect_pairs", spy)
+    return calls
+
+
+def solve_each_pair(pipeline: _Pipeline, columns, objective) -> tuple:
+    """run_minimize by solving every work pair's own program in order, each
+    only for values below the best so far, the first feasible pair ending
+    the loop without an objective. Returns the best (value, witness, alpha)
+    or None, the programs solved and the distinct alphas among them."""
+    alphas, _positions, rows = columns
+    best, tried = None, []
+    for alpha, counts in zip(alphas.tolist(), map(tuple, rows.tolist())):
+        tried.append(alpha)
+        if objective is None:
+            res = ilp.solve_feasibility(_build_program(pipeline.cols, counts, alpha))
+        else:
+            const0, weights = objective.augment(counts)
+            program = _build_program(pipeline.cols, counts, alpha, weights)
+            res = ilp.solve_min(program, below=None if best is None else best[0] - const0)
+        if res.status != "infeasible":
+            value = None if objective is None else const0 + res.objective_value
+            witness = extract_witness(res.assignment, pipeline.m, pipeline.tp.types)
+            best = (value, witness, pipeline.alpha_bools(alpha))
+            if objective is None:
+                break
+    return best, len(tried), len(set(tried))
+
+
+def test_bulk_decision_matches_solving_each_pair(rng, monkeypatch):
+    # reduction keeps every vertex of these graphs, so each work pair's
+    # program has its row as the only solution and the pairs are decided
+    # in bulk; solving the programs one by one must agree on the answer,
+    # the witness, the pre-evaluation and the counters
+    calls = collected_pairs(monkeypatch)
+    ids = parse_formula(corpus.independent_dominating())
+    sentences = [parse_formula(corpus.CORPUS_FILES[name]()) for name in (
+        "bipartite_equal.cms", "equitable_coloring_3.cms", "equitable_connected_3.cms",
+    )]
+    decided = {"check": 0, "cbalance": 0}
+    answers = set()
+    for n in (5, 6, 7, 8) * 2:
+        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        for f in sentences + [substitute_params(ids, {"k": k}) for k in (1, 2, 3)]:
+            verdict = check(g, f)
+            pipeline, columns = calls[-1]
+            if pipeline.slack:
+                continue
+            best, solves, alphas = solve_each_pair(pipeline, columns, None)
+            want = (False, None, None) if best is None else (True, *best[1:])
+            assert (verdict.holds, verdict.witness, verdict.alpha) == want
+            assert verdict.stats.ilp_nodes == 0
+            assert (verdict.stats.ilp_solves, verdict.stats.pre_evaluations) == (solves, alphas)
+            decided["check"] += 1
+            answers.add(verdict.holds)
+        for c in (2, 3):
+            result = cbalanced(g, c)
+            pipeline, columns = calls[-1]
+            if pipeline.slack:
+                continue
+            objective = BetaObjective(pipeline)
+            (value, witness, _alpha), solves, alphas = solve_each_pair(pipeline, columns, objective)
+            assert (result.cut_value, result.parts) == (value, witness.sets)
+            assert (result.stats.ilp_solves, result.stats.pre_evaluations) == (solves, alphas)
+            decided["cbalance"] += solves > 1
+    assert decided["check"] >= 24 and decided["cbalance"] >= 8 and answers == {True, False}
 
 
 def dominated_cover(rng: random.Random, n: int, joined: bool) -> Graph:

@@ -20,8 +20,8 @@ from .mso_eval import (
     satisfying_prefix_assignments,
 )
 from .partitioning import (
-    PartitionInstance, PartitionVerdict, Shape, enumerate_shapes,
-    mso_partition, shape_satisfies,
+    PartitionInstance, PartitionVerdict, enumerate_shapes, mso_partition,
+    shape_satisfies,
 )
 from .solver import SolveStats, Verdict, check, extract_witness
 
@@ -31,7 +31,7 @@ __all__ = [
     "Graph", "GraphFormatError", "ILPResult",
     "InvalidCoverError", "LinearConstraint", "PartitionInstance",
     "PartitionVerdict", "PreEvaluation", "PrefixAssignment", "Program", "ReducedGraph",
-    "Shape", "SolveStats", "TypePartition", "Verdict", "VertexCover",
+    "SolveStats", "TypePartition", "Verdict", "VertexCover",
     "WitnessError", "analyze", "cbalanced", "check",
     "enumerate_shapes", "extract_witness", "format_formula", "format_graph",
     "generate_equitable_formula", "min_vertex_cover", "mso_check",

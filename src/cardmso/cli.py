@@ -13,6 +13,7 @@ machine contract.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -124,20 +125,10 @@ def _mode_name(flag: str) -> str:
 
 
 def _stats_doc(stats: SolveStats) -> dict:
-    return {
-        "pre_evaluations": stats.pre_evaluations,
-        "prefix_assignments": stats.prefix_assignments,
-        "ilp_solves": stats.ilp_solves,
-        "elapsed_seconds": round(stats.elapsed, 6),
-        "cover_size": stats.cover_size,
-        "type_count": stats.type_count,
-        "reduced_vertices": stats.reduced_vertices,
-        "ilp_nodes": stats.ilp_nodes,
-        "count_states": stats.count_states,
-        "shapes": stats.shapes,
-        "satisfying_shapes": stats.satisfying_shapes,
-        "ilp_lp_refutations": stats.ilp_lp_refutations,
-    }
+    """SolveStats's fields in declaration order, elapsed as elapsed_seconds."""
+    doc = dataclasses.asdict(stats)
+    doc["elapsed"] = round(doc["elapsed"], 6)
+    return {("elapsed_seconds" if key == "elapsed" else key): value for key, value in doc.items()}
 
 
 def _names(g: Graph, vertices) -> list[str]:

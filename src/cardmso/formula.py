@@ -112,7 +112,15 @@ Node = Union[
     Not, And, Or, Implies, Iff, Quant, ConstraintRef,
 ]
 
-_BINARY = (And, Or, Implies, Iff)
+# each binary connective on bit masks: bit i of the result is the connective
+# of bit i of a and of b, where full has every bit in play set
+CONNECTIVES = {
+    And: lambda a, b, full: a & b,
+    Or: lambda a, b, full: a | b,
+    Implies: lambda a, b, full: (full ^ a) | b,
+    Iff: lambda a, b, full: full ^ a ^ b,
+}
+_BINARY = tuple(CONNECTIVES)
 
 
 @dataclass(frozen=True)

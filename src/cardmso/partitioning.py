@@ -1,23 +1,26 @@
 """MSO partitioning: split V(G) into r parts whose induced subgraphs all
 model a fixed MSO sentence.
 
-A part is summarised by its shape: per type, its intersection size capped
-at the small threshold 2^q_S * q_v. Same-type vertices are twins, and inside
-a twin class every size from the threshold up models the same sentences
-(Lampis), so the capped value reads "threshold or more" and sets of one
-shape are interchangeable as models. Each shape is decided once per graph
-(_ShapeCheck); a counting program then decides whether satisfying shapes
-can tile the whole vertex set with exactly r parts (Rao).
+A part is summarised by its shape, a count row in the integer-matrix form of
+check's count rows: one column per type, holding the part's intersection
+size with the type capped at the small threshold 2^q_S * q_v.
+Same-type vertices are twins, and inside a twin class every size from the
+threshold up models the same sentences (Lampis), so the capped value reads
+"threshold or more" and sets of one shape are interchangeable as models.
+Each shape is decided once per graph (_ShapeCheck); a counting program then
+decides whether satisfying shapes can tile the whole vertex set with
+exactly r parts (Rao).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import weakref
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from . import ilp
 from .errors import BudgetExceeded
@@ -28,17 +31,6 @@ from .solver import SolveStats
 from .typed_eval import TypedEvaluator
 
 DEFAULT_SHAPE_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Per type: a count in [0, min(|T|, threshold)], where the threshold
-    itself means "threshold or more"."""
-
-    per_type: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.per_type)
 
 
 @dataclass(frozen=True)
@@ -60,24 +52,27 @@ class PartitionVerdict:
     stats: SolveStats
 
 
-def enumerate_shapes(tp: TypePartition, stats: FormulaStats) -> list[Shape]:
-    """All shapes in mixed-radix counter order (last type fastest, counts
-    ascending): the product of [0, min(|T|, threshold)] over the types, at
-    most DEFAULT_SHAPE_BUDGET of them."""
-    small = stats.small_threshold
-    ranges = [range(min(len(members), small) + 1) for members in tp.types]
-    total = math.prod(len(r) for r in ranges)
+def enumerate_shapes(tp: TypePartition, stats: FormulaStats) -> np.ndarray:
+    """All shapes as an int64 matrix, one row per shape and one column per
+    type, whose entry in column T lies in [0, min(|T|, threshold)] (the
+    threshold meaning "threshold or more"). Rows are in mixed-radix counter
+    order (last type fastest, counts ascending), at most
+    DEFAULT_SHAPE_BUDGET of them."""
+    sides = [min(len(members), stats.small_threshold) + 1 for members in tp.types]
+    total = math.prod(sides)
     if total > DEFAULT_SHAPE_BUDGET:
         raise BudgetExceeded("shapes", DEFAULT_SHAPE_BUDGET, total)
-    return [Shape(per) for per in itertools.product(*ranges)]
+    return np.indices(sides, dtype=np.int64).reshape(len(sides), total).T
 
 
-def shape_representative(g: Graph, tp: TypePartition, s: Shape, stats: FormulaStats) -> list[int]:
-    """Concrete vertex set of the given shape: the lexicographically first
+def shape_representative(
+    g: Graph, tp: TypePartition, s: tuple[int, ...], stats: FormulaStats,
+) -> list[int]:
+    """Concrete vertex set of the shape row s: the lexicographically first
     vertices of each type, exactly as many as its count (a count at the
     threshold stands for every larger size too)."""
     picked: list[int] = []
-    for members, want in zip(tp.types, s.per_type):
+    for members, want in zip(tp.types, s):
         if want > min(len(members), stats.small_threshold):
             raise AssertionError("shape count outside [0, min(|T|, threshold)]")
         picked.extend(members[:want])
@@ -103,7 +98,7 @@ class _ShapeCheck:
         self.typed = not any(isinstance(q, Quant) and q.sort == "set" for q in walk(self.sentence))
         self.ev: Optional[TypedEvaluator] = None
 
-    def decide(self, s: Shape) -> bool:
+    def decide(self, s: tuple[int, ...]) -> bool:
         if not self.typed:
             vertices = shape_representative(self.g, self.tp, s, self.stats)
             return bool(mso_check(self.g.induced(vertices)[0], self.phi))
@@ -113,15 +108,15 @@ class _ShapeCheck:
             first = {members[0]: b for b, members in enumerate(self.ev.base_members)}
             self.base = [first[members[0]] for members in self.tp.types]
         self.ev.calls = 0  # each shape gets the budget mso_check would give it
-        state = sorted((self.base[t], 0, c) for t, c in enumerate(s.per_type) if c)
+        state = sorted((self.base[t], 0, c) for t, c in enumerate(s) if c)
         return self.ev.eval(self.sentence, tuple(state), ())
 
 
 def shape_satisfies(
-    g: Graph, tp: TypePartition, s: Shape, phi: Formula | Node, stats: FormulaStats,
+    g: Graph, tp: TypePartition, s: tuple[int, ...], phi: Formula | Node, stats: FormulaStats,
     check: Optional[_ShapeCheck] = None,
 ) -> bool:
-    """Does a set of this shape induce a model of phi? Cached per graph, so
+    """Does a set of the shape row s induce a model of phi? Cached per graph, so
     callers sweep r without re-checking shapes; a caller sweeping shapes
     passes the _ShapeCheck of (g, tp, phi, stats) it made once."""
     check = check or _ShapeCheck(g, tp, phi, stats)
@@ -155,26 +150,27 @@ def mso_partition(
     fstats = analyze(inst.formula)
 
     shapes = enumerate_shapes(tp, fstats)
-    check = _ShapeCheck(g, tp, inst.formula, fstats)
-    satisfying = []
-    for s in shapes:
-        if not allow_empty and s.is_zero():
-            continue
-        if shape_satisfies(g, tp, s, inst.formula, fstats, check):
-            satisfying.append(s)
     stats.shapes = len(shapes)
+    if not allow_empty:
+        shapes = shapes[shapes.any(axis=1)]
+    check = _ShapeCheck(g, tp, inst.formula, fstats)
+    keep = [
+        shape_satisfies(g, tp, s, inst.formula, fstats, check) for s in map(tuple, shapes.tolist())
+    ]
+    satisfying = shapes[np.array(keep, dtype=bool)]
     stats.satisfying_shapes = len(satisfying)
 
     # per type, the parts take at least their counts (fit) and together
     # cover the type (demand), where a part at the threshold can take all
     small = fstats.small_threshold
     count = len(satisfying)
+    sizes = [len(members) for members in tp.types]
+    demand = np.where(satisfying == small, sizes, satisfying)
     rows = [(tuple((i, 1) for i in range(count)), ilp.EQ, inst.r)]
-    for t, members in enumerate(tp.types):
-        size = len(members)
-        fit = [(i, s.per_type[t]) for i, s in enumerate(satisfying) if s.per_type[t]]
-        rows.append((fit, ilp.LE, size))
-        rows.append(([(i, size if want == small else want) for i, want in fit], ilp.GE, size))
+    for t, size in enumerate(sizes):
+        takers = np.flatnonzero(satisfying[:, t]).tolist()
+        rows.append((list(zip(takers, satisfying[takers, t].tolist())), ilp.LE, size))
+        rows.append((list(zip(takers, demand[takers, t].tolist())), ilp.GE, size))
     names = [f"x_{i}" for i in range(count)]
     program = ilp.Program.build(names, [0] * count, [inst.r] * count, rows)
     if dump is not None:
@@ -187,35 +183,26 @@ def mso_partition(
     if result.status != "feasible":
         return PartitionVerdict(False, None, stats)
 
-    parts = _reconstruct(g, tp, satisfying, result.assignment, small)
+    parts = _reconstruct(tp, satisfying, result.assignment, small)
     _validate_parts(g, inst, parts, allow_empty)
     stats.elapsed = time.perf_counter() - start
     return PartitionVerdict(True, parts, stats)
 
 
 def _reconstruct(
-    g: Graph,
-    tp: TypePartition,
-    satisfying: list[Shape],
-    copies: tuple[int, ...],
-    small: int,
+    tp: TypePartition, satisfying: np.ndarray, copies: tuple[int, ...], small: int,
 ) -> tuple[frozenset[int], ...]:
-    """Build the parts: per type, each chosen shape copy takes its count;
-    leftovers go to the lowest-indexed part whose count at that type is the
-    threshold."""
-    chosen: list[Shape] = []
-    for s, c in zip(satisfying, copies):
-        chosen.extend([s] * c)
+    """Build the parts, one per chosen copy of a satisfying row: per type,
+    the parts take their counts of its members in turn; leftovers go to the
+    lowest-indexed part whose count at that type is the threshold."""
+    chosen = np.repeat(satisfying, copies, axis=0)
+    ends = np.cumsum(chosen, axis=0).T.tolist()  # per type, where each part's share ends
     parts: list[set[int]] = [set() for _ in chosen]
     for t, members in enumerate(tp.types):
-        queue = list(members)
-        for p, s in enumerate(chosen):
-            want = s.per_type[t]
-            parts[p].update(queue[:want])
-            queue = queue[want:]
-        if queue:
-            sink = next(p for p, s in enumerate(chosen) if s.per_type[t] == small)
-            parts[sink].update(queue)
+        for part, lo, hi in zip(parts, [0] + ends[t], ends[t]):
+            part.update(members[lo:hi])
+        if ends[t][-1] < len(members):
+            parts[int(np.argmax(chosen[:, t] == small))].update(members[ends[t][-1]:])
     return tuple(frozenset(p) for p in parts)
 
 

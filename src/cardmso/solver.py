@@ -58,9 +58,9 @@ import numpy as np
 from . import ilp, table_eval
 from .errors import BudgetExceeded, WitnessError
 from .formula import (
-    Adjacent, And, ConstraintRef, FalseLit, Formula, FormulaStats, Iff,
-    Implies, Member, Node, Not, Or, PreEvaluation, Quant, SetEq, TrueLit,
-    VertexEq, analyze, constraint_truths, walk,
+    CONNECTIVES, Adjacent, ConstraintRef, FalseLit, Formula, FormulaStats,
+    Member, Node, Not, PreEvaluation, Quant, SetEq, TrueLit, VertexEq, analyze,
+    constraint_truths, walk,
 )
 from .graph import DEFAULT_K_MAX, Graph, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import PrefixAssignment, mso_check, reduce_graph
@@ -115,7 +115,7 @@ def _split_pieces(body: Node) -> tuple[Node, list[Node]]:
             return _PieceRef(len(pieces) - 1)
         if isinstance(node, Not):
             return Not(rec(node.child))
-        if isinstance(node, (And, Or, Implies, Iff)):
+        if type(node) in CONNECTIVES:
             return type(node)(rec(node.left), rec(node.right))
         if isinstance(node, Quant):
             return Quant(node.quantifier, node.var, node.sort, rec(node.child))
@@ -126,6 +126,11 @@ def _split_pieces(body: Node) -> tuple[Node, list[Node]]:
 
 def _literal(value: bool) -> Node:
     return TrueLit() if value else FalseLit()
+
+
+def _truth(node: Node) -> Optional[int]:
+    """1 or 0 for a literal, None otherwise."""
+    return 1 if isinstance(node, TrueLit) else 0 if isinstance(node, FalseLit) else None
 
 
 def _fold(node: Node, values: Sequence[Optional[bool]], n_vertices: int) -> Node:
@@ -142,44 +147,22 @@ def _fold(node: Node, values: Sequence[Optional[bool]], n_vertices: int) -> Node
         if isinstance(child, (TrueLit, FalseLit)):
             return _literal(isinstance(child, FalseLit))
         return Not(child)
-    if isinstance(node, (And, Or, Implies, Iff)):
+    if type(node) in CONNECTIVES:
         left = _fold(node.left, values, n_vertices)
         right = _fold(node.right, values, n_vertices)
-        lt, lf = isinstance(left, TrueLit), isinstance(left, FalseLit)
-        rt, rf = isinstance(right, TrueLit), isinstance(right, FalseLit)
-        if isinstance(node, And):
-            if lf or rf:
-                return FalseLit()
-            if lt:
-                return right
-            if rt:
-                return left
-        elif isinstance(node, Or):
-            if lt or rt:
-                return TrueLit()
-            if lf:
-                return right
-            if rf:
-                return left
-        elif isinstance(node, Implies):
-            if lf or rt:
-                return TrueLit()
-            if lt:
-                return right
-            if rf:
-                return Not(left)
-        else:  # Iff
-            if lt:
-                return right
-            if rt:
-                return left
-            if lf and rf:
-                return TrueLit()
-            if lf:
-                return Not(right)
-            if rf:
-                return Not(left)
-        return type(node)(left, right)
+        a, b = _truth(left), _truth(right)
+        if a is None and b is None:
+            return type(node)(left, right)
+        op = CONNECTIVES[type(node)]
+        if a is not None and b is not None:
+            return _literal(op(a, b, 1))
+        # one literal side: read off the table at the other side's two
+        # values, the connective is a constant, that side or its negation
+        other = left if a is None else right
+        on0, on1 = (op(0, b, 1), op(1, b, 1)) if a is None else (op(a, 0, 1), op(a, 1, 1))
+        if on0 == on1:
+            return _literal(on0)
+        return other if on1 else Not(other)
     if isinstance(node, Quant):
         child = _fold(node.child, values, n_vertices)
         if not isinstance(child, (TrueLit, FalseLit)):

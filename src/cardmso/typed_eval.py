@@ -27,8 +27,8 @@ from collections import Counter
 
 from .errors import BudgetExceeded
 from .formula import (
-    Adjacent, And, ConstraintRef, FalseLit, Iff, Implies, Member, Node, Not,
-    Or, Quant, SetEq, TrueLit, VertexEq, free_vars,
+    CONNECTIVES, Adjacent, And, ConstraintRef, FalseLit, Iff, Implies, Member,
+    Node, Not, Or, Quant, SetEq, TrueLit, VertexEq, free_vars,
 )
 from .graph import Graph, nd_partition
 
@@ -53,18 +53,10 @@ def _local_mask(node: Node, var: str, bit_of: dict[str, int], full: int) -> int 
     if isinstance(node, Not):
         child = _local_mask(node.child, var, bit_of, full)
         return None if child is None else full ^ child
-    if isinstance(node, (And, Or, Implies, Iff)):
+    if type(node) in CONNECTIVES:
         a = _local_mask(node.left, var, bit_of, full)
         b = _local_mask(node.right, var, bit_of, full)
-        if a is None or b is None:
-            return None
-        if isinstance(node, And):
-            return a & b
-        if isinstance(node, Or):
-            return a | b
-        if isinstance(node, Implies):
-            return (full ^ a) | b
-        return full ^ a ^ b
+        return None if a is None or b is None else CONNECTIVES[type(node)](a, b, full)
     return None
 
 

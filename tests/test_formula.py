@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cardmso import corpus
@@ -155,6 +157,16 @@ class TestRoundTrip:
     def test_parse_print_parse(self, text):
         f = parse_formula(text)
         assert parse_formula(format_formula(f)) == f
+
+
+def test_shipped_formulas_match_their_builders():
+    # the benchmark parses the builders and CLI users read the files, so
+    # the two must be the same text (regenerate with scripts/make_formulas.py)
+    shipped = Path(__file__).resolve().parents[1] / "formulas"
+    files = {path.name: path.read_text() for path in shipped.glob("*.cms")}
+    assert sorted(files) == sorted(corpus.CORPUS_FILES)
+    for name, builder in corpus.CORPUS_FILES.items():
+        assert files[name] == builder(), name
 
 
 def test_compliance_consistency_on_small_graphs(rng):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cardmso import corpus, oracle, partitioning, table_eval
@@ -10,7 +11,7 @@ from cardmso.formula import FormulaStats, analyze, parse_formula
 from cardmso.graph import Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from cardmso.mso_eval import mso_check
 from cardmso.partitioning import (
-    PartitionInstance, Shape, enumerate_shapes, mso_partition, shape_satisfies,
+    PartitionInstance, enumerate_shapes, mso_partition, shape_satisfies,
 )
 from conftest import (
     cycle_graph, path_graph, planted_cover, random_graph, star_graph, twin_class_graph,
@@ -39,18 +40,18 @@ class TestShapes:
         # threshold 2: counts 0, 1 and "2 or more" on both types
         tp = TypePartition(((0, 1, 2), tuple(range(3, 13))), frozenset())
         shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1))
-        assert [s.per_type for s in shapes] == [
-            (a, b) for a in range(3) for b in range(3)
+        assert shapes.tolist() == [
+            [a, b] for a in range(3) for b in range(3)
         ]
 
     def test_singleton_type(self):
         tp = TypePartition(((0,),), frozenset())
         shapes = enumerate_shapes(tp, FormulaStats(0, 1, 1))
-        assert [s.per_type for s in shapes] == [(0,), (1,)]
+        assert shapes.tolist() == [[0], [1]]
 
     def test_empty_graph_single_shape(self):
         tp = TypePartition((), frozenset())
-        assert enumerate_shapes(tp, FormulaStats(0, 1, 1)) == [Shape(())]
+        assert enumerate_shapes(tp, FormulaStats(0, 1, 1)).shape == (1, 0)
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(partitioning, "DEFAULT_SHAPE_BUDGET", 1000)
@@ -63,10 +64,10 @@ class TestShapes:
     def test_counts_stop_at_the_type_size(self):
         tp = TypePartition(((0,), (1, 2, 3)), frozenset())
         shapes = enumerate_shapes(tp, FormulaStats(0, 2, 1))  # threshold 4
-        assert [s.per_type for s in shapes] == [
-            (a, b) for a in range(2) for b in range(4)
+        assert shapes.tolist() == [
+            [a, b] for a in range(2) for b in range(4)
         ]
-        assert all(isinstance(c, int) for s in shapes for c in s.per_type)
+        assert shapes.dtype == np.int64
 
     @pytest.mark.parametrize("phi", [INDEP, CLIQUE, parse_formula(
         "exists u. exists v. (!(u = v) & !adj(u, v))"
@@ -84,15 +85,15 @@ class TestShapes:
             else:
                 g = twin_class_graph(rng)
             tp = type_partition(g, min_vertex_cover(g, g.n))
-            for s in enumerate_shapes(tp, stats):
+            for s in map(tuple, enumerate_shapes(tp, stats).tolist()):
                 want = shape_satisfies(g, tp, s, phi, stats)
                 for t, members in enumerate(tp.types):
-                    if s.per_type[t] != small:
+                    if s[t] != small:
                         continue
                     for take in range(small + 1, len(members) + 1):
                         picked = [
                             v
-                            for u, (ms, c) in enumerate(zip(tp.types, s.per_type))
+                            for u, (ms, c) in enumerate(zip(tp.types, s))
                             for v in ms[: take if u == t else c]
                         ]
                         sub, _ = g.induced(picked)
@@ -109,13 +110,13 @@ class TestShapeSatisfies:
         g = path_graph(2)
         tp = self._tp(g)
         stats = analyze(INDEP)
-        s = Shape((1, 1))
+        s = (1, 1)
         assert shape_satisfies(g, tp, s, INDEP, stats) is False
 
     def test_empty_shape_vacuous(self):
         g = path_graph(2)
         tp = self._tp(g)
-        s = Shape((0, 0))
+        s = (0, 0)
         assert shape_satisfies(g, tp, s, INDEP, analyze(INDEP)) is True
 
     def test_c5_pairs(self):
@@ -127,7 +128,7 @@ class TestShapeSatisfies:
             per = [0] * tp.count
             per[type_of[u]] += 1
             per[type_of[v]] += 1
-            got = shape_satisfies(g, tp, Shape(tuple(per)), INDEP, stats)
+            got = shape_satisfies(g, tp, tuple(per), INDEP, stats)
             # C5 types are singletons, so the shape pins the pair exactly
             assert got == (not g.has_edge(u, v))
 
@@ -138,13 +139,13 @@ class TestShapeSatisfies:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 6))
             tp = type_partition(g, min_vertex_cover(g, g.n))
-            s = Shape(tuple(
+            s = tuple(
                 rng.randint(0, min(len(members), small)) for members in tp.types
-            ))
+            )
             base = shape_satisfies(g, tp, s, INDEP, stats)
             # alternative representative: take the last vertices instead
             picked = []
-            for members, want in zip(tp.types, s.per_type):
+            for members, want in zip(tp.types, s):
                 picked.extend(members[-want:] if want else [])
             sub, _ = g.induced(picked)
             assert mso_check(sub, INDEP) == base
@@ -166,7 +167,7 @@ class TestShapeSatisfies:
                     stats = analyze(phi)
                     check = partitioning._ShapeCheck(g, types, phi, stats)
                     assert check.typed
-                    for s in enumerate_shapes(types, stats):
+                    for s in map(tuple, enumerate_shapes(types, stats).tolist()):
                         rep = partitioning.shape_representative(g, types, s, stats)
                         want = table_eval.evaluate_sentence(g.induced(rep)[0], phi.body)
                         assert check.decide(s) == want, (s, types, g.edges)
@@ -180,7 +181,7 @@ class TestShapeSatisfies:
         g = Graph.build(tuple(f"probe{v}" for v in range(5)), c5.edges)
         tp = self._tp(g)
         stats = analyze(INDEP)
-        shape = enumerate_shapes(tp, stats)[-1]
+        shape = tuple(enumerate_shapes(tp, stats)[-1].tolist())
         assert not shape_satisfies(g, tp, shape, INDEP, stats)
         assert g in partitioning._SHAPE_CACHE
         # while g lives, asking again reuses the entry
@@ -202,7 +203,7 @@ class TestMsoPartition:
         tp = type_partition(g, min_vertex_cover(g))
         fstats = analyze(INDEP)
         shapes = enumerate_shapes(tp, fstats)
-        satisfying = sum(shape_satisfies(g, tp, s, INDEP, fstats) for s in shapes)
+        satisfying = sum(shape_satisfies(g, tp, s, INDEP, fstats) for s in map(tuple, shapes.tolist()))
         assert verdict.holds
         assert verdict.stats.shapes == len(shapes) > satisfying == verdict.stats.satisfying_shapes > 0
 

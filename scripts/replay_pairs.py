@@ -7,8 +7,10 @@ record runs rounds 0..N-1 of every benchmark workload for one seed through
 bench/run.py's prepare/execute, importing cardmso from ROOT/src, and writes
 one entry per query: the answer, the witness, every work-pair list
 (solver._Pipeline._collect_pairs, as [alpha, pos, row] lists whether it
-returns tuples or columns) and the solve counters of every pipeline
-and partition the query made (elapsed times left out).
+returns tuples or columns), every rows-path program solved
+(solver._Rows.decide, in trees that have it: its variable and row counts
+and the solved count row) and the solve counters of every pipeline, rows
+program and partition the query made (elapsed times left out).
 
 Examples:
   python scripts/replay_pairs.py record --root . --seed 1 --rounds 2 --out change.json
@@ -54,8 +56,9 @@ def record(root: Path, seed: int, rounds: int) -> list[dict]:
     import workloads  # needs cardmso on the path
 
     solver, partitioning = cardmso.solver, cardmso.partitioning
-    made: dict[str, list] = {"pairs": [], "stats": []}
+    made: dict[str, list] = {"pairs": [], "stats": [], "rows": []}
     collect, init = solver._Pipeline._collect_pairs, solver._Pipeline.__init__
+    rows_class = getattr(solver, "_Rows", None)
     partition = partitioning.mso_partition
 
     def spy_collect(self):
@@ -72,6 +75,18 @@ def record(root: Path, seed: int, rounds: int) -> list[dict]:
         made["stats"].append(verdict.stats)
         return verdict
 
+    if rows_class is not None:
+        decide = rows_class.decide
+
+        def spy_decide(self, *args, **kwargs):
+            verdict = decide(self, *args, **kwargs)
+            program = self.program
+            solved = self.solved if verdict.holds else None
+            made["rows"].append([len(program.names), len(program.rows), _plain(solved)])
+            made["stats"].append(verdict.stats)
+            return verdict
+
+        rows_class.decide = spy_decide
     solver._Pipeline._collect_pairs = spy_collect
     solver._Pipeline.__init__ = spy_init
     partitioning.mso_partition = spy_partition
@@ -81,13 +96,14 @@ def record(root: Path, seed: int, rounds: int) -> list[dict]:
             rnd = workloads.make_round(workload, seed, index)
             graphs, formulas = run.prepare(rnd, cardmso)
             for query in rnd.queries:
-                made["pairs"], made["stats"] = [], []
+                made["pairs"], made["stats"], made["rows"] = [], [], []
                 answer, sets = run.execute(query, graphs[query.graph], formulas, cardmso)
                 out.append({
                     "query": f"{workload}/{index}/{query.label}",
                     "answer": _plain(answer),
                     "witness": _plain(sets),
                     "pairs": made["pairs"],
+                    "rows": made["rows"],
                     "stats": [_counters(s) for s in made["stats"]],
                 })
                 print(out[-1]["query"], out[-1]["answer"], file=sys.stderr)
@@ -100,12 +116,19 @@ def compare(a: list[dict], b: list[dict]) -> int:
         return 1
     differ = 0
     for ra, rb in zip(a, b):
-        fields = [key for key in ("answer", "witness", "pairs", "stats") if ra[key] != rb[key]]
+        fields = [
+            key for key in ("answer", "witness", "pairs", "rows", "stats")
+            if ra.get(key) != rb.get(key)
+        ]
         if fields:
             differ += 1
             print(f"{ra['query']}: {', '.join(fields)} differ")
-    pairs = sum(len(p) for r in a for p in r["pairs"])
-    print(f"{len(a)} queries, {pairs} work pairs; {differ} queries differ")
+    pairs = [sum(len(p) for r in rec for p in r["pairs"]) for rec in (a, b)]
+    programs = [sum(len(r.get("rows", ())) for r in rec) for rec in (a, b)]
+    print(
+        f"{len(a)} queries, {pairs[0]} / {pairs[1]} work pairs, "
+        f"{programs[0]} / {programs[1]} rows programs; {differ} queries differ"
+    )
     return 1 if differ else 0
 
 

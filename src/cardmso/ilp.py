@@ -51,6 +51,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import table_eval
 from .errors import BudgetExceeded
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -150,8 +151,9 @@ class Program(NamedTuple):
 def farkas_multipliers(rows: list, lo: list[int], hi: list[int]) -> Optional[list[int]]:
     """Integer multipliers y >= 0, one per <= row (pos, neg, rhs), proposed
     by a float phase-1 simplex over the box lo <= x <= hi; None when the LP
-    relaxation looks feasible or the pivot cap is hit. Only `refutes` makes
-    them a proof.
+    relaxation looks feasible, the pivot cap is hit or the dense tableau
+    would pass the cell budget (a 64-bit cell as 64 table cells). Only
+    `refutes` makes them a proof.
 
     Bounded-variable primal simplex with Dantzig's rule and a product-form
     basis inverse. Open variables are shifted to x = lo + z with
@@ -162,22 +164,21 @@ def farkas_multipliers(rows: list, lo: list[int], hi: list[int]) -> Optional[lis
     box minimum above y.b by that optimum."""
     free = [i for i in range(len(lo)) if lo[i] < hi[i]]
     column = {i: j for j, i in enumerate(free)}
-    kept, dense, rest = [], [], []
-    for r, (pos, neg, rhs) in enumerate(rows):
-        if sum(c * hi[i] for i, c in pos) + sum(c * lo[i] for i, c in neg) <= rhs:
-            continue
-        row = np.zeros(len(free))
+    kept = [r for r, (pos, neg, rhs) in enumerate(rows)
+            if sum(c * hi[i] for i, c in pos) + sum(c * lo[i] for i, c in neg) > rhs]
+    m, n = len(kept), len(free)
+    if m * (n + 3 * m) << 6 > table_eval.DEFAULT_CELL_BUDGET:
+        return None  # the tableau and its basis inverse
+    dense, rest = np.zeros((m, n)), []
+    for row, (pos, neg, rhs) in zip(dense, [rows[r] for r in kept]):
         for i, c in pos + neg:
             rhs -= c * lo[i]  # rhs once every variable is at its lower bound
             if i in column:
                 row[column[i]] = c
-        kept.append(r)
-        dense.append(row)
         rest.append(rhs)
-    m, n = len(kept), len(free)
     rhs = np.array(rest, float)
     violated = np.flatnonzero(rhs < 0)
-    cols = np.hstack([np.reshape(dense, (m, n)), np.eye(m), -np.eye(m)[:, violated]])
+    cols = np.hstack([dense, np.eye(m), -np.eye(m)[:, violated]])
     upper = np.concatenate([[hi[i] - lo[i] for i in free], np.full(m + len(violated), np.inf)])
     cost = np.concatenate([np.zeros(n + m), np.ones(len(violated))])
     basis = np.arange(n, n + m)

@@ -25,9 +25,10 @@ import numpy as np
 from . import ilp
 from .errors import BudgetExceeded
 from .formula import Formula, FormulaStats, Node, Quant, analyze, walk
-from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
+from .graph import DEFAULT_K_MAX, Graph, TypePartition
+from .graph import min_vertex_cover, nd_partition, type_partition  # noqa: F401 - traced by the benchmark
 from .mso_eval import _as_sentence, mso_check
-from .solver import SolveStats
+from .solver import SolveStats, _types
 from .typed_eval import TypedEvaluator
 
 DEFAULT_SHAPE_BUDGET = 2_000_000
@@ -137,16 +138,8 @@ def mso_partition(
 ) -> PartitionVerdict:
     """Decide the partitioning instance and reconstruct a witness partition."""
     start = time.perf_counter()
-    stats = SolveStats()
-    if mode in ("vertex-cover", "vc"):
-        cover = min_vertex_cover(g, k_max)
-        tp = type_partition(g, cover)
-        stats.cover_size = cover.size
-    elif mode in ("neighborhood-diversity", "nd"):
-        tp = nd_partition(g)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    stats.type_count = tp.count
+    tp, cover_size = _types(g, mode, k_max)
+    stats = SolveStats(cover_size=cover_size, type_count=tp.count)
     fstats = analyze(inst.formula)
 
     shapes = enumerate_shapes(tp, fstats)

@@ -1,48 +1,42 @@
-"""Decision pipeline: reduce the graph, loop over pre-evaluations, enumerate
-satisfying prefix assignments on the reduced graph, and decide with an
-extension integer program whether each one lifts to the full graph.
+"""Decision pipeline. check takes one of two paths over the type partition.
 
-The pre-evaluation loop never sweeps the 2^|l| space directly. The body is
-split into maximal constraint-only pieces and an MSO skeleton; pieces touch
-disjoint constraint leaves. Assignments are enumerated once per piece-value
-profile, on the skeleton folded under it; a pre-evaluation belongs to the
-profile its pieces fold to (one fold, _fold, serves skeleton and pieces).
-Work pairs (pre-evaluation, unit) are processed in the all-true-first
-binary-counter order the plain loop would visit.
+The rows path (_Rows) decides the sentence with one integer program. It is
+taken when every conjunct on the top-level And spine of the body, constant
+pieces folded, in negation normal form, is (i) forall x [forall y] psi, (ii)
+forall x exists y psi (psi quantifier-free; quantifiers move out of And/Or
+on a non-empty graph) or (iii) a constraint piece whose leaves lie on one
+direction and allow one interval of its value. Adjacency is uniform inside
+a type, so psi at two vertices depends only on their (type, signature)
+columns and on whether they are one vertex; a universal sentence holds iff
+it holds on every pair (Los-Tarski). The program: counts x in [0, |T|],
+indicators z = [x >= 1] and w = [x >= 2] (x <= |T| z, z <= x, 2w <= x,
+x <= 1 + (|T| - 1) w), hi(x) = 0 for a failing vertex, w = 0 for a failing
+twin pair, z_a + z_b <= 1 for a failing pair of columns, z_b <= the sum of
+z_a (and w_b) over the columns that witness b under (ii), two rows a piece.
 
-Prefix assignments are enumerated as subtype-cardinality states, and a work
-unit is nothing but its row of counts, one per (type, signature) column:
-assignments with identical counts induce identical extension programs
-(same-type vertices are interchangeable). While the whole prefix fits one
-table, the states come from its satisfying cells in bulk: a cell's vertex
-signatures are bits of its index, cells with the same sorted signatures in
-every twin class share a row, and only each row's first cell (in
-binary-counter order) becomes counts, one per column type_of[v] << m |
-sig(v) of every reduced vertex v. Beyond one table they come from the
-count-state engine. Both read the vertex-local signature filter
-(typed_eval._local_split): count states give no vertices to a signature it
-rules out, and the table path lists only the cells it allows when that is
-at most half (a listed cell costs 20-50 table cells). A solved row lifts
-to the full graph canonically, with no representative assignment.
+The enumeration path (_Pipeline) takes every other body, and any body on
+a graph that reduction keeps whole and whose prefix fits one truth table
+(it then decides off the count matrix with no program). It splits the body
+into maximal constraint-only pieces and an MSO skeleton, enumerates count
+rows of the reduced graph once per piece-value profile, on the skeleton
+folded under it (one fold, _fold, serves skeleton and pieces), and decides
+work pairs (pre-evaluation, row) in the all-true-first binary-counter order
+the plain loop would visit. A row has one count per (type, signature)
+column: assignments with identical counts induce identical extension
+programs. Rows come from one truth table's satisfying cells while the
+prefix fits it, otherwise from the count-state engine; both read the
+vertex-local signature filter (typed_eval._local_split).
 
-Reduction keeps min(|T|, threshold) vertices of every type; inside a twin
-class every size from the threshold up models the same sentences (Lampis's
-threshold argument). A subtype count below the threshold pins its variable,
-and a count at or above it is only a lower bound. Every row's type totals
-are the reduced type sizes, so the extension of every unit of a pipeline
-places the same number of further vertices, slack = n - reduced n. With no
-slack the type sums pin every variable and all work pairs are decided in
-bulk off the count matrix; otherwise each goes through the branch-and-bound
-ILP solver. One program is compiled per pre-evaluation and re-solved under
-each unit's bounds, with the unit's objective weights, if any, attached.
-A unit with set sizes s can comply only with the pre-evaluations of the
-sizes in s + [0, slack]^m. Once per pipeline that box is projected onto the
-constraints' distinct directions (rows up to sign), one axis at a time,
-keeping only the distinct projections, so a unit costs one comparison per
-constraint and projection, whatever n is. When a growth step would build
-more than a cap of elements (projections x (slack + 1) x directions), every
-unit is tried under every pre-evaluation of its profile instead, listed
-depth first over each piece's leaves.
+Reduction keeps min(|T|, threshold) vertices of every type (Lampis's
+threshold argument): a subtype count below the threshold pins its variable,
+one at or above it is a lower bound. Every row places the same slack =
+n - reduced n further vertices; with none the type sums pin every variable
+and all work pairs are decided in bulk off the count matrix, otherwise each
+re-solves its pre-evaluation's compiled program under the row's bounds and
+objective weights, if any. A row with set sizes s complies only with the
+pre-evaluations of the sizes in s + [0, slack]^m, that box projected once
+onto the constraints' distinct directions; past a cap on that projection,
+every row is tried under every pre-evaluation of its profile.
 """
 
 from __future__ import annotations
@@ -58,11 +52,11 @@ import numpy as np
 from . import ilp, table_eval
 from .errors import BudgetExceeded, WitnessError
 from .formula import (
-    CONNECTIVES, Adjacent, ConstraintRef, FalseLit, Formula, FormulaStats,
-    Member, Node, Not, PreEvaluation, Quant, SetEq, TrueLit, VertexEq, analyze,
+    CONNECTIVES, Adjacent, And, ConstraintRef, FalseLit, Formula, FormulaStats, Iff,
+    Implies, Member, Node, Not, PreEvaluation, Quant, SetEq, TrueLit, VertexEq, analyze,
     constraint_truths, walk,
 )
-from .graph import DEFAULT_K_MAX, Graph, min_vertex_cover, nd_partition, type_partition
+from .graph import DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
 from .mso_eval import PrefixAssignment, mso_check, reduce_graph
 from .mso_eval import satisfying_prefix_assignments  # noqa: F401 - the benchmark's tracer wraps it here
 from .typed_eval import TypedEvaluator, _local_split
@@ -198,7 +192,7 @@ class _Columns:
         if f.free_params:
             raise ValueError(f"formula has unbound parameters {sorted(f.free_params)}")
         m, k = f.m, len(f.constraints)
-        self.m = m
+        self.m, self.fstats = m, fstats
         self.small = fstats.small_threshold
         cols = np.arange(len(type_sizes) << m)
         self.sig_bits = (cols[:, None] >> np.arange(m)) & 1
@@ -244,6 +238,11 @@ class _Columns:
         return [c if c < self.small else size for c, size in zip(counts, self.sizes)]
 
 
+def _fits_one_table(n: int, m: int) -> bool:
+    """Do the assignments of m sets over n vertices fit one truth table?"""
+    return 1 << (n * m) <= table_eval.DEFAULT_CELL_BUDGET
+
+
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of an integer matrix, lexsorted (np.unique(axis=0)
     is far slower on long matrices)."""
@@ -285,23 +284,17 @@ class _Pipeline:
         k_max: int = DEFAULT_K_MAX,
         node_budget: int = ilp.DEFAULT_NODE_BUDGET,
         dump: Optional[Callable[[ilp.Program], None]] = None,
+        types: Optional[tuple[TypePartition, Optional[int]]] = None,
+        cols: Optional[_Columns] = None,
     ):
         self.g = g
         self.f = f
         self.node_budget = node_budget
         self.dump = dump
         self.stats = SolveStats()
-
-        if mode in ("vertex-cover", "vc"):
-            cover = min_vertex_cover(g, k_max)
-            self.tp = type_partition(g, cover)
-            self.stats.cover_size = cover.size
-        elif mode in ("neighborhood-diversity", "nd"):
-            self.tp = nd_partition(g)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        self.fstats = analyze(f)
-        self.cols = _Columns(f, self.fstats, [len(members) for members in self.tp.types])
+        self.tp, self.stats.cover_size = types or _types(g, mode, k_max)
+        self.cols = cols or _Columns(f, analyze(f), [len(members) for members in self.tp.types])
+        self.fstats = self.cols.fstats
         self._no_rows = np.zeros((0, len(self.cols.names)), dtype=np.int64)
         self.rg = reduce_graph(g, self.tp, self.fstats)
         self.stats.type_count = self.tp.count
@@ -356,13 +349,9 @@ class _Pipeline:
         """One count row per subtype-cardinality state. Uses the truth table
         while the whole prefix and the body fit one table and count-state
         recursion beyond that."""
-        budget = table_eval.DEFAULT_CELL_BUDGET
-        if (
-            1 << (self.rg.graph.n * self.m) <= budget
-            and table_eval.estimate_worst_cells(
-                self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
-            ) <= budget
-        ):
+        if _fits_one_table(self.rg.graph.n, self.m) and table_eval.estimate_worst_cells(
+            self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
+        ) <= table_eval.DEFAULT_CELL_BUDGET:
             return self._table_rows(body)
         ev = TypedEvaluator(
             self.rg.graph, classes=list(self.rg.types.types),
@@ -610,6 +599,159 @@ class _Pipeline:
             raise WitnessError("witness does not comply with its pre-evaluation")
 
 
+# ------------------------------------------------------------------ rows path
+
+def _types(g: Graph, mode: str, k_max: int) -> tuple[TypePartition, Optional[int]]:
+    """The mode's type partition, and the cover size in vertex-cover mode."""
+    if mode in ("vertex-cover", "vc"):
+        cover = min_vertex_cover(g, k_max)
+        return type_partition(g, cover), cover.size
+    if mode in ("neighborhood-diversity", "nd"):
+        return nd_partition(g), None
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _conjuncts(node: Node) -> list[Node]:
+    """The conjuncts of node's top-level And spine."""
+    return _conjuncts(node.left) + _conjuncts(node.right) if isinstance(node, And) else [node]
+
+
+def _quantifiers(node: Node, positive: bool = True) -> Optional[list[tuple[bool, str]]]:
+    """node's quantifiers in preorder as (universal in negation normal form,
+    variable); None when one binds a set or sits under Iff, or node reads a
+    set equality or a constraint."""
+    if isinstance(node, Not):
+        return _quantifiers(node.child, not positive)
+    if type(node) in CONNECTIVES:
+        left = _quantifiers(node.left, positive != isinstance(node, Implies))
+        right = _quantifiers(node.right, positive)
+        if left is None or right is None or isinstance(node, Iff) and left + right:
+            return None
+        return left + right
+    if isinstance(node, Quant):
+        child = _quantifiers(node.child, positive)
+        universal = (node.quantifier == "forall") == positive
+        return None if child is None or node.sort == "set" else [(universal, node.var)] + child
+    return None if isinstance(node, (SetEq, ConstraintRef, _PieceRef)) else []
+
+
+class _Rows:
+    """The rows path (see the module docstring): program is the sentence's
+    one program over columns x, then z, then w, or None when the syntax puts
+    the body outside the fragment; no array is built before that test."""
+
+    def __init__(self, g: Graph, f: Formula, tp: TypePartition, cols: _Columns):
+        self.f, self.tp, self.n, self.cols = f, tp, g.n, cols
+        self.program: Optional[ilp.Program] = None
+        skeleton, self.pieces = _split_pieces(f.body)
+        self.held, bodies = [], []  # (piece index, interval); (psi, universal, variable axes)
+        for node in _conjuncts(_fold(skeleton, [None] * len(self.pieces), g.n)):
+            if isinstance(node, _PieceRef):
+                self.held.append((node.index, self._interval(self.pieces[node.index])))
+                if self.held[-1][1] is None:
+                    return
+                continue
+            quants = _quantifiers(node) or []
+            kinds = [universal for universal, _ in quants]
+            axis = {var: i for i, (_, var) in enumerate(quants)}
+            if kinds not in ([True], [True, True], [True, False]) or len(axis) < len(quants):
+                return
+            bodies.append((node, kinds[-1], axis))
+        width = len(cols.names)  # the (2, width, width) grids are charged as table cells
+        if 2 * width * width > table_eval.DEFAULT_CELL_BUDGET:
+            raise BudgetExceeded("mso-cells", table_eval.DEFAULT_CELL_BUDGET, 2 * width * width)
+        column = np.arange(width)
+        reps = [members[0] for members in tp.types]
+        adj = np.array([[g.has_edge(u, v) for v in reps] for u in reps], dtype=bool).reshape(tp.count, -1)
+        # inside a type: false twins (vc), a clique or an independent set (nd)
+        np.fill_diagonal(adj, [len(ms) > 1 and g.has_edge(ms[0], ms[1]) for ms in tp.types])
+        adj = adj[np.ix_(column >> f.m, column >> f.m)]
+        same = np.array([False, True])[:, None, None]
+
+        def grid(node: Node, axis: dict):
+            """psi at [same, a, b]: the first variable in column a, the
+            second in column b, the two one vertex when same."""
+            if isinstance(node, (TrueLit, FalseLit)):
+                return np.bool_(isinstance(node, TrueLit))
+            if isinstance(node, Member):
+                bits = (column >> f.prefix.index(node.set)) & 1 == 1
+                return bits if axis[node.vertex] else bits[:, None]
+            if isinstance(node, (Adjacent, VertexEq)):
+                equal = same | (node.a == node.b)
+                return equal if isinstance(node, VertexEq) else adj & ~equal
+            if isinstance(node, (Not, Quant)):
+                return ~grid(node.child, axis) if isinstance(node, Not) else grid(node.child, axis)
+            return CONNECTIVES[type(node)](grid(node.left, axis), grid(node.right, axis), True)
+
+        rows = list(cols.group1)
+        for _, (direction, lo, hi) in self.held:
+            terms = tuple(enumerate((cols.sig_bits @ cols.dirs[direction]).tolist()))
+            rows += [(terms, rel, b) for rel, b in zip((ilp.GE, ilp.LE), (lo, hi)) if b is not None]
+        live = np.ones(width, dtype=bool)  # a vertex may take the column
+        pairs = np.ones((width, width), dtype=bool)  # two vertices may take a and b
+        covers = []  # (column, the columns whose vertices witness it under (ii))
+        for node, universal, axis in bodies:
+            two, one = np.broadcast_to(grid(node, axis), (2, width, width))
+            if universal:
+                live &= one.diagonal()
+                pairs &= two & two.T
+            else:
+                covers += [(b, np.flatnonzero(two[b])) for b in np.flatnonzero(~one.diagonal())]
+
+        size = np.array(cols.sizes)
+        for x, t in zip(np.flatnonzero(live).tolist(), size[live].tolist()):
+            z, w = width + x, 2 * width + x
+            rows += [(((x, 1), (z, -t)), ilp.LE, 0), (((z, 1), (x, -1)), ilp.LE, 0),
+                     (((w, 2), (x, -1)), ilp.LE, 0), (((x, 1), (w, 1 - t)), ilp.LE, 1)]
+        for a, b in np.argwhere(np.triu(~pairs, 1) & live & live[:, None]).tolist():
+            rows.append((((width + a, 1), (width + b, 1)), ilp.LE, 1))
+        for b, others in covers:  # a twin of b witnesses it through w_b
+            terms = [(width + a if a != b else 2 * width + b, -1) for a in others[live[others]].tolist()]
+            rows.append((((width + b, 1), *terms), ilp.LE, 0))
+        hi = np.concatenate([np.where(live, size, 0), live, pairs.diagonal() & live & (size > 1)])
+        names = cols.names + [p + name[1:] for p in "zw" for name in cols.names]
+        self.program = ilp.Program.build(names, [0] * len(names), hi.tolist(), rows)
+
+    def _interval(self, piece: Node) -> Optional[tuple[int, Optional[int], Optional[int]]]:
+        """(direction, lo, hi) when the piece's leaves lie on one direction
+        and the piece holds for exactly its values in [lo, hi], a None end
+        unbounded. A leaf holds iff sign * value <= const, so the piece is
+        evaluated once between each two such ends."""
+        cols = self.cols
+        leaves = [sub.index for sub in walk(piece) if isinstance(sub, ConstraintRef)]
+        if len({cols.dir_of[j] for j in leaves}) != 1:
+            return None
+        consts = cols.consts.tolist()
+        starts = sorted({consts[j] + 1 if cols.signs[j] > 0 else -consts[j] for j in leaves})
+        inside = np.flatnonzero([
+            isinstance(_fold(piece, [s * v <= c for s, c in zip(cols.signs, consts)], self.n), TrueLit)
+            for v in [starts[0] - 1] + starts
+        ])
+        if not len(inside):
+            return cols.dir_of[leaves[0]], 1, 0
+        if inside[-1] - inside[0] + 1 != len(inside):
+            return None
+        lo = starts[inside[0] - 1] if inside[0] else None
+        return cols.dir_of[leaves[0]], lo, starts[inside[-1]] - 1 if inside[-1] < len(starts) else None
+
+    def decide(self, stats: SolveStats, node_budget: int, dump) -> Verdict:
+        """Solve the program once and lift the solved counts; the witness's
+        pre-evaluation is the truth of each constraint at its set sizes."""
+        stats.ilp_solves = 1
+        if dump is not None:
+            dump(self.program)
+        res = ilp.solve_feasibility(self.program, node_budget)
+        stats.ilp_nodes, stats.ilp_lp_refutations = res.nodes, int(res.lp_refuted)
+        if res.status == "infeasible":
+            return Verdict(False, None, None, stats)
+        self.solved = res.assignment[: len(self.cols.names)]
+        witness = extract_witness(self.solved, self.f.m, self.tp.types)
+        alpha = constraint_truths(self.f, {name: len(s) for name, s in zip(self.f.prefix, witness.sets)})
+        if any(not isinstance(_fold(self.pieces[i], alpha, self.n), TrueLit) for i, _ in self.held):
+            raise WitnessError("witness fails a constraint piece of the body")
+        return Verdict(True, witness, alpha, stats)
+
+
 # ---------------------------------------------------------------- public ops
 
 def extract_witness(
@@ -643,8 +785,17 @@ def check(
     node_budget: int = ilp.DEFAULT_NODE_BUDGET,
     dump: Optional[Callable[[ilp.Program], None]] = None,
 ) -> Verdict:
-    """Does g model the sentence? Exact; witness returned when it holds."""
+    """Does g model the sentence? Exact; witness returned when it holds.
+    Dispatched to the rows or the enumeration path as the module docstring
+    says."""
     start = time.perf_counter()
-    verdict = _Pipeline(g, f, mode, k_max, node_budget, dump).run_decision()
+    tp, cover_size = types = _types(g, mode, k_max)
+    cols = _Columns(f, analyze(f), [len(members) for members in tp.types])
+    whole = max(map(len, tp.types), default=0) <= cols.fstats.reduce_threshold
+    rows = _Rows(g, f, tp, cols) if g.n and not (whole and _fits_one_table(g.n, f.m)) else None
+    if rows is None or rows.program is None:
+        verdict = _Pipeline(g, f, mode, k_max, node_budget, dump, types, cols).run_decision()
+    else:
+        verdict = rows.decide(SolveStats(cover_size=cover_size, type_count=tp.count), node_budget, dump)
     verdict.stats.elapsed = time.perf_counter() - start
     return verdict

@@ -33,6 +33,7 @@ from .formula import (
 from .graph import Graph, nd_partition
 
 DEFAULT_STATE_BUDGET = 50_000_000
+MEMO_BUDGET = 8_000_000  # memo entries weighted by 1 + classes + picks: about 1.1 GB
 
 # state entries: classes = ((base_id, sig, count), ...) with count > 0,
 # picks = ((base_id, sig), ...); sig bit i = membership in the i-th bound set
@@ -99,6 +100,7 @@ class TypedEvaluator:
         self.state_budget = state_budget
         self.calls = 0
         self.leaves = 0  # candidate states satisfying_states evaluated
+        self.memo_used = 0  # memo entries, weighted as MEMO_BUDGET counts them
 
         if classes is None:
             classes = list(nd_partition(g).types)
@@ -222,6 +224,9 @@ class TypedEvaluator:
             if got is None:
                 got = self._eval_quant(node, classes, picks)
                 table[key] = got
+                self.memo_used += 1 + len(key[0]) + len(key[1])
+                if self.memo_used > MEMO_BUDGET:
+                    raise BudgetExceeded("mso-memo", MEMO_BUDGET, self.memo_used)
             return got
         raise TypeError(f"unknown node {node!r}")
 

@@ -3,11 +3,11 @@ from functools import lru_cache
 
 import pytest
 
-from cardmso import oracle
-from cardmso.formula import Formula, constraint_truths
-from cardmso.graph import Graph
+from cardmso import ilp, oracle, solver
+from cardmso.formula import Formula, analyze, constraint_truths
+from cardmso.graph import DEFAULT_K_MAX, Graph
 from cardmso.mso_eval import PrefixAssignment
-from cardmso.solver import Verdict
+from cardmso.solver import SolveStats, Verdict
 
 
 def path_graph(n: int) -> Graph:
@@ -84,6 +84,19 @@ def assert_witness_valid(g: Graph, f: Formula, verdict: Verdict) -> None:
     assert alpha == verdict.alpha, "witness does not comply with reported alpha"
     masks = {name: sum(1 << v for v in s) for name, s in zip(f.prefix, chi.sets)}
     assert oracle._LoopEval(g, f.constraints).eval(f.body, masks, {}), "witness fails the body"
+
+
+def rows_path(g: Graph, f: Formula, mode: str = "vertex-cover") -> solver._Rows:
+    """The rows path of (g, f), built as check builds it."""
+    tp = solver._types(g, mode, DEFAULT_K_MAX)[0]
+    return solver._Rows(g, f, tp, solver._Columns(f, analyze(f), [len(ms) for ms in tp.types]))
+
+
+def rows_verdict(g: Graph, f: Formula, mode: str = "vertex-cover") -> Verdict:
+    """check forced onto the rows path (the body must be in its fragment)."""
+    rows = rows_path(g, f, mode)
+    assert rows.program is not None
+    return rows.decide(SolveStats(), ilp.DEFAULT_NODE_BUDGET, None)
 
 
 @pytest.fixture

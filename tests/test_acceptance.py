@@ -26,7 +26,7 @@ from cardmso.balanced import cbalanced
 from cardmso.solver import check
 from conftest import (
     assert_witness_valid, atlas_connected, complete_bipartite, complete_graph,
-    cycle_graph, path_graph, planted_cover, random_graph, star_graph,
+    cycle_graph, path_graph, planted_cover, random_graph, rows_verdict, star_graph,
 )
 
 WITNESS_CHECKS = {"count": 0}
@@ -69,9 +69,16 @@ class TestAcceptance:
         for g in family:
             for name, f in formulas.items():
                 want = oracle.brute_check(g, f)
-                got = _checked(g, f)
+                got = [_checked(g, f)]
+                # these graphs fit one truth table, so check takes the
+                # enumeration path; the rows path is forced, in both modes
+                if name != "equitable-connected-3":
+                    got += [rows_verdict(g, f, mode) for mode in ("vc", "nd")]
+                    for verdict in got[1:]:
+                        if verdict.holds:
+                            assert_witness_valid(g, f, verdict)
                 total += 1
-                if got.holds != want:
+                if any(verdict.holds != want for verdict in got):
                     mismatches += 1
                     print(f"  mismatch: {name} on n={g.n} edges={g.edges}")
         _report(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,8 +227,10 @@ def test_dump_ilp_without_slack_writes_one_program_per_decided_pair(tmp_path, ca
 
 
 def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
-    # ids_k with k=9 holds on a star with 9 leaves: reduction keeps 4 leaves,
-    # so the witness's 9 comes out of the search over the last program dumped
+    # ids_k with k=9 holds on a star with 9 leaves; the leaves outgrow the
+    # reduction, so check takes the rows path and dumps its one program,
+    # whose search gives the witness its 9 leaves. The program's columns are
+    # the counts x and the indicators z = [x >= 1] and w = [x >= 2]
     from cardmso.formula import parse_formula
     from cardmso.graph import min_vertex_cover, parse_graph, type_partition
 
@@ -236,7 +242,7 @@ def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
         "--dump-ilp", str(dump), "--json",
     ])
     doc = json.loads(capsys.readouterr().out)
-    assert code == 0 and doc["stats"]["reduced_vertices"] < 10
+    assert code == 0 and doc["stats"]["ilp_solves"] == 1
     domains, rows = {}, []
     for line in dump.read_text().split("# instance ")[-1].splitlines()[1:]:
         if line.startswith("# var "):
@@ -256,6 +262,9 @@ def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
         for v in members:
             sig = sum(1 << i for i, name in enumerate(prefix) if v in sets[name])
             counts[f"x_t{t}_s{sig}"] += 1
+    for name in [name for name in counts if name.startswith("x")]:
+        counts["z" + name[1:]] = int(counts[name] >= 1)
+        counts["w" + name[1:]] = int(counts[name] >= 2)
     assert len(counts) == len(domains) and rows
     assert max(hi - lo for lo, hi in domains.values()) > 0  # the search had room
     for name, (lo, hi) in domains.items():
@@ -353,3 +362,40 @@ def test_unexpected_error_exits_four(files, capsys, monkeypatch, error):
     assert code == cli.EXIT_INTERNAL == 4
     assert err.count("\n") == 1
     assert err.startswith("error: internal error: " + type(error).__name__)
+
+
+@pytest.mark.parametrize("command, formula, limit", [
+    # equitable_connected_3 keeps the enumeration path, whose typed
+    # evaluator memoises its set-quantified conjuncts
+    (["check"], "equitable_connected_3.cms", 1000),
+    # partition keeps one evaluator, and its memo, for all of a query's
+    # shapes, so the budget adds up across them: here no one of the 108
+    # shapes stores more than 19 weighted entries, all of them 1,004
+    (["partition", "-r", "2"], "independence.cms", 100),
+])
+def test_memo_budget_refuses_with_exit_three(files, tmp_path, command, formula, limit):
+    # with the memo limited, a 12-vertex planted cover refuses early, in a
+    # subprocess that reports its own peak memory on its last stderr line
+    graph = tmp_path / "cover.g"
+    edges = [(u, v) for u in range(2) for v in range(u + 1, 12) if (u + 3 * v) % 4]
+    graph.write_text(f"p 12 {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges))
+    code = (
+        "import resource, sys\n"
+        "from cardmso import cli, typed_eval\n"
+        f"typed_eval.MEMO_BUDGET = {limit}\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *command, "--graph", str(graph),
+         "--formula", files[formula], "--json"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_BUDGET == 3, done.stderr
+    budget = json.loads(done.stdout)["budget"]
+    assert (budget["kind"], budget["limit"]) == ("mso-memo", limit) and budget["used"] > limit
+    lines = done.stderr.splitlines()
+    assert lines[0].startswith(f"error: mso-memo budget exceeded (limit {limit}, reached ")
+    assert int(lines[-1]) < 300 * 1024  # ru_maxrss is in KiB

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cardmso import table_eval
 from cardmso.errors import BudgetExceeded
 from cardmso.ilp import (
     EQ, GE, LE, Program, _Search, farkas_multipliers, refutes, solve_feasibility, solve_min,
@@ -414,6 +415,13 @@ class TestCertificateCheck:
         # surrogate 0 <= -1 would "refute" it
         rows = [[[(0, 1)], [], 3], [[], [(0, -1)], -2]]
         assert not refutes(rows, [-1, -1], [0], [5])
+
+    def test_no_proposal_past_the_cell_budget(self, monkeypatch):
+        # two rows over one open column: 2 * (1 + 3 * 2) cells of 64 bits
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 14 * 64)
+        assert refutes(self.ROWS, farkas_multipliers(self.ROWS, [0], [5]), [0], [5])
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 14 * 64 - 1)
+        assert farkas_multipliers(self.ROWS, [0], [5]) is None
 
     def test_proposals_with_a_flipped_sign_are_rejected(self):
         spec = Spec([(0, 4), (0, 4)], [row({0: 2, 1: 2}, EQ, 5)])

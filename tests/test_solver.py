@@ -356,7 +356,9 @@ class TestCheck:
         g = edgeless(3)
         f = parse_formula("exists X. [|X| = 1]")
         for mode in ("vertex-cover", "neighborhood-diversity"):
-            v = check(g, f, mode=mode)
+            assert check(g, f, mode=mode).holds
+            # the enumeration path reduces the twin class to two vertices
+            v = _Pipeline(g, f, mode).run_decision()
             assert v.stats.reduced_vertices == 2
             assert v.holds
             assert_witness_valid(g, f, v)
@@ -368,8 +370,9 @@ class TestCheck:
         assert check(path_graph(3), f).stats.pre_evaluations == 0
         # C4 holds at its first pair, under the all-true pre-evaluation
         assert check(cycle_graph(4), f).stats.pre_evaluations == 1
-        # every pair of the 40-leaf star has that same pre-evaluation
-        assert check(star_graph(40), f).stats.pre_evaluations == 1
+        # every pair of the 40-leaf star has that same pre-evaluation (check
+        # takes the rows path there, which has no work pairs)
+        assert _Pipeline(star_graph(40), f).run_decision().stats.pre_evaluations == 1
         # at most one vertex in X: [2 <= |X|] guessed true is refuted, and
         # the empty X holds with it guessed false
         f = parse_formula(
@@ -415,11 +418,11 @@ class TestReductionGrowth:
         # must grow the in-set subtype from 4 back to 99
         f = substitute_params(parse_formula(corpus.independent_dominating()), {"k": 99})
         g = star_graph(99)
-        v = check(g, f)
-        assert v.holds
-        assert v.witness.sets[0] == frozenset(range(1, 100))
+        for v in (check(g, f), _Pipeline(g, f).run_decision()):
+            assert v.holds
+            assert v.witness.sets[0] == frozenset(range(1, 100))
+            assert_witness_valid(g, f, v)
         assert v.stats.reduced_vertices == 5
-        assert_witness_valid(g, f, v)
 
     def test_no_intermediate_size_exists(self):
         f = substitute_params(parse_formula(corpus.independent_dominating()), {"k": 50})
@@ -454,13 +457,15 @@ def test_wide_piece_answers_like_the_oracle(monkeypatch):
 
 def test_fallback_charges_pre_evaluations_while_listing(monkeypatch):
     # a disjunction of 30 leaves is true under all but one of its 2^30
-    # patterns; the fallback refuses before it lists them
+    # patterns; the enumeration path's fallback refuses before it lists them
+    # (check answers on the rows path: the piece allows one interval)
     monkeypatch.setattr(solver, "_CANDIDATE_BOX_CAP", 1)
     piece = " | ".join(f"[|Z| <= {i}]" for i in range(30))
     f = parse_formula(f"exists Z. ({piece})")
+    assert check(edgeless(5), f).holds
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as err:
-        check(edgeless(5), f)
+        _Pipeline(edgeless(5), f).run_decision()
     assert time.perf_counter() - start < 5
     assert (err.value.kind, err.value.limit) == ("pre-evaluations", solver.MAX_FALLBACK_ALPHAS)
     assert err.value.used > err.value.limit
@@ -581,7 +586,7 @@ def test_stream_looping_over_every_subset_is_not_used(monkeypatch):
 
         monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", budget)
         monkeypatch.setattr(_Pipeline, "_table_rows", stream)
-        verdict = check(cycle_graph(4), f)
+        verdict = _Pipeline(cycle_graph(4), f).run_decision()
         assert verdict.holds
         assert_witness_valid(cycle_graph(4), f, verdict)
         assert bool(calls) == streamed
@@ -649,7 +654,7 @@ def test_sixteen_reduced_vertices_take_count_states(monkeypatch):
     monkeypatch.setattr(_Pipeline, "_table_rows", no_stream)
     g = cover_with_leaves(7, 32)
     f = parse_formula(corpus.bipartite_equal())
-    verdict = check(g, f)
+    verdict = _Pipeline(g, f).run_decision()
     assert verdict.stats.reduced_vertices == 16
     assert verdict.holds
     assert_witness_valid(g, f, verdict)
@@ -659,7 +664,7 @@ def test_count_states_counts_filtered_leaves():
     # the exactly-one conjunct leaves signatures X1-only and X2-only, so the
     # classes of 1, 8 and 8 reduced vertices split 2 * 9 * 9 ways
     g = cover_with_leaves(20, 40)
-    verdict = check(g, parse_formula(corpus.bipartite_equal()))
+    verdict = _Pipeline(g, parse_formula(corpus.bipartite_equal())).run_decision()
     assert verdict.stats.reduced_vertices == 17
     assert verdict.stats.count_states == 162
 
@@ -802,7 +807,8 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
     g = planted_cover(random.Random(1), 2, 40)
     answers = set()
     for k in (17, 18, 19, 20, 38, 39):
-        answers.add(check(g, substitute_params(ids, {"k": k})).holds)
+        # check would take the rows path: run the work pairs
+        answers.add(_Pipeline(g, substitute_params(ids, {"k": k})).run_decision().holds)
     assert answers == {True, False}
     nodes = {}
     for pipeline, (counts, alpha, objective, below), got in calls:

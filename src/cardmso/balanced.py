@@ -3,14 +3,14 @@ into c parts of sizes pairwise differing by at most one.
 
 Runs the cardinality-MSO pipeline on the equitable c-partition sentence, with
 the cut as the extension program's objective. Every edge has a cover
-endpoint, so the cut of an extension is const0 + w . x over the count
-columns: const0 counts the cover-cover edges between parts, and a one-hot
-subtype's weight is the number of its adjacent cover vertices in other
-parts. Both depend only on the parts of the cover vertices, which a work
-item's count row fixes, so they are computed once per cover-part key.
-Without slack the cuts of all work items are read off the count matrix at
-once. Otherwise every item is solved, only for cut values below the best
-found so far, so items that cannot improve on it are refuted without a
+endpoint, so the cut of an extension is w . x over the count columns: a
+one-hot column's weight is the number of edges from a member of its type to
+cover vertices in other parts, one matrix over (type, cover vertex) with
+each cover-cover edge at one endpoint. The weights depend only on the parts
+of the cover vertices, which a work item's count row fixes and pins.
+Without slack the cuts of all work items are read off the count matrix in
+one product. Otherwise every item is solved, only for cut values below the
+best found so far, so items that cannot improve on it are refuted without a
 full search.
 """
 
@@ -49,75 +49,52 @@ class BetaObjective:
     """The cut of one pipeline run as a linear objective over the count
     columns.
 
-    part(v) for a cover vertex is read off the work item's count row (cover
-    types are singletons and survive reduction); a non-cover subtype's
-    contribution is its cardinality times the number of adjacent cover
-    vertices in other parts.
+    edges[t, c] is 1 when the members of type t are adjacent to cover vertex
+    c, except that an edge between two cover vertices is counted once, at
+    the lower type. Every edge has a cover endpoint, so the cut of an
+    extension is the sum over one-hot columns (t, part i) of the count times
+    the column's weight: edges[t] summed over the cover vertices outside
+    part i. A cover vertex's part is its row's one-hot column, pinned in
+    every extension, so the weights are fixed per row.
     """
 
     def __init__(self, pipeline: _Pipeline):
-        g, tp = pipeline.g, pipeline.tp
-        self.m = pipeline.m
+        g, tp, self.m = pipeline.g, pipeline.tp, pipeline.m
         self.cover_types = sorted(tp.cover_types)
-        cover_vertex = {t: tp.types[t][0] for t in self.cover_types}
-        cover_type = {v: t for t, v in cover_vertex.items()}
-        self.cover_cover_edges = [
-            (cover_type[u], cover_type[v])
-            for u, v in g.edges if u in cover_type and v in cover_type
-        ]
-        # adjacency between a non-cover type and each cover vertex is uniform
-        self.type_adjacent_covers = {
-            t: [ct for ct in self.cover_types if g.has_edge(members[0], cover_vertex[ct])]
+        # adjacency between a type and each cover vertex is uniform
+        self.edges = np.array([
+            [g.has_edge(members[0], tp.types[c][0]) and (t < c or t not in tp.cover_types)
+             for c in self.cover_types]
             for t, members in enumerate(tp.types)
-            if t not in tp.cover_types
-        }
-        self._cuts: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
+        ], dtype=np.int64).reshape(tp.count, len(self.cover_types))
+        # onehot[t, i]: the column of type t's members in part i alone
+        self.onehot = (np.arange(tp.count)[:, None] << self.m) | (1 << np.arange(self.m))
+        self._cover_columns = self.onehot[self.cover_types].ravel().tolist()
+        self._terms: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 
-    def key(self, counts: tuple[int, ...]) -> tuple[int, ...]:
-        """The cover vertices' parts in the row: all the objective reads."""
-        parts = []
-        for ct in self.cover_types:
-            # a cover type is a singleton: one entry of its block is 1
-            sig = counts.index(1, ct << self.m, (ct + 1) << self.m) - (ct << self.m)
-            # exactly-one membership: the signature is one-hot
-            if not sig or sig & (sig - 1):
-                raise AssertionError("cover vertex without one-hot membership")
-            parts.append(sig.bit_length() - 1)
-        return tuple(parts)
+    def _weights(self, cover: np.ndarray) -> np.ndarray:
+        """Per row r, the cut weight of each one-hot column (t, i), given
+        cover[r, c, i] = 1 when cover vertex c is in part i."""
+        return self.edges.sum(axis=1)[:, None] - np.einsum("tc,rci->rti", self.edges, cover)
 
-    def augment(self, counts: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(const0, ((column, weight), ...)): the cut of every extension x of
-        the row `counts` is const0 + sum of weight * x[column]. Both depend
-        only on the parts of the cover vertices. Only one-hot signatures
-        carry a weight: the others are empty subtypes, pinned at zero."""
-        key = self.key(counts)
-        got = self._cuts.get(key)
-        if got is None:
-            part = dict(zip(self.cover_types, key))
-            const0 = sum(part[s] != part[t] for s, t in self.cover_cover_edges)
-            weights = []
-            for t, covers in self.type_adjacent_covers.items():
-                inside = [0] * self.m  # adjacent cover vertices per part
-                for ct in covers:
-                    inside[part[ct]] += 1
-                weights += [((t << self.m) | (1 << i), len(covers) - inside[i])
-                            for i in range(self.m) if inside[i] < len(covers)]
-            got = self._cuts[key] = (const0, tuple(weights))
-        return got
+    def augment(self, counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """((column, weight), ...): the cut of every extension x of the row
+        `counts` is the sum of weight * x[column]. Memoised on the cover
+        vertices' parts, all the weights read."""
+        key = tuple(counts[j] for j in self._cover_columns)
+        terms = self._terms.get(key)
+        if terms is None:
+            cover = np.array(key, dtype=np.int64).reshape(1, len(self.cover_types), self.m)
+            weights = self._weights(cover)[0].ravel().tolist()
+            terms = self._terms[key] = tuple(
+                (column, w) for column, w in zip(self.onehot.ravel().tolist(), weights) if w
+            )
+        return terms
 
     def values(self, rows: np.ndarray) -> np.ndarray:
-        """The cut of each count row as its own extension (no slack). Rows are
-        grouped by placement of the cover vertices, numbered one vertex at a
-        time, and augment runs on one row per group."""
-        group = np.zeros(len(rows), dtype=np.int64)
-        for sig in rows.reshape(len(rows), -1, 1 << self.m)[:, self.cover_types].argmax(axis=2).T:
-            group = np.unique(group << self.m | sig, return_inverse=True)[1]
-        cuts = [self.augment(tuple(row)) for row in rows[np.unique(group, return_index=True)[1]].tolist()]
-        weights = np.zeros((len(cuts), rows.shape[1]), dtype=np.int64)
-        for i, (_, terms) in enumerate(cuts):
-            weights[i, [column for column, _ in terms]] = [weight for _, weight in terms]
-        const0 = np.array([const0 for const0, _ in cuts], dtype=np.int64)[group]
-        return const0 + np.einsum("ij,ij->i", rows, weights[group])
+        """The cut of each count row as its own extension (no slack)."""
+        onehot = rows[:, self.onehot]
+        return np.einsum("rti,rti->r", onehot, self._weights(onehot[:, self.cover_types]))
 
 
 def cbalanced(

@@ -29,7 +29,7 @@ def _exactly_one(x: str, parts: list[str]) -> str:
 
 def _equi(a: str, b: str) -> str:
     """Sizes of a and b differ by at most one."""
-    return f"([|{a}| = |{b}| + 1] | [|{a}| + 1 = |{b}|] | [|{a}| = |{b}|])"
+    return f"([|{a}| <= |{b}| + 1] & [|{b}| <= |{a}| + 1])"
 
 
 def _equi_all(parts: list[str]) -> str:

@@ -425,24 +425,24 @@ class _Pipeline:
         """(feasible, solved count row, objective value) for one work pair;
         with `below`, only objective values < below count as feasible."""
         self.stats.ilp_solves += 1
-        const0, weights = objective.augment(counts) if objective is not None else (0, None)
+        weights = objective.augment(counts) if objective is not None else None
         if self.dump is not None:
             self.dump(_build_program(self.cols, counts, alpha_index, weights))
         program = self._programs.get(alpha_index)
         if program is None:
             program = self._programs[alpha_index] = _build_program(self.cols, counts, alpha_index)
-        # the weights (the cut less its constant part) are over the count
-        # columns, which are the program's variable indices
+        # the weights are over the count columns, which are the program's
+        # variable indices
         program = program._replace(lo=counts, hi=self.cols.upper(counts), objective=weights)
         if weights is None:
             res = ilp.solve_feasibility(program, self.node_budget)
         else:
-            res = ilp.solve_min(program, self.node_budget, None if below is None else below - const0)
+            res = ilp.solve_min(program, self.node_budget, below)
         self.stats.ilp_nodes += res.nodes
         self.stats.ilp_lp_refutations += res.lp_refuted
         if res.status == "infeasible":
             return False, None, None
-        return True, res.assignment, None if weights is None else const0 + res.objective_value
+        return True, res.assignment, res.objective_value
 
     # ------------------------------------------------------------- main loop
 
@@ -585,7 +585,7 @@ class _Pipeline:
         self.stats.pre_evaluations = len(np.unique(alphas[:decided]))
         if self.dump is not None:
             for alpha_index, counts in zip(alphas[:decided].tolist(), map(tuple, rows.tolist())):
-                weights = objective.augment(counts)[1] if objective is not None else None
+                weights = objective.augment(counts) if objective is not None else None
                 self.dump(_build_program(self.cols, counts, alpha_index, weights))
         if objective is None:
             return None, rows[0].tolist(), int(alphas[0])

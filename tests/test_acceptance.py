@@ -154,10 +154,10 @@ class TestAcceptance:
                 parse_formula(corpus.bipartite_equal()), (True, True)
             ),
             "equitable-3-coloring": pre_evaluate(
-                parse_formula(corpus.equitable_coloring(3)), (True,) * 18
+                parse_formula(corpus.equitable_coloring(3)), (True,) * 6
             ),
             "equitable-connected-3": pre_evaluate(
-                parse_formula(corpus.equitable_connected(3)), (True,) * 18
+                parse_formula(corpus.equitable_connected(3)), (True,) * 6
             ),
             "ids-k2": pre_evaluate(
                 substitute_params(parse_formula(corpus.independent_dominating()), {"k": 2}),

@@ -50,7 +50,7 @@ class TestFormulaGeneration:
         st = analyze(f)
         assert f.m == 3
         assert st.q_v == 1 and st.q_S == 0
-        assert len(f.constraints) == 18  # 3 pairs x 3 equalities x 2 halves
+        assert len(f.constraints) == 6  # 3 pairs x 2 directions
 
     def test_c1_no_constraints(self):
         f = generate_equitable_formula(1)
@@ -58,7 +58,7 @@ class TestFormulaGeneration:
 
     def test_c2_single_pair(self):
         f = generate_equitable_formula(2)
-        assert f.m == 2 and len(f.constraints) == 6
+        assert f.m == 2 and len(f.constraints) == 2
 
 
 class TestCbalanced:
@@ -124,17 +124,24 @@ class TestCbalanced:
         assert result.stats.reduced_vertices < n
         assert result.cut_value == min_cost_flow_cut(g, 2, 2)
 
-    @pytest.mark.parametrize("n", [100, 400])
-    @pytest.mark.parametrize("k", [1, pytest.param(2, marks=pytest.mark.acceptance)])
-    def test_planted_cover_matches_the_flow_reference(self, k, n):
+    # ids "k-n" for c=2, "k-n-c" otherwise
+    @pytest.mark.parametrize("k, n, c", [
+        pytest.param(1, 100, 2, id="1-100"),
+        pytest.param(1, 400, 2, id="1-400"),
+        pytest.param(2, 100, 2, id="2-100", marks=pytest.mark.acceptance),
+        pytest.param(2, 400, 2, id="2-400", marks=pytest.mark.acceptance),
+        pytest.param(1, 40, 3, id="1-40-3", marks=pytest.mark.acceptance),
+        pytest.param(1, 100, 3, id="1-100-3", marks=pytest.mark.acceptance),
+    ])
+    def test_planted_cover_matches_the_flow_reference(self, k, n, c):
         # past brute force, against a reference that shares no code with
         # the pipeline; a lone cover vertex of degree d costs
-        # max(0, d + 1 - n/2), so some draws cut nothing and others do
+        # max(0, d + 1 - ceil(n/c)), so some draws cut nothing and others do
         cuts = []
         for seed in range(6):
             g = planted_cover(random.Random(seed), k, n)
-            cuts.append(cbalanced(g, 2).cut_value)
-            assert cuts[-1] == min_cost_flow_cut(g, k, 2), seed
+            cuts.append(cbalanced(g, c).cut_value)
+            assert cuts[-1] == min_cost_flow_cut(g, k, c), seed
         assert max(cuts) > 0
 
     @pytest.mark.parametrize("n", [100, 400])
@@ -150,26 +157,31 @@ class TestCbalanced:
 
 
 def test_beta_decomposition_matches_direct_count(rng):
-    """augment's const0 plus the weighted count columns equals the directly
-    counted cut of an assignment of the reduced graph with the unit's
-    counts: valid because every edge has a cover endpoint. Only one-hot
-    signatures of non-cover types carry a weight."""
-    checked = 0
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 7))
+    """values(rows), and each row's augment terms dotted with the row, equal
+    the directly counted cut of an assignment of the reduced graph with the
+    row's counts: valid because every edge has a cover endpoint. The k=2
+    planted covers join their cover vertices half the time, so rows that
+    split a cover-cover edge show whether it is charged exactly once."""
+    graphs = [random_graph(rng, rng.randint(2, 7)) for _ in range(40)]
+    graphs += [planted_cover(rng, 2, rng.randint(5, 9)) for _ in range(20)]
+    checked = split_cover_edges = 0
+    for g in graphs:
         c = rng.choice([2, 3])
-        f = generate_equitable_formula(c)
-        pipeline = _Pipeline(g, f)
+        pipeline = _Pipeline(g, generate_equitable_formula(c))
         objective = BetaObjective(pipeline)
-        all_true = pipeline._alpha_profile(0)
-        for counts in map(tuple, pipeline._units_for_profile(all_true)[:10].tolist()):
+        cover = {pipeline.rg.types.types[t][0] for t in pipeline.tp.cover_types}
+        rows = pipeline._units_for_profile(pipeline._alpha_profile(0))[:10]
+        values = objective.values(rows).tolist()
+        for counts, value in zip(map(tuple, rows.tolist()), values):
             parts = extract_witness(counts, c, pipeline.rg.types.types).sets
             want = pipeline.rg.graph.cut_size(parts)
-            const0, weights = objective.augment(counts)
-            assert const0 + sum(w * counts[column] for column, w in weights) == want
-            for column, w in weights:
-                sig = column & ((1 << c) - 1)
-                assert w > 0 and sig and not sig & (sig - 1)
-                assert column >> c not in pipeline.tp.cover_types
+            terms = objective.augment(counts)
+            assert all(type(column) is int and type(w) is int for column, w in terms)
+            assert sum(w * counts[column] for column, w in terms) == want
+            assert value == want
+            split_cover_edges += any(
+                u in cover and v in cover and not any({u, v} <= p for p in parts)
+                for u, v in pipeline.rg.graph.edges
+            )
             checked += 1
-    assert checked >= 100
+    assert checked >= 400 and split_cover_edges >= 100

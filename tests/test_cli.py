@@ -273,6 +273,45 @@ def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
         assert sum(c * counts[name] for c, name in terms) <= rhs
 
 
+def test_dumped_objective_is_the_whole_cut(tmp_path, capsys):
+    # cover vertices 1 and 2 are joined and each has 9 leaves of its own,
+    # past the reduction threshold; the least cut splits them, so it counts
+    # their edge. Each dumped program that admits the witness's count row
+    # pins the cover vertices' parts as the witness has them, and its
+    # objective there is the whole cut
+    from cardmso.graph import min_vertex_cover, parse_graph, type_partition
+
+    edges = [(1, 2)] + [(1, v) for v in range(3, 12)] + [(2, v) for v in range(12, 21)]
+    text = f"p 20 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    graph, dump = tmp_path / "joined.g", tmp_path / "dump.txt"
+    graph.write_text(text)
+    run(["cbalance", "--graph", str(graph), "-c", "2", "--dump-ilp", str(dump), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert type(doc["cut_value"]) is int and doc["cut_value"] == 1
+    assert doc["stats"]["reduced_vertices"] < 20
+    g = parse_graph(text)
+    index = {name: i for i, name in enumerate(g.names)}
+    part = {index[v]: i for i, names in enumerate(doc["parts"]) for v in names}
+    counts: dict[str, int] = {}
+    for t, members in enumerate(type_partition(g, min_vertex_cover(g)).types):
+        for v in members:
+            name = f"x_t{t}_s{1 << part[v]}"
+            counts[name] = counts.get(name, 0) + 1
+    admitting = 0
+    for program in dump.read_text().split("# instance ")[1:]:
+        domains, objective = {}, None
+        for line in program.splitlines()[1:]:
+            if line.startswith("# var "):
+                name, bounds = line[len("# var "):].split(" in ")
+                domains[name] = json.loads(bounds)
+            elif line.startswith("# minimize "):
+                objective = [term.split("*") for term in line[len("# minimize "):].split(" + ")]
+        if all(lo <= counts.get(name, 0) <= hi for name, (lo, hi) in domains.items()):
+            admitting += 1
+            assert sum(int(c) * counts.get(name, 0) for c, name in objective) == doc["cut_value"]
+    assert admitting
+
+
 def test_bad_graph_file_exit_two(tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("p 2 1\ne 1 7\n")

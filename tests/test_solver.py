@@ -472,17 +472,24 @@ def test_fallback_charges_pre_evaluations_while_listing(monkeypatch):
 
 
 def test_offsets_gate_on_what_the_growth_builds(monkeypatch):
-    # cbalance c=2 on a 1000-vertex planted cover with k=1: the box
-    # [0, slack]^2 has about 10^6 cells, but each growth step of the
-    # candidate offsets builds a few thousand elements, so no unit is tried
-    # under a pre-evaluation its offsets cannot reach
+    # |X| - |Y| in {-1, 1} is two intervals, so check takes the enumeration
+    # path, and the piece holds under several pre-evaluations; on a
+    # 1000-vertex planted cover with k=1 the box [0, slack]^2 has about 10^6
+    # cells, but each growth step of the candidate offsets builds a few
+    # thousand elements, so no unit is tried under a pre-evaluation its
+    # offsets cannot reach (the all-true one, which no unit meets, first)
+    f = parse_formula(
+        "exists X. exists Y. (forall v. !(v in X & v in Y)) & ([|X| = |Y| + 1] | [|Y| = |X| + 1])"
+    )
     g = planted_cover(random.Random(1), 1, 1000)
-    got = cbalanced(g, 2)
-    assert got.stats.ilp_solves == 150
+    assert len(_Pipeline(g, f)._profile_alphas((True,))) > 1
+    got = check(g, f)
+    assert got.holds and got.stats.prefix_assignments > 0
     monkeypatch.setattr(solver, "_CANDIDATE_BOX_CAP", 1)
-    fallback = cbalanced(g, 2)
-    assert fallback.stats.ilp_solves > got.stats.ilp_solves
-    assert fallback.cut_value == got.cut_value
+    fallback = check(g, f)
+    assert fallback.holds
+    assert got.stats.ilp_solves < fallback.stats.ilp_solves
+    assert_witness_valid(g, f, got)
 
 
 _FOLD_LEAVES = 4
@@ -800,7 +807,7 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
     calls = decided_units(monkeypatch)
     # the cover vertex has 57 neighbours, so the minimum cut is positive
     assert cbalanced(planted_cover(random.Random(8), 1, 100), 2).cut_value == 8
-    # joined cover vertices: the cut's constant part is 1 when they are split
+    # joined cover vertices: the cut counts their edge when they are split
     joined = [(0, 1)] + [(u, v) for u in (0, 1) for v in range(2, 40) if (u + v) % 3]
     cbalanced(Graph.from_edges(40, joined), 2)
     ids = parse_formula(corpus.independent_dominating())
@@ -816,14 +823,12 @@ def test_decided_units_match_solving_the_built_instance(monkeypatch):
         if objective is None:
             res = ilp.solve_feasibility(_build_program(pipeline.cols, counts, alpha))
         else:
-            # the program minimises the cut less its constant part
-            const0, weights = objective.augment(counts)
-            program = _build_program(pipeline.cols, counts, alpha, weights)
-            res = ilp.solve_min(program, below=None if below is None else below - const0)
+            # the program minimises the whole cut
+            program = _build_program(pipeline.cols, counts, alpha, objective.augment(counts))
+            res = ilp.solve_min(program, below=below)
         want = (False, None, None)
         if res.status != "infeasible":
-            value = None if objective is None else const0 + res.objective_value
-            want = (True, res.assignment, value)
+            want = (True, res.assignment, res.objective_value)
         assert got == want
         nodes[pipeline] = nodes.get(pipeline, 0) + res.nodes
     assert all(p.stats.ilp_nodes == count for p, count in nodes.items())
@@ -858,13 +863,11 @@ def solve_each_pair(pipeline: _Pipeline, columns, objective) -> tuple:
         if objective is None:
             res = ilp.solve_feasibility(_build_program(pipeline.cols, counts, alpha))
         else:
-            const0, weights = objective.augment(counts)
-            program = _build_program(pipeline.cols, counts, alpha, weights)
-            res = ilp.solve_min(program, below=None if best is None else best[0] - const0)
+            program = _build_program(pipeline.cols, counts, alpha, objective.augment(counts))
+            res = ilp.solve_min(program, below=None if best is None else best[0])
         if res.status != "infeasible":
-            value = None if objective is None else const0 + res.objective_value
             witness = extract_witness(res.assignment, pipeline.m, pipeline.tp.types)
-            best = (value, witness, pipeline.alpha_bools(alpha))
+            best = (res.objective_value, witness, pipeline.alpha_bools(alpha))
             if objective is None:
                 break
     return best, len(tried), len(set(tried))

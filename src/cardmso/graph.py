@@ -1,27 +1,44 @@
 """Graph representation, exact minimum vertex cover, and type partitioning.
 
 Vertices carry external names but all computation runs on dense 0-based
-indices in declaration order. Two vertices have the same type when
-N(u)\\{v} = N(v)\\{u}; with a fixed cover every cover vertex is additionally
-split into its own singleton type.
+indices in declaration order. A graph is one sorted int64 array of edge
+keys u * n + v with u < v; the CSR arrays indptr and indices (row v lists
+v's neighbours in ascending order) are derived from it on first use, and so
+are the tuple views edges and adj, which only callers on small graphs ask
+for. The cover search, the type partitions and the Graph methods read the
+arrays, so nothing builds a Python object per vertex or per edge of a large
+graph.
+
+Two vertices have the same type when N(u)\\{v} = N(v)\\{u}; with a fixed
+cover every cover vertex is additionally split into its own singleton type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import CoverBudgetExceeded, GraphFormatError, InvalidCoverError
 
 DEFAULT_K_MAX = 20
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph. No loops, no parallel edges."""
+    """Simple undirected graph. No loops, no parallel edges.
 
-    names: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]  # normalised u < v, sorted, deduplicated
-    adj: tuple[frozenset[int], ...] = field(repr=False)
+    keys holds every edge once as u * n + v with u < v, sorted and read-only;
+    build, from_edges and parse_graph validate what they are given, the
+    constructor takes keys as they are. Equality and hashing go by names and
+    keys.
+    """
+
+    def __init__(self, names: tuple[str, ...] | list[str], keys: np.ndarray):
+        self.names = tuple(names)
+        self.keys = keys
+        keys.flags.writeable = False
 
     @classmethod
     def build(cls, names: tuple[str, ...] | list[str], edge_list) -> "Graph":
@@ -36,15 +53,11 @@ class Graph:
         return cls._of_keys(names, keys)
 
     @classmethod
-    def _of_keys(cls, names: tuple[str, ...] | list[str], keys) -> "Graph":
+    def _of_keys(cls, names: tuple[str, ...] | list[str], keys: set[int]) -> "Graph":
         """The graph of validated edge keys u * n + v with u < v."""
-        n = len(names)
-        edges = tuple(divmod(key, n) for key in sorted(keys))
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(tuple(names), edges, tuple(frozenset(s) for s in adj))
+        array = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        array.sort()
+        return cls(names, array)
 
     @classmethod
     def from_edges(cls, n: int, edge_list) -> "Graph":
@@ -56,10 +69,72 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.names == other.names and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.keys.tobytes()))
+
+    def __repr__(self) -> str:
+        lo, hi = self.endpoints()
+        return f"Graph(names={self.names!r}, edges={list(zip(lo.tolist(), hi.tolist()))!r})"
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays (u, v) of the edges in key order, u < v."""
+        return np.divmod(self.keys, max(self.n, 1))
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.endpoints()
+        rows = np.concatenate((hi, lo))
+        # stable: row v takes its lower neighbours (in key order, so
+        # ascending), then its upper ones (ascending too)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return indptr, np.concatenate((lo, hi))[order]
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row offsets: v's neighbours are indices[indptr[v]:indptr[v + 1]]."""
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Every vertex's neighbours in ascending order, row after row."""
+        return self._csr[1]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v), u < v, in key order."""
+        lo, hi = self.endpoints()
+        return tuple(zip(lo.tolist(), hi.tolist()))
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's neighbourhood (read off edges: the callers' graphs
+        are small, and so need no CSR)."""
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return tuple(frozenset(s) for s in adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        key = u * self.n + v if u < v else v * self.n + u  # never a key when u == v
+        keys = memoryview(self.keys)
+        i = bisect.bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
+
+    def adjacency(self, vertices) -> np.ndarray:
+        """The adjacency matrix among the given vertices, in the given order."""
+        vs = np.asarray(vertices, dtype=np.int64)
+        key = np.minimum.outer(vs, vs) * self.n + np.maximum.outer(vs, vs)
+        return self.keys.searchsorted(key, "right") > self.keys.searchsorted(key)
 
     def induced(self, vertices) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on the given vertices (kept in index order).
@@ -67,29 +142,29 @@ class Graph:
         Returns the new graph and the old-index -> new-index map.
         """
         kept = sorted(vertices)
-        remap = {old: new for new, old in enumerate(kept)}
-        edges = [
-            (remap[u], remap[v])
-            for u, v in self.edges
-            if u in remap and v in remap
-        ]
-        return Graph.build(tuple(self.names[v] for v in kept), edges), remap
+        new = np.full(self.n, -1, dtype=np.int64)
+        new[kept] = np.arange(len(kept))
+        lo, hi = (new[ends] for ends in self.endpoints())
+        inside = (lo >= 0) & (hi >= 0)
+        # new is increasing on kept, so the new keys stay sorted
+        keys = lo[inside] * len(kept) + hi[inside]
+        return Graph(tuple(self.names[v] for v in kept), keys), {old: i for i, old in enumerate(kept)}
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Graph with vertex i renamed to perm[i] (names follow)."""
         names = [""] * self.n
         for i, p in enumerate(perm):
             names[p] = self.names[i]
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        return Graph.build(tuple(names), edges)
+        lo, hi = (np.asarray(perm, dtype=np.int64)[ends] for ends in self.endpoints())
+        return Graph(names, np.unique(np.minimum(lo, hi) * self.n + np.maximum(lo, hi)))
 
     def cut_size(self, parts) -> int:
         """Number of edges with endpoints in different parts."""
-        owner = {}
+        owner = np.full(self.n, -1, dtype=np.int64)
         for i, part in enumerate(parts):
-            for v in part:
-                owner[v] = i
-        return sum(1 for u, v in self.edges if owner[u] != owner[v])
+            owner[list(part)] = i
+        lo, hi = self.endpoints()
+        return int(np.count_nonzero(owner[lo] != owner[hi]))
 
 
 @dataclass(frozen=True)
@@ -200,7 +275,8 @@ def format_graph(g: Graph) -> str:
     for i, name in enumerate(g.names):
         if name != str(i + 1):
             out.append(f"v {i + 1} {name}")
-    out.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    lo, hi = g.endpoints()
+    out.extend(f"e {u + 1} {v + 1}" for u, v in zip(lo.tolist(), hi.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -212,56 +288,89 @@ def min_vertex_cover(g: Graph, k_max: int = DEFAULT_K_MAX) -> VertexCover:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    keys, n = memoryview(g.keys), g.n
 
-    def search(queued: list[tuple[int, int]], start: int, removed: set[int], budget: int):
-        # queued is the edge list; `removed` covers the edges before `start`
+    def search(start: int, removed: set[int], budget: int):
+        # the edges before `start` are covered by `removed`; the edges whose
+        # lower endpoint is u form one run of keys, skipped whole once u is
+        # removed
         i = start
-        while i < len(queued) and (queued[i][0] in removed or queued[i][1] in removed):
-            i += 1
-        if i == len(queued):
+        while i < len(keys):
+            u, v = divmod(keys[i], n)
+            if u in removed:
+                i = bisect.bisect_left(keys, (u + 1) * n, i)
+            elif v in removed:
+                i += 1
+            else:
+                break
+        else:
             return set()
         if budget == 0:
             return None
-        u, v = queued[i]
         for pick in (u, v):
             removed.add(pick)
-            sub = search(queued, i + 1, removed, budget - 1)
+            sub = search(i + 1, removed, budget - 1)
             removed.discard(pick)
             if sub is not None:
                 sub.add(pick)
                 return sub
         return None
 
-    edges = list(g.edges)
     for k in range(0, k_max + 1):
-        found = search(edges, 0, set(), k)
+        found = search(0, set(), k)
         if found is not None:
             return VertexCover(frozenset(found))
     raise CoverBudgetExceeded(k_max)
 
 
-def _grouped_types(groups: dict, singles: list[int]) -> tuple[tuple[int, ...], ...]:
-    classes = [tuple(sorted(members)) for members in groups.values()]
-    classes.extend((v,) for v in singles)
-    return tuple(sorted(classes, key=lambda c: c[0]))
+def _ordered_types(classes: list[tuple[int, ...]], cover: list[int]) -> TypePartition:
+    """The partition of classes and the cover's singletons, ordered by
+    smallest member."""
+    types = tuple(sorted(classes + [(v,) for v in cover], key=lambda c: c[0]))
+    in_cover = set(cover)
+    return TypePartition(
+        types, frozenset(i for i, t in enumerate(types) if len(t) == 1 and t[0] in in_cover)
+    )
 
 
 def type_partition(g: Graph, cover: VertexCover) -> TypePartition:
     """Types w.r.t. a fixed cover: cover vertices become singleton types,
-    non-cover vertices group by neighborhood (always a subset of the cover)."""
-    for u, v in g.edges:
-        if u not in cover.vertices and v not in cover.vertices:
-            raise InvalidCoverError(f"edge ({u},{v}) not covered")
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        if v in cover.vertices:
-            continue
-        groups.setdefault(g.adj[v], []).append(v)
-    types = _grouped_types(groups, sorted(cover.vertices))
-    cover_idx = frozenset(
-        i for i, t in enumerate(types) if len(t) == 1 and t[0] in cover.vertices
-    )
-    return TypePartition(types, cover_idx)
+    non-cover vertices group by neighborhood (always a subset of the cover).
+
+    Read off the cover vertices' CSR rows: each vertex gets one bit per
+    cover vertex it sees, the cover is checked by counting the edges the
+    rows hold, and the other vertices group by their masks.
+    """
+    members = sorted(cover.vertices)
+    k, n = len(members), g.n
+    starts = g.indptr[members].tolist()
+    stops = g.indptr[[c + 1 for c in members]].tolist()
+    # one word per 31 cover vertices, each of the narrowest integer type
+    # (small ones sort by radix); the cover vertices' own labels become -1
+    words = [
+        np.zeros(n, dtype=np.min_scalar_type(-(1 << min(k - j, 31))))
+        for j in range(0, max(k, 1), 31)
+    ]
+    for j, (a, b) in enumerate(zip(starts, stops)):
+        words[j // 31][g.indices[a:b]] += 1 << j % 31
+    # an edge inside the cover sits in two of the rows, any other in one
+    inner = sum(bits.bit_count() for word in words for bits in word[members].tolist())
+    if sum(stops) - sum(starts) - inner // 2 != g.m:
+        in_cover = np.zeros(n, dtype=bool)
+        in_cover[members] = True
+        lo, hi = g.endpoints()
+        first = int((~(in_cover[lo] | in_cover[hi])).argmax())
+        raise InvalidCoverError(f"edge ({lo[first]},{hi[first]}) not covered")
+    label = words[0]
+    for word in words[1:]:  # fold each further word in as a dense label
+        label = np.unique((label.astype(np.int64) << 31) | word, return_inverse=True)[1]
+    label[members] = -1
+    # stable: by label, then by vertex; the cover vertices come first
+    order = label.argsort(kind="stable")[k:]
+    label = label[order]
+    cuts = [0, *((label[1:] != label[:-1]).nonzero()[0] + 1).tolist(), n - k]
+    order = order.tolist()
+    return _ordered_types([tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b], members)
 
 
 def nd_partition(g: Graph) -> TypePartition:
@@ -269,7 +378,8 @@ def nd_partition(g: Graph) -> TypePartition:
     neighborhood diversity of g.
 
     u ~ v holds iff N(u)\\{v} = N(v)\\{u}: equal open neighborhoods for
-    non-adjacent pairs, equal closed neighborhoods for adjacent ones.
+    non-adjacent pairs, equal closed neighborhoods for adjacent ones. Each
+    vertex is keyed by the bytes of its open and of its closed CSR row.
     """
     parent = list(range(g.n))
 
@@ -284,23 +394,22 @@ def nd_partition(g: Graph) -> TypePartition:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    open_keys: dict[frozenset[int], int] = {}
-    closed_keys: dict[frozenset[int], int] = {}
+    indptr, indices = g.indptr, g.indices
+    # closed row v is open row v with v inserted after its lower neighbours,
+    # so it starts v entries further on
+    below = np.bincount(g.endpoints()[1], minlength=g.n)
+    closed = np.insert(indices, indptr[:-1] + below, np.arange(g.n)).tobytes()
+    opened = indices.tobytes()
+    size = indices.itemsize
+    ptr = (size * indptr).tolist()
+    first_open: dict[bytes, int] = {}
+    first_closed: dict[bytes, int] = {}
     for v in range(g.n):
-        op = g.adj[v]
-        cl = g.adj[v] | {v}
-        if op in open_keys:
-            union(v, open_keys[op])
-        else:
-            open_keys[op] = v
-        if cl in closed_keys:
-            union(v, closed_keys[cl])
-        else:
-            closed_keys[cl] = v
+        a, b = ptr[v], ptr[v + 1]
+        union(v, first_open.setdefault(opened[a:b], v))
+        union(v, first_closed.setdefault(closed[a + v * size : b + (v + 1) * size], v))
 
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(find(v), []).append(v)
-    types = tuple(sorted((tuple(sorted(ms)) for ms in groups.values()),
-                         key=lambda c: c[0]))
-    return TypePartition(types, frozenset())
+    return _ordered_types([tuple(ms) for ms in groups.values()], [])

@@ -662,7 +662,7 @@ class _Rows:
             raise BudgetExceeded("mso-cells", table_eval.DEFAULT_CELL_BUDGET, 2 * width * width)
         column = np.arange(width)
         reps = [members[0] for members in tp.types]
-        adj = np.array([[g.has_edge(u, v) for v in reps] for u in reps], dtype=bool).reshape(tp.count, -1)
+        adj = g.adjacency(reps)
         # inside a type: false twins (vc), a clique or an independent set (nd)
         np.fill_diagonal(adj, [len(ms) > 1 and g.has_edge(ms[0], ms[1]) for ms in tp.types])
         adj = adj[np.ix_(column >> f.m, column >> f.m)]

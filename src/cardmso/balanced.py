@@ -62,13 +62,11 @@ class BetaObjective:
         g, tp, self.m = pipeline.g, pipeline.tp, pipeline.m
         self.cover_types = sorted(tp.cover_types)
         # adjacency between a type and each cover vertex is uniform
-        self.edges = np.array([
-            [g.has_edge(members[0], tp.types[c][0]) and (t < c or t not in tp.cover_types)
-             for c in self.cover_types]
-            for t, members in enumerate(tp.types)
-        ], dtype=np.int64).reshape(tp.count, len(self.cover_types))
+        types = np.arange(tp.count)[:, None]
+        counted = (types < self.cover_types) | ~np.isin(types, self.cover_types)
+        self.edges = (g.class_adjacency(tp.types)[:, self.cover_types] & counted).astype(np.int64)
         # onehot[t, i]: the column of type t's members in part i alone
-        self.onehot = (np.arange(tp.count)[:, None] << self.m) | (1 << np.arange(self.m))
+        self.onehot = (types << self.m) | (1 << np.arange(self.m))
         self._cover_columns = self.onehot[self.cover_types].ravel().tolist()
         self._terms: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
 

@@ -16,6 +16,7 @@ cover every cover vertex is additionally split into its own singleton type.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,6 +136,14 @@ class Graph:
         vs = np.asarray(vertices, dtype=np.int64)
         key = np.minimum.outer(vs, vs) * self.n + np.maximum.outer(vs, vs)
         return self.keys.searchsorted(key, "right") > self.keys.searchsorted(key)
+
+    def class_adjacency(self, classes) -> np.ndarray:
+        """Adjacency between classes of twins: [a, b] is the adjacency of
+        the first members of a and b, [a, a] that of a's first two members
+        (False for a singleton)."""
+        adj = self.adjacency([members[0] for members in classes])
+        np.fill_diagonal(adj, [len(ms) > 1 and self.has_edge(ms[0], ms[1]) for ms in classes])
+        return adj
 
     def induced(self, vertices) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on the given vertices (kept in index order).
@@ -378,22 +387,14 @@ def nd_partition(g: Graph) -> TypePartition:
     neighborhood diversity of g.
 
     u ~ v holds iff N(u)\\{v} = N(v)\\{u}: equal open neighborhoods for
-    non-adjacent pairs, equal closed neighborhoods for adjacent ones. Each
-    vertex is keyed by the bytes of its open and of its closed CSR row.
+    non-adjacent pairs, equal closed neighborhoods for adjacent ones. No
+    vertex has both kinds of twin: were N(u) = N(v) and N[w] = N[v] with u
+    and w other than v, then w is in N(v) = N(u), so u is in N[w] = N[v],
+    yet u is not in N(v) = N(u). So each class is a group of equal open rows
+    of size at least 2, or else a group of equal closed rows. Each vertex is
+    keyed by the bytes of its open and of its closed CSR row, and a group by
+    its first member.
     """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     indptr, indices = g.indptr, g.indices
     # closed row v is open row v with v inserted after its lower neighbours,
     # so it starts v entries further on
@@ -404,12 +405,13 @@ def nd_partition(g: Graph) -> TypePartition:
     ptr = (size * indptr).tolist()
     first_open: dict[bytes, int] = {}
     first_closed: dict[bytes, int] = {}
+    open_group, closed_group = [], []
     for v in range(g.n):
         a, b = ptr[v], ptr[v + 1]
-        union(v, first_open.setdefault(opened[a:b], v))
-        union(v, first_closed.setdefault(closed[a + v * size : b + (v + 1) * size], v))
-
+        open_group.append(first_open.setdefault(opened[a:b], v))
+        closed_group.append(first_closed.setdefault(closed[a + v * size : b + (v + 1) * size], v))
+    shared = Counter(open_group)
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
+    for v, (o, c) in enumerate(zip(open_group, closed_group)):
+        groups.setdefault(o if shared[o] > 1 else c, []).append(v)
     return _ordered_types([tuple(ms) for ms in groups.values()], [])

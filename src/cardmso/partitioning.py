@@ -88,7 +88,7 @@ _SHAPE_CACHE: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictiona
 class _ShapeCheck:
     """The cached truths of one (g, tp, phi, stats) and how to decide more.
     Without set quantifiers, phi is evaluated on a shape's count state
-    ((class of T, 0, count) per type T it takes) by one TypedEvaluator over
+    ((T, 0, count) per type T it takes) by one TypedEvaluator over
     tp's classes, its memo shared: same-type vertices are twins, so the state
     is the induced subgraph. With them, mso_check runs on a representative."""
 
@@ -105,12 +105,9 @@ class _ShapeCheck:
             return bool(mso_check(self.g.induced(vertices)[0], self.phi))
         if self.ev is None:
             self.ev = TypedEvaluator(self.g, list(self.tp.types))
-            # the evaluator orders its classes by first member
-            first = {members[0]: b for b, members in enumerate(self.ev.base_members)}
-            self.base = [first[members[0]] for members in self.tp.types]
         self.ev.calls = 0  # each shape gets the budget mso_check would give it
-        state = sorted((self.base[t], 0, c) for t, c in enumerate(s) if c)
-        return self.ev.eval(self.sentence, tuple(state), ())
+        state = tuple((t, 0, c) for t, c in enumerate(s) if c)
+        return self.ev.eval(self.sentence, state, ())
 
 
 def shape_satisfies(

@@ -661,11 +661,8 @@ class _Rows:
         if 2 * width * width > table_eval.DEFAULT_CELL_BUDGET:
             raise BudgetExceeded("mso-cells", table_eval.DEFAULT_CELL_BUDGET, 2 * width * width)
         column = np.arange(width)
-        reps = [members[0] for members in tp.types]
-        adj = g.adjacency(reps)
         # inside a type: false twins (vc), a clique or an independent set (nd)
-        np.fill_diagonal(adj, [len(ms) > 1 and g.has_edge(ms[0], ms[1]) for ms in tp.types])
-        adj = adj[np.ix_(column >> f.m, column >> f.m)]
+        adj = g.class_adjacency(tp.types)[np.ix_(column >> f.m, column >> f.m)]
         same = np.array([False, True])[:, None, None]
 
         def grid(node: Node, axis: dict):

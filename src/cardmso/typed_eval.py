@@ -18,12 +18,18 @@ rule out; the solver's table path reads only the cells they allow.
 
 Classes must have uniform adjacency: inside a class all pairs adjacent or
 none, and between two classes all pairs or none. Type partitions (with or
-without the cover convention) have this shape; it is validated on entry.
+without the cover convention) have this shape. It is validated on entry,
+on the edge arrays, against Graph.class_adjacency (read off each class's
+first members): no edge may join two classes the matrix keeps apart, and
+the edges must number what the matrix promises. A block of pairs holds no
+more edges than it has pairs, so then every adjacent block is complete.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import chain
+
+import numpy as np
 
 from .errors import BudgetExceeded
 from .formula import (
@@ -103,21 +109,13 @@ class TypedEvaluator:
         self.memo_used = 0  # memo entries, weighted as MEMO_BUDGET counts them
 
         if classes is None:
-            classes = list(nd_partition(g).types)
-        # classes ordered by first member, each sorted (_ShapeCheck relies on it)
-        self.base_members = tuple(sorted(tuple(sorted(members)) for members in classes))
-        self._validate_uniform()
-
-        nb = len(self.base_members)
-        self.intra = [False] * nb
-        for b, members in enumerate(self.base_members):
-            if len(members) >= 2:
-                self.intra[b] = self.g.has_edge(members[0], members[1])
-        self.cross = [[False] * nb for _ in range(nb)]
-        for i in range(nb):
-            for j in range(i + 1, nb):
-                val = self.g.has_edge(self.base_members[i][0], self.base_members[j][0])
-                self.cross[i][j] = self.cross[j][i] = val
+            classes = nd_partition(g).types
+        # classes as the caller orders them: the partitions give them by
+        # first member, each in ascending order
+        self.base_members = tuple(tuple(members) for members in classes)
+        adjacent = g.class_adjacency(self.base_members)
+        self._validate_uniform(adjacent)
+        self.adjacent = adjacent.tolist()
 
         self.set_bits: dict[str, int] = {}
         self.nbits = 0
@@ -125,20 +123,27 @@ class TypedEvaluator:
         self._freemap: dict = {}
         self._memo: dict[int, dict] = {}
 
-    def _validate_uniform(self) -> None:
-        """Adjacency is uniform exactly when every vertex is adjacent to none
-        or all of each class (itself excepted): were u adjacent to all of C
-        and v in u's class to none of it, a member of C would see part of
-        that class. Linear in vertices plus edges."""
-        class_of = {v: b for b, members in enumerate(self.base_members) for v in members}
-        for v, b in class_of.items():
-            counts = Counter(class_of[w] for w in self.g.adj[v] if w in class_of)
-            for c, count in counts.items():
-                if count != len(self.base_members[c]) - (c == b):
-                    raise ValueError(
-                        "class without uniform internal adjacency" if c == b
-                        else "class pair without uniform adjacency"
-                    )
+    def _validate_uniform(self, adjacent: np.ndarray) -> None:
+        """Every edge among classed vertices joins classes adjacent in the
+        matrix, and the edges number what it promises (see the module
+        docstring). Linear in vertices plus edges."""
+        sizes = np.array([len(members) for members in self.base_members], dtype=np.int64)
+        class_of = np.full(self.g.n, -1, dtype=np.int64)
+        members = np.fromiter(chain.from_iterable(self.base_members), np.int64, int(sizes.sum()))
+        class_of[members] = np.repeat(np.arange(len(sizes)), sizes)
+        ends = class_of[np.array(self.g.endpoints())]
+        lo, hi = ends[:, (ends >= 0).all(axis=0)]
+        # ordered pairs of two members: each edge is promised twice
+        promised = adjacent * (np.outer(sizes, sizes) - np.diag(sizes))
+        stray = ~adjacent[lo, hi]
+        if not stray.any() and 2 * len(lo) == promised.sum():
+            return
+        inner = lo == hi
+        internal = inner[stray].any() if stray.any() else 2 * np.count_nonzero(inner) != promised.trace()
+        raise ValueError(
+            "class without uniform internal adjacency" if internal
+            else "class pair without uniform adjacency"
+        )
 
     # ------------------------------------------------------------------ state
 
@@ -202,7 +207,7 @@ class TypedEvaluator:
             if p == q:
                 return False
             (b1, _), (b2, _) = picks[p], picks[q]
-            return self.intra[b1] if b1 == b2 else self.cross[b1][b2]
+            return self.adjacent[b1][b2]
         if isinstance(node, VertexEq):
             return self.vertex_pick[node.a] == self.vertex_pick[node.b]
         if isinstance(node, SetEq):

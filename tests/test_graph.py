@@ -13,6 +13,7 @@ from cardmso.graph import (
 )
 from cardmso import corpus
 from cardmso.formula import substitute_params
+from cardmso.partitioning import PartitionInstance, mso_partition
 from cardmso.solver import check
 from conftest import complete_graph, cycle_graph, path_graph, planted_cover, random_graph, star_graph
 
@@ -80,6 +81,13 @@ def complete_multipartite(sizes) -> Graph:
         for u in range(starts[a], starts[a + 1])
         for v in range(starts[b], starts[b + 1])
     ])
+
+
+def complete_split(clique: int, independent: int) -> Graph:
+    """A clique on 0..clique-1, joined to every vertex of an independent set
+    on the rest."""
+    n = clique + independent
+    return Graph.from_edges(n, [(u, v) for u in range(clique) for v in range(u + 1, n)])
 
 
 graphs_strategy = st.integers(0, 8).flatmap(
@@ -305,6 +313,38 @@ class TestNdPartition:
         assert tp.count == sum(size > 1 for size in sizes) + (1 in sizes)
 
 
+    @pytest.mark.parametrize("g, want", [
+        # a complete split graph: the clique's vertices are adjacent twins,
+        # the independent side's are non-adjacent ones
+        (complete_split(4, 3), ((0, 1, 2, 3), (4, 5, 6))),
+        (complete_split(1, 3), ((0,), (1, 2, 3))),
+        (complete_split(3, 1), ((0, 1, 2, 3),)),
+        # a clique with pendant twins on 0 and a pendant on 3
+        (Graph.from_edges(7, [*itertools.combinations(range(4), 2), (0, 4), (0, 5), (3, 6)]),
+         ((0,), (1, 2), (3,), (4, 5), (6,))),
+    ])
+    def test_matches_pairwise_definition_on_mixed_twins(self, g, want):
+        assert nd_partition(g).types == pairwise_types(g) == want
+
+
+class TestClassAdjacency:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_strategy)
+    def test_matches_any_member_definition(self, g):
+        for tp in (type_partition(g, min_vertex_cover(g, g.n)), nd_partition(g)):
+            want = [
+                [any(g.has_edge(u, v) for u in a for v in b if u != v) for b in tp.types]
+                for a in tp.types
+            ]
+            assert g.class_adjacency(tp.types).tolist() == want
+
+    def test_singletons_and_cliques_on_the_diagonal(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        assert nd_partition(g).types == ((0, 1, 2), (3,))
+        assert g.class_adjacency(nd_partition(g).types).tolist() == [[True, False], [False, False]]
+        assert g.class_adjacency([]).shape == (0, 0)
+
+
 class TestGraphValue:
     """Graph's methods against their definitions on the edge list."""
 
@@ -416,6 +456,34 @@ class TestLargeGraphs:
         # one whole part
         assert verdict.holds and verdict.witness.sets == (frozenset(range(200, 500)),)
         assert not check(g, substitute_params(corpus.load("ids"), {"k": 250}), mode="nd").holds
+
+    @pytest.mark.parametrize("cover_edge", [False, True])
+    def test_partition_vertex_cover_mode(self, no_views, cover_edge):
+        # two cover vertices joined to each other vertex with probability
+        # 1/4: without the edge 0-1 the graph is bipartite; with it, some
+        # vertex seen by both closes a triangle (all but certain)
+        n = 40000
+        rng = random.Random(6)
+        edges = [(c, v) for c in (0, 1) for v in range(2, n) if rng.random() < 0.25]
+        g = Graph.from_edges(n, edges + [(0, 1)] * cover_edge)
+        verdict = mso_partition(g, PartitionInstance(corpus.load("independence"), 2))
+        assert verdict.holds != cover_edge and verdict.stats.cover_size == 2
+        if verdict.holds:
+            p1, p2 = verdict.parts
+            assert not p1 & p2 and len(p1 | p2) == n
+            assert not any((u in p1) == (v in p1) for u, v in edges)
+
+    def test_partition_nd_mode(self, no_views):
+        g = complete_multipartite([200, 300, 400])
+        verdict = mso_partition(
+            g, PartitionInstance(corpus.load("independence"), 3), mode="neighborhood-diversity",
+        )
+        # a complete multipartite graph splits into independent sets only
+        # along its sides
+        assert verdict.holds
+        assert sorted(verdict.parts, key=min) == [
+            frozenset(range(0, 200)), frozenset(range(200, 500)), frozenset(range(500, 900)),
+        ]
 
 
 def same_type(g: Graph, u: int, v: int) -> bool:

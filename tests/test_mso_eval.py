@@ -160,10 +160,17 @@ class TestTypedClasses:
             with pytest.raises(ValueError, match="class pair"):
                 TypedEvaluator(g, classes=classes)
 
+    def test_stray_edge_rejected_at_the_promised_count(self):
+        # 1-3 is missing and 1-4 is stray, so the edge count matches what
+        # the class adjacency promises and only the stray edge gives it away
+        g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 4)])
+        with pytest.raises(ValueError, match="class pair"):
+            TypedEvaluator(g, classes=[(0, 1), (2, 3), (4,)])
+
     def test_uniform_classes_accepted(self):
         g = star_graph(5)
         ev = TypedEvaluator(g, classes=[(0,), (1, 2, 3, 4, 5)])
-        assert ev.cross[0][1] and not ev.intra[1]
+        assert ev.adjacent == [[False, True], [True, False]]
 
 
 class TestReduceGraph:

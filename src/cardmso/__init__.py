@@ -1,6 +1,13 @@
 """Cardinality-constrained MSO model checking, MSO partitioning and
 c-balanced partitioning on graphs of small vertex cover."""
 
+import os
+
+# numpy's BLAS reads its thread count at import; the root LP's dense products
+# are small, so one thread unless the caller has set these variables
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .balanced import BalancedResult, cbalanced, generate_equitable_formula
 from .errors import (
     BudgetExceeded, CardMSOError, CoverBudgetExceeded, FormulaStructureError,

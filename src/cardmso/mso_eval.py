@@ -66,7 +66,7 @@ def mso_check(g: Graph, f: Formula | Node) -> bool:
     """Exact truth of g |= f for a constraint-free sentence."""
     node = _as_sentence(f)
     has_sets = any(isinstance(sub, Quant) and sub.sort == "set" for sub in walk(node))
-    if has_sets and table_eval.estimate_worst_cells(g, node, ()) <= table_eval.DEFAULT_CELL_BUDGET:
+    if has_sets and table_eval.estimate_worst_cells(g, node) <= table_eval.DEFAULT_CELL_BUDGET:
         return table_eval.evaluate_sentence(g, node)
     return TypedEvaluator(g).check(node)
 

@@ -236,18 +236,8 @@ def _partitions(universe: list[int], max_parts: int):
     yield from rec(0, [])
 
 
-def brute_partition(
-    g: Graph,
-    phi,
-    r: int | None = None,
-    allow_empty: bool = True,
-) -> bool:
-    """Can V(G) be split into r parts whose induced subgraphs all model phi?
-
-    Accepts a formula plus r, or a partition instance carrying both.
-    """
-    if r is None:
-        phi, r = phi.formula, phi.r
+def brute_partition(g: Graph, phi: Formula, r: int, allow_empty: bool = True) -> bool:
+    """Can V(G) be split into r parts whose induced subgraphs all model phi?"""
     _require_small(g)
     _require_closed(phi)
     if r < 1:

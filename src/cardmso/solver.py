@@ -8,11 +8,11 @@ on a non-empty graph) or (iii) a constraint piece whose leaves lie on one
 direction and allow one interval of its value. Adjacency is uniform inside
 a type, so psi at two vertices depends only on their (type, signature)
 columns and on whether they are one vertex; a universal sentence holds iff
-it holds on every pair (Los-Tarski). The program: counts x in [0, |T|],
-indicators z = [x >= 1] and w = [x >= 2] (x <= |T| z, z <= x, 2w <= x,
-x <= 1 + (|T| - 1) w), hi(x) = 0 for a failing vertex, w = 0 for a failing
-twin pair, z_a + z_b <= 1 for a failing pair of columns, z_b <= the sum of
-z_a (and w_b) over the columns that witness b under (ii), two rows a piece.
+it holds on every pair (Los-Tarski). The program: counts x in [0, |T|] and
+indicators z = [x >= 1] (x <= |T| z, z <= x), hi(x) = 0 for a failing
+vertex and 1 for a failing twin pair, z_a + z_b <= 1 for a failing pair of
+columns, z_b <= the sum of z_a over the other columns that witness b under
+(ii), 2 z_b <= that sum + x_b if b's twins do too, two rows a piece.
 
 The enumeration path (_Pipeline) takes every other body, and any body on
 a graph that reduction keeps whole and whose prefix fits one truth table
@@ -169,34 +169,19 @@ def _fold(node: Node, values: Sequence[Optional[bool]], n_vertices: int) -> Node
 
 # --------------------------------------------------------------- work units
 
-def _var_name(t: int, sig: int) -> str:
-    return f"x_t{t}_s{sig}"
-
-
 # elements one growth step of the candidate offsets may build
 _CANDIDATE_BOX_CAP = 1 << 22
 
 
-class _Columns:
-    """Integer matrices over the columns of a count row. Column (t << m) | sig
-    is the extension variable x_{t,sig}, in the order the program declares
-    them.
+class _Constraints:
+    """Constraint j holds when coeffs[j] . sizes <= consts[j], over the set
+    sizes |Z_i|; coeffs[j] = signs[j] * dirs[dir_of[j]], over the distinct
+    rows up to sign."""
 
-    sig_bits (columns x m) turns count rows into the set sizes |Z_i|.
-    Constraint j holds when coeffs[j] . sizes <= consts[j]; the same matrix
-    over the columns gives the group-3 rows of the extension program.
-    coeffs[j] = signs[j] * dirs[dir_of[j]], over the distinct rows up to sign.
-    """
-
-    def __init__(self, f: Formula, fstats: FormulaStats, type_sizes: list[int]):
+    def __init__(self, f: Formula):
         if f.free_params:
             raise ValueError(f"formula has unbound parameters {sorted(f.free_params)}")
         m, k = f.m, len(f.constraints)
-        self.m, self.fstats = m, fstats
-        self.small = fstats.small_threshold
-        cols = np.arange(len(type_sizes) << m)
-        self.sig_bits = (cols[:, None] >> np.arange(m)) & 1
-        self.names = [_var_name(c >> m, c & ((1 << m) - 1)) for c in range(len(cols))]
         bit = {name: i for i, name in enumerate(f.prefix)}
         self.coeffs = np.zeros((k, m), dtype=np.int64)
         for j, c in enumerate(f.constraints):
@@ -220,6 +205,22 @@ class _Columns:
         self.weights = np.array(
             [1 << j for j in range(k)], dtype=np.int64 if k < 63 else object
         )
+
+
+class _Columns(_Constraints):
+    """Integer matrices over the columns of a count row. Column (t << m) | sig
+    is the extension variable x_{t,sig}, in the order the program declares
+    them; sig_bits (columns x m) turns count rows into the set sizes."""
+
+    def __init__(self, f: Formula, fstats: FormulaStats, type_sizes: list[int]):
+        super().__init__(f)
+        m, width = f.m, len(type_sizes) << f.m
+        cells = width * (m + len(f.constraints))  # sig_bits and group3, charged first
+        if cells > table_eval.DEFAULT_CELL_BUDGET:
+            raise BudgetExceeded("mso-cells", table_eval.DEFAULT_CELL_BUDGET, cells)
+        self.small = fstats.small_threshold
+        self.sig_bits = (np.arange(width)[:, None] >> np.arange(m)) & 1
+        self.names = [f"x_t{c >> m}_s{c & ((1 << m) - 1)}" for c in range(width)]
         self.sizes = np.repeat(type_sizes, 1 << m).tolist()  # type size per column
         # each type's subtype counts add up to its size
         self.group1 = [
@@ -285,7 +286,7 @@ class _Pipeline:
         node_budget: int = ilp.DEFAULT_NODE_BUDGET,
         dump: Optional[Callable[[ilp.Program], None]] = None,
         types: Optional[tuple[TypePartition, Optional[int]]] = None,
-        cols: Optional[_Columns] = None,
+        fstats: Optional[FormulaStats] = None,
     ):
         self.g = g
         self.f = f
@@ -293,8 +294,14 @@ class _Pipeline:
         self.dump = dump
         self.stats = SolveStats()
         self.tp, self.stats.cover_size = types or _types(g, mode, k_max)
-        self.cols = cols or _Columns(f, analyze(f), [len(members) for members in self.tp.types])
-        self.fstats = self.cols.fstats
+        # alpha index bit i set <=> constraint i guessed false; index 0 is
+        # all-true and ascending order is the binary counter the spec fixes.
+        # The pieces are counted before the columns are built
+        self.skeleton, self.pieces = _split_pieces(f.body)
+        if len(self.pieces) > MAX_PIECES:
+            raise BudgetExceeded("pre-evaluation-pieces", MAX_PIECES, len(self.pieces))
+        self.fstats = fstats or analyze(f)
+        self.cols = _Columns(f, self.fstats, [len(members) for members in self.tp.types])
         self._no_rows = np.zeros((0, len(self.cols.names)), dtype=np.int64)
         self.rg = reduce_graph(g, self.tp, self.fstats)
         self.stats.type_count = self.tp.count
@@ -321,11 +328,6 @@ class _Pipeline:
         else:
             self._offsets = offsets[:, self.cols.dir_of] * np.array(self.cols.signs, dtype=np.int64)
 
-        # alpha index bit i set <=> constraint i guessed false; index 0 is
-        # all-true and ascending order is the binary counter the spec fixes
-        self.skeleton, self.pieces = _split_pieces(f.body)
-        if len(self.pieces) > MAX_PIECES:
-            raise BudgetExceeded("pre-evaluation-pieces", MAX_PIECES, len(self.pieces))
         self.leaves = [
             sorted(sub.index for sub in walk(piece) if isinstance(sub, ConstraintRef))
             for piece in self.pieces
@@ -350,7 +352,7 @@ class _Pipeline:
         while the whole prefix and the body fit one table and count-state
         recursion beyond that."""
         if _fits_one_table(self.rg.graph.n, self.m) and table_eval.estimate_worst_cells(
-            self.rg.graph, body, (), fixed=frozenset(self.f.prefix)
+            self.rg.graph, body, fixed=frozenset(self.f.prefix)
         ) <= table_eval.DEFAULT_CELL_BUDGET:
             return self._table_rows(body)
         ev = TypedEvaluator(
@@ -426,14 +428,14 @@ class _Pipeline:
         with `below`, only objective values < below count as feasible."""
         self.stats.ilp_solves += 1
         weights = objective.augment(counts) if objective is not None else None
-        if self.dump is not None:
-            self.dump(_build_program(self.cols, counts, alpha_index, weights))
         program = self._programs.get(alpha_index)
         if program is None:
             program = self._programs[alpha_index] = _build_program(self.cols, counts, alpha_index)
         # the weights are over the count columns, which are the program's
         # variable indices
         program = program._replace(lo=counts, hi=self.cols.upper(counts), objective=weights)
+        if self.dump is not None:
+            self.dump(program)
         if weights is None:
             res = ilp.solve_feasibility(program, self.node_budget)
         else:
@@ -451,13 +453,17 @@ class _Pipeline:
 
     def _profiles(self):
         """Piece-value combinations, each piece False then True; a piece that
-        folds to a constant with no leaf known contributes that value only."""
+        folds to a constant with no leaf known contributes that value only,
+        and one on the skeleton's top-level And spine True only (false, it
+        folds the skeleton to false, which yields no rows)."""
         unknown = [None] * self.k
+        spine = {node.index for node in _conjuncts(self.skeleton) if isinstance(node, _PieceRef)}
         options = []
-        for piece in self.pieces:
+        for i, piece in enumerate(self.pieces):
             folded = _fold(piece, unknown, self.rg.graph.n)
             const = isinstance(folded, (TrueLit, FalseLit))
-            options.append((isinstance(folded, TrueLit),) if const else (False, True))
+            free = (True,) if i in spine else (False, True)
+            options.append((isinstance(folded, TrueLit),) if const else free)
         return itertools.product(*options)
 
     def _alpha_profile(self, alpha: int) -> tuple[bool, ...]:
@@ -637,13 +643,14 @@ def _quantifiers(node: Node, positive: bool = True) -> Optional[list[tuple[bool,
 
 class _Rows:
     """The rows path (see the module docstring): program is the sentence's
-    one program over columns x, then z, then w, or None when the syntax puts
+    one program over columns x, then z, or None when the syntax puts
     the body outside the fragment; no array is built before that test."""
 
-    def __init__(self, g: Graph, f: Formula, tp: TypePartition, cols: _Columns):
-        self.f, self.tp, self.n, self.cols = f, tp, g.n, cols
+    def __init__(self, g: Graph, f: Formula, tp: TypePartition, fstats: FormulaStats):
+        self.f, self.tp, self.n = f, tp, g.n
         self.program: Optional[ilp.Program] = None
         skeleton, self.pieces = _split_pieces(f.body)
+        self.cols = _Constraints(f)  # the columns replace it once the body is in the fragment
         self.held, bodies = [], []  # (piece index, interval); (psi, universal, variable axes)
         for node in _conjuncts(_fold(skeleton, [None] * len(self.pieces), g.n)):
             if isinstance(node, _PieceRef):
@@ -657,9 +664,10 @@ class _Rows:
             if kinds not in ([True], [True, True], [True, False]) or len(axis) < len(quants):
                 return
             bodies.append((node, kinds[-1], axis))
-        width = len(cols.names)  # the (2, width, width) grids are charged as table cells
+        width = tp.count << f.m  # the (2, width, width) grids are charged before the columns
         if 2 * width * width > table_eval.DEFAULT_CELL_BUDGET:
             raise BudgetExceeded("mso-cells", table_eval.DEFAULT_CELL_BUDGET, 2 * width * width)
+        self.cols = cols = _Columns(f, fstats, [len(members) for members in tp.types])
         column = np.arange(width)
         # inside a type: false twins (vc), a clique or an independent set (nd)
         adj = g.class_adjacency(tp.types)[np.ix_(column >> f.m, column >> f.m)]
@@ -697,16 +705,15 @@ class _Rows:
 
         size = np.array(cols.sizes)
         for x, t in zip(np.flatnonzero(live).tolist(), size[live].tolist()):
-            z, w = width + x, 2 * width + x
-            rows += [(((x, 1), (z, -t)), ilp.LE, 0), (((z, 1), (x, -1)), ilp.LE, 0),
-                     (((w, 2), (x, -1)), ilp.LE, 0), (((x, 1), (w, 1 - t)), ilp.LE, 1)]
+            rows += [(((x, 1), (width + x, -t)), ilp.LE, 0), (((width + x, 1), (x, -1)), ilp.LE, 0)]
         for a, b in np.argwhere(np.triu(~pairs, 1) & live & live[:, None]).tolist():
             rows.append((((width + a, 1), (width + b, 1)), ilp.LE, 1))
-        for b, others in covers:  # a twin of b witnesses it through w_b
-            terms = [(width + a if a != b else 2 * width + b, -1) for a in others[live[others]].tolist()]
-            rows.append((((width + b, 1), *terms), ilp.LE, 0))
-        hi = np.concatenate([np.where(live, size, 0), live, pairs.diagonal() & live & (size > 1)])
-        names = cols.names + [p + name[1:] for p in "zw" for name in cols.names]
+        for b, others in covers:  # x_b = 1 needs another witness, x_b >= 2 does not
+            others = others[live[others]].tolist()
+            terms = [(width + a, -1) if a != b else (b, -1) for a in others]
+            rows.append((((width + b, 1 + (b in others)), *terms), ilp.LE, 0))
+        hi = np.concatenate([np.where(live, np.where(pairs.diagonal(), size, 1), 0), live])
+        names = cols.names + ["z" + name[1:] for name in cols.names]
         self.program = ilp.Program.build(names, [0] * len(names), hi.tolist(), rows)
 
     def _interval(self, piece: Node) -> Optional[tuple[int, Optional[int], Optional[int]]]:
@@ -787,11 +794,11 @@ def check(
     says."""
     start = time.perf_counter()
     tp, cover_size = types = _types(g, mode, k_max)
-    cols = _Columns(f, analyze(f), [len(members) for members in tp.types])
-    whole = max(map(len, tp.types), default=0) <= cols.fstats.reduce_threshold
-    rows = _Rows(g, f, tp, cols) if g.n and not (whole and _fits_one_table(g.n, f.m)) else None
+    fstats = analyze(f)
+    whole = max(map(len, tp.types), default=0) <= fstats.reduce_threshold
+    rows = _Rows(g, f, tp, fstats) if g.n and not (whole and _fits_one_table(g.n, f.m)) else None
     if rows is None or rows.program is None:
-        verdict = _Pipeline(g, f, mode, k_max, node_budget, dump, types, cols).run_decision()
+        verdict = _Pipeline(g, f, mode, k_max, node_budget, dump, types, fstats).run_decision()
     else:
         verdict = rows.decide(SolveStats(cover_size=cover_size, type_count=tp.count), node_budget, dump)
     verdict.stats.elapsed = time.perf_counter() - start

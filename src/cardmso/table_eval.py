@@ -450,12 +450,7 @@ def allowed_cells(g: Graph, rest: Node, prefix: tuple[str, ...], allowed: frozen
     yield from descend(0, np.zeros(1, dtype=np.int64))
 
 
-def estimate_worst_cells(
-    g: Graph,
-    node: Node,
-    prefix: tuple[str, ...],
-    fixed: frozenset[str] = frozenset(),
-) -> int:
+def estimate_worst_cells(g: Graph, node: Node, fixed: frozenset[str] = frozenset()) -> int:
     """Upper bound on the largest table the engine would materialise: the
     product of subset-domain sizes over the largest simultaneously-live set
     of set variables, less the ones named in `fixed` (vertex variables are
@@ -471,5 +466,4 @@ def estimate_worst_cells(
         return cells
 
     memo: dict = {}
-    worst = max(dims(free_vars(sub, memo)[0]) for sub in walk(node))
-    return max(worst, dims(free_vars(node, memo)[0] | frozenset(prefix)))
+    return max(dims(free_vars(sub, memo)[0]) for sub in walk(node))

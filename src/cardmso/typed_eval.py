@@ -322,10 +322,11 @@ class TypedEvaluator:
         every class-count state whose body evaluates true, in deterministic
         enumeration order. States carry no picks. A class part whose
         signature has no completion among _local_split's allowed signatures
-        gets no vertices, which skips only states whose body is false."""
+        gets no vertices, which skips only states whose body is false; every
+        state left allows each vertex, so only the rest of the body is read."""
         if any(name in self.set_bits for name in prefix):
             raise ValueError("prefix variable already bound")
-        allowed = _local_split(prefix, body)[0]
+        allowed, rest = _local_split(prefix, body)
         prefixes = [] if allowed is None else _signature_prefixes(allowed, len(prefix))
         keep = [ends.__contains__ for ends in prefixes] or [None] * len(prefix)
 
@@ -335,7 +336,7 @@ class TypedEvaluator:
                 self.calls += 1  # candidate states count against the budget
                 if self.calls > self.state_budget:
                     raise BudgetExceeded("mso-states", self.state_budget, self.calls)
-                if self.eval(body, classes, ()):
+                if self.eval(body if allowed is None else rest, classes, ()):
                     yield classes
                 return
             bit = self.nbits

@@ -89,7 +89,7 @@ def assert_witness_valid(g: Graph, f: Formula, verdict: Verdict) -> None:
 def rows_path(g: Graph, f: Formula, mode: str = "vertex-cover") -> solver._Rows:
     """The rows path of (g, f), built as check builds it."""
     tp = solver._types(g, mode, DEFAULT_K_MAX)[0]
-    return solver._Rows(g, f, tp, solver._Columns(f, analyze(f), [len(ms) for ms in tp.types]))
+    return solver._Rows(g, f, tp, analyze(f))
 
 
 def rows_verdict(g: Graph, f: Formula, mode: str = "vertex-cover") -> Verdict:

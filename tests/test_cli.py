@@ -230,7 +230,7 @@ def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
     # ids_k with k=9 holds on a star with 9 leaves; the leaves outgrow the
     # reduction, so check takes the rows path and dumps its one program,
     # whose search gives the witness its 9 leaves. The program's columns are
-    # the counts x and the indicators z = [x >= 1] and w = [x >= 2]
+    # the counts x and the indicators z = [x >= 1]
     from cardmso.formula import parse_formula
     from cardmso.graph import min_vertex_cover, parse_graph, type_partition
 
@@ -264,7 +264,6 @@ def test_dumped_program_is_the_one_solved(files, tmp_path, capsys):
             counts[f"x_t{t}_s{sig}"] += 1
     for name in [name for name in counts if name.startswith("x")]:
         counts["z" + name[1:]] = int(counts[name] >= 1)
-        counts["w" + name[1:]] = int(counts[name] >= 2)
     assert len(counts) == len(domains) and rows
     assert max(hi - lo for lo, hi in domains.values()) > 0  # the search had room
     for name, (lo, hi) in domains.items():
@@ -438,3 +437,65 @@ def test_memo_budget_refuses_with_exit_three(files, tmp_path, command, formula, 
     lines = done.stderr.splitlines()
     assert lines[0].startswith(f"error: mso-memo budget exceeded (limit {limit}, reached ")
     assert int(lines[-1]) < 300 * 1024  # ru_maxrss is in KiB
+
+
+def _run_measured(args: list[str]) -> tuple[int, dict, float, int]:
+    """cli.run in a subprocess: (exit code, JSON report, seconds the run
+    took, peak RSS in KiB). The peak is the process's own VmHWM: Linux
+    carries the parent's peak into a child's ru_maxrss when it spawns it."""
+    code = (
+        "import sys, time\n"
+        "from cardmso import cli\n"
+        "start = time.perf_counter()\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(time.perf_counter() - start, file=sys.stderr)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args, "--json"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    *_, seconds, peak = done.stderr.splitlines()
+    return done.returncode, json.loads(done.stdout), float(seconds), int(peak)
+
+
+@pytest.mark.parametrize("body", [
+    "forall b. ({})",  # in the rows fragment: its column-pair grids are refused
+    "exists a. forall b. (({}) -> a = b)",  # outside it: the pipeline's columns are
+])
+def test_wide_prefix_is_refused_before_its_columns_are_built(files, tmp_path, body):
+    # 22 prefix sets on P3's two types make 2^23 columns; building them
+    # took 9 s and 3 GB before the refusal
+    sets = [f"X{i}" for i in range(22)]
+    text = "".join(f"exists {s}. " for s in sets) + body.format(" | ".join(f"b in {s}" for s in sets))
+    (tmp_path / "wide.cms").write_text(text)
+    code, doc, seconds, peak = _run_measured(
+        ["check", "--graph", files["p3.g"], "--formula", str(tmp_path / "wide.cms")]
+    )
+    assert code == cli.EXIT_BUDGET and doc["budget"]["kind"] == "mso-cells"
+    assert seconds < 1 and peak < 200 * 1024  # ru_maxrss is in KiB
+
+
+def test_many_pieces_are_refused_before_the_columns_are_built(files):
+    # c = 12 gives 66 size pieces, past the 16 allowed; the columns of 12
+    # sets with their 132 constraint rows took 148 MB before the refusal
+    code, doc, seconds, peak = _run_measured(["cbalance", "--graph", files["p3.g"], "-c", "12"])
+    assert code == cli.EXIT_BUDGET and doc["budget"]["kind"] == "pre-evaluation-pieces"
+    assert peak < 100 * 1024
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_blas_runs_single_threaded_unless_set(preset):
+    # the root LP's dense products are small: a BLAS thread pool made a
+    # rows-path check 10 times slower on a 2-vCPU machine. The thread count
+    # is read when numpy is imported, so the package sets it first
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import os, cardmso.cli; print(*(os.environ[name] for name in %r))" % (names,)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["1", preset or "1", "1"], done.stderr

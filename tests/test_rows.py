@@ -1,9 +1,9 @@
 """The rows path: sentences whose body sorts into two-variable universal
 conjuncts, forall-exists conjuncts and one-interval constraint pieces are
-decided by one integer program over the count columns, with indicators
-z = [x >= 1] and w = [x >= 2], and no state enumeration. Its answers are
-held to the brute-force oracle, to the enumeration path and, past brute
-force, to references written here for graphs whose cover is 0..k-1."""
+decided by one integer program over the count columns x and indicators
+z = [x >= 1], with no state enumeration. Its answers are held to the
+brute-force oracle, to the enumeration path and, past brute force, to
+references written here for graphs whose cover is 0..k-1."""
 
 import itertools
 import random
@@ -17,7 +17,8 @@ from cardmso.formula import parse_formula, substitute_params
 from cardmso.graph import Graph
 from cardmso.solver import _Pipeline, check
 from conftest import (
-    assert_witness_valid, planted_cover, random_graph, rows_path, rows_verdict, twin_class_graph,
+    assert_witness_valid, planted_cover, random_graph, rows_path, rows_verdict, star_graph,
+    twin_class_graph,
 )
 
 BIP = parse_formula(corpus.bipartite_equal())
@@ -176,6 +177,43 @@ def test_witness_is_checked_against_the_constraint_pieces(monkeypatch):
     monkeypatch.setattr(solver._Rows, "_interval", lambda self, piece: (0, None, None))
     with pytest.raises(WitnessError):
         check(g, BIP)
+
+
+# ---------------------------------------------------------- the encoding
+
+# every vertex of X has a non-neighbour in X: a vertex's column witnesses
+# itself through a twin, so the row for a column b reads 2 z_b <= ... + x_b
+PAIRED = parse_formula(
+    "exists X. [1 <= |X|] & (forall u. (u in X -> exists v. (v in X & !(u = v) & !adj(u, v))))"
+)
+# X is a clique: two false twins (or two of an independent nd class) fail
+# it as a pair, so their column's count is capped at 1
+CLIQUE = parse_formula(
+    "exists X. [$k <= |X|] & (forall u. forall v. (u in X & v in X & !(u = v) -> adj(u, v)))"
+)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 40])
+@pytest.mark.parametrize("mode", ["vc", "nd"])
+def test_twins_witness_each_other_and_cap_a_failing_pair(size, mode):
+    """Edgeless graphs and stars whose leaves are one twin class of `size`
+    vertices. Both families are triangle-free, so a clique has at most 2
+    vertices, 1 with no edge; X with a non-neighbour for each member exists
+    iff two vertices are not adjacent. Held to the oracle up to 8 vertices."""
+    cases = [(PAIRED, lambda g: g.n * (g.n - 1) // 2 > len(g.edges))]
+    cases += [
+        (substitute_params(CLIQUE, {"k": k}), lambda g, k=k: k <= (2 if len(g.edges) else 1))
+        for k in (1, 2, 3)
+    ]
+    for g in (Graph.from_edges(size, []), star_graph(size)):
+        for f, defined in cases:
+            want = defined(g)
+            if g.n <= 8:
+                assert oracle.brute_check(g, f) == want
+            got = rows_verdict(g, f, mode)
+            assert got.holds == want, (g.n, len(g.edges), f.body)
+            if want:
+                assert_witness_valid(g, f, got)
 
 
 # ------------------------------------------------------------- correctness

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardmso import corpus, ilp, oracle, partitioning, solver, table_eval
-from cardmso.balanced import BetaObjective, cbalanced
+from cardmso.balanced import BetaObjective, cbalanced, generate_equitable_formula
 from cardmso.errors import BudgetExceeded, CoverBudgetExceeded, WitnessError
 from cardmso.formula import (
     And, ConstraintRef, FalseLit, Iff, Implies, Not, Or, Quant, TrueLit, analyze,
@@ -114,9 +114,10 @@ _constraint = st.tuples(_side, st.sampled_from(["<=", "=", "<"]), _side).map(
 
 def reachable(pipeline: _Pipeline, sizes) -> list[int]:
     """Every pre-evaluation the pipeline's offsets reach from `sizes`, over
-    all profiles."""
+    both values of each piece (_profiles leaves out the ones that yield no
+    rows)."""
     return sorted(
-        alpha for values in pipeline._profiles()
+        alpha for values in itertools.product((False, True), repeat=len(pipeline.pieces))
         for alpha in pipeline._reachable(list(sizes), values)
     )
 
@@ -560,6 +561,34 @@ def test_preevaluation_piece_guard():
     with pytest.raises(BudgetExceeded) as err:
         check(path_graph(2), parse_formula(f"exists Z. ({pieces})"))
     assert (err.value.kind, err.value.limit, err.value.used) == ("pre-evaluation-pieces", 16, 17)
+
+
+def test_columns_are_charged_before_they_are_built(monkeypatch):
+    # equitable_connected_3 is outside the rows fragment: the pipeline's
+    # column matrices, sig_bits and the group-3 rows, are the first charge
+    f = parse_formula(corpus.equitable_connected(3))
+    g = path_graph(3)
+    cells = (2 << f.m) * (f.m + len(f.constraints))  # P3 has two types
+    monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", cells - 1)
+    with pytest.raises(BudgetExceeded) as err:
+        check(g, f)
+    assert (err.value.kind, err.value.limit, err.value.used) == ("mso-cells", cells - 1, cells)
+    monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", cells)
+    assert len(solver._Columns(f, analyze(f), [1, 2]).names) == 2 << f.m
+
+
+@pytest.mark.parametrize("c", [4, 5, 6])
+def test_pieces_on_the_spine_take_only_true(c):
+    # the equitable sentence's c(c-1)/2 size pieces are all conjuncts of the
+    # body: a profile with one false folds the skeleton to false, so it is
+    # not listed (at c = 6 all 32,768 were, and the query took 3.4 s)
+    g = path_graph(5)
+    pipeline = _Pipeline(g, generate_equitable_formula(c))
+    assert list(pipeline._profiles()) == [(True,) * (c * (c - 1) // 2)]
+    start = time.perf_counter()
+    cut = cbalanced(g, c).cut_value
+    assert time.perf_counter() - start < 1
+    assert cut == oracle.brute_cbalanced(g, c)
 
 
 def test_pre_evaluation_index_past_63_bits():

@@ -234,6 +234,26 @@ def set_vars(node: Node, first: tuple[str, ...] = ()) -> list[str]:
     return list(names)
 
 
+def relativise(node: Node, set_name: str) -> Node:
+    """node relativised to the set set_name (Hodges): every vertex quantifier
+    ranges over its members, forall x. psi becoming forall x. (x in P -> psi^P)
+    and exists x. psi becoming exists x. (x in P & psi^P); connectives and
+    literals stay as they are. A set quantifier would have to range over
+    the subsets of P, so node must have none."""
+    if isinstance(node, Quant):
+        if node.sort == "set":
+            raise ValueError(f"cannot relativise the set quantifier over {node.var!r}")
+        guard = Member(node.var, set_name)
+        child = relativise(node.child, set_name)
+        child = Implies(guard, child) if node.quantifier == "forall" else And(guard, child)
+        return Quant(node.quantifier, node.var, node.sort, child)
+    if isinstance(node, Not):
+        return Not(relativise(node.child, set_name))
+    if isinstance(node, _BINARY):
+        return type(node)(relativise(node.left, set_name), relativise(node.right, set_name))
+    return node
+
+
 def free_vars(node: Node, memo: dict) -> tuple[frozenset[str], frozenset[str]]:
     """(set names, vertex names) free in node. memo maps id(node) to
     (node, answer); holding the node keeps its id from being reused while

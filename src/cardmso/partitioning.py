@@ -1,19 +1,34 @@
 """MSO partitioning: split V(G) into r parts whose induced subgraphs all
 model a fixed MSO sentence.
 
-A part is summarised by its shape, a count row in the integer-matrix form of
-check's count rows: one column per type, holding the part's intersection
-size with the type capped at the small threshold 2^q_S * q_v.
-Same-type vertices are twins, and inside a twin class every size from the
-threshold up models the same sentences (Lampis), so the capped value reads
-"threshold or more" and sets of one shape are interchangeable as models.
-Each shape is decided once per graph (_ShapeCheck); a counting program then
-decides whether satisfying shapes can tile the whole vertex set with
-exactly r parts (Rao).
+The rows path comes first. V splits into r parts that each model phi iff
+exists P1..Pr (every vertex in exactly one Pi) & phi^P1 & ... & phi^Pr,
+where phi^P is phi relativised to P (formula.relativise, Hodges). For a
+sentence without set quantifiers whose conjuncts read forall x [forall y]
+or forall x exists y (independence, clique, no isolated vertex), that
+sentence lies in check's rows fragment, and one program over the type
+counts (solver._Rows) decides it; its witness sets are the parts. It is
+taken on a non-empty graph when the program's (2, width, width) grids,
+width = types << r, fit the cell budget.
+
+Shapes serve the rest: set-quantified sentences, three or more vertex
+variables, and r past the cell budget (Rao's r is part of the input, and
+the shape program does not grow with r). A part is summarised by its
+shape, a count row in the integer-matrix form of check's count rows: one
+column per type, holding the part's intersection size with the type
+capped at the small threshold 2^q_S * q_v. Same-type vertices are twins,
+and inside a twin class every size from the threshold up models the same
+sentences (Lampis), so the capped value reads "threshold or more" and sets
+of one shape are interchangeable as models. Each shape is decided once per
+graph (_ShapeCheck); a counting program then decides whether satisfying
+shapes can tile the whole vertex set with exactly r parts (Rao). Either
+path's parts are validated on the full graph.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 import weakref
@@ -22,13 +37,16 @@ from typing import Optional
 
 import numpy as np
 
-from . import ilp
+from . import ilp, table_eval
 from .errors import BudgetExceeded
-from .formula import Formula, FormulaStats, Node, Quant, analyze, walk
+from .formula import (
+    And, ConstraintRef, Formula, FormulaStats, LinearConstraint, Member, Node, Not, Or, Quant,
+    Rho, analyze, relativise, walk,
+)
 from .graph import DEFAULT_K_MAX, Graph, TypePartition
 from .graph import min_vertex_cover, nd_partition, type_partition  # noqa: F401 - traced by the benchmark
 from .mso_eval import _as_sentence, mso_check
-from .solver import SolveStats, _types
+from .solver import SolveStats, _Rows, _types
 from .typed_eval import TypedEvaluator
 
 DEFAULT_SHAPE_BUDGET = 2_000_000
@@ -133,12 +151,55 @@ def mso_partition(
     node_budget: int = ilp.DEFAULT_NODE_BUDGET,
     dump=None,
 ) -> PartitionVerdict:
-    """Decide the partitioning instance and reconstruct a witness partition."""
+    """Decide the partitioning instance and reconstruct a witness partition:
+    on the rows path when the relativised sentence takes it, otherwise on
+    shapes (see the module docstring)."""
     start = time.perf_counter()
     tp, cover_size = _types(g, mode, k_max)
     stats = SolveStats(cover_size=cover_size, type_count=tp.count)
-    fstats = analyze(inst.formula)
+    verdict = None
+    # the rows program's (2, width, width) grids, width = types << r, must
+    # fit the cell budget (r capped so that the shift stays small)
+    width = tp.count << min(inst.r, 32)
+    if not analyze(inst.formula).q_S and g.n and 2 * width * width <= table_eval.DEFAULT_CELL_BUDGET:
+        f = _relativised(inst, allow_empty)
+        rows = _Rows(g, f, tp, analyze(f))
+        if rows.program is not None:
+            decided = rows.decide(stats, node_budget, dump)
+            parts = decided.witness.sets if decided.holds else None
+            verdict = PartitionVerdict(decided.holds, parts, stats)
+    if verdict is None:
+        verdict = _shape_partition(g, inst, tp, stats, allow_empty, node_budget, dump)
+    if verdict.holds:
+        _validate_parts(g, inst, verdict.parts, allow_empty)
+    stats.elapsed = time.perf_counter() - start
+    return verdict
 
+
+def _relativised(inst: PartitionInstance, allow_empty: bool) -> Formula:
+    """The instance as one sentence over r prefix sets P1..Pr (fresh: the
+    sentence has no set quantifier, so it names no set):
+    (forall x. x lies in exactly one Pi) & phi^P1 & ... & phi^Pr, and
+    without empty parts one [1 <= |Pi|] per part, each on the top-level
+    And spine so that each is a piece of its own direction."""
+    parts = tuple(f"P{i}" for i in range(1, inst.r + 1))
+    member = [Member("x", p) for p in parts]
+    some = functools.reduce(Or, member)
+    no_two = [Not(And(a, b)) for a, b in itertools.combinations(member, 2)]
+    conjuncts = [Quant("forall", "x", "vertex", functools.reduce(And, no_two, some))]
+    conjuncts += [relativise(inst.formula.body, p) for p in parts]
+    constraints = () if allow_empty else tuple(LinearConstraint(Rho(1), Rho(0, (p,))) for p in parts)
+    conjuncts += [ConstraintRef(j) for j in range(len(constraints))]
+    return Formula(parts, functools.reduce(And, conjuncts), constraints)
+
+
+def _shape_partition(
+    g: Graph, inst: PartitionInstance, tp: TypePartition, stats: SolveStats,
+    allow_empty: bool, node_budget: int, dump,
+) -> PartitionVerdict:
+    """The shape path: decide every shape, then whether r satisfying shapes
+    tile the vertex set; the parts are not yet validated."""
+    fstats = analyze(inst.formula)
     shapes = enumerate_shapes(tp, fstats)
     stats.shapes = len(shapes)
     if not allow_empty:
@@ -169,14 +230,9 @@ def mso_partition(
     result = ilp.solve_feasibility(program, node_budget)
     stats.ilp_nodes += result.nodes
     stats.ilp_lp_refutations += result.lp_refuted
-    stats.elapsed = time.perf_counter() - start
     if result.status != "feasible":
         return PartitionVerdict(False, None, stats)
-
-    parts = _reconstruct(tp, satisfying, result.assignment, small)
-    _validate_parts(g, inst, parts, allow_empty)
-    stats.elapsed = time.perf_counter() - start
-    return PartitionVerdict(True, parts, stats)
+    return PartitionVerdict(True, _reconstruct(tp, satisfying, result.assignment, small), stats)
 
 
 def _reconstruct(

@@ -5,7 +5,8 @@ taken when every conjunct on the top-level And spine of the body, constant
 pieces folded, in negation normal form, is (i) forall x [forall y] psi, (ii)
 forall x exists y psi (psi quantifier-free; quantifiers move out of And/Or
 on a non-empty graph) or (iii) a constraint piece whose leaves lie on one
-direction and allow one interval of its value. Adjacency is uniform inside
+direction and allow one interval of its value, or an And of such conjuncts
+over several directions, one interval each. Adjacency is uniform inside
 a type, so psi at two vertices depends only on their (type, signature)
 columns and on whether they are one vertex; a universal sentence holds iff
 it holds on every pair (Los-Tarski). The program: counts x in [0, |T|] and
@@ -654,9 +655,13 @@ class _Rows:
         self.held, bodies = [], []  # (piece index, interval); (psi, universal, variable axes)
         for node in _conjuncts(_fold(skeleton, [None] * len(self.pieces), g.n)):
             if isinstance(node, _PieceRef):
-                self.held.append((node.index, self._interval(self.pieces[node.index])))
-                if self.held[-1][1] is None:
+                piece = self.pieces[node.index]
+                intervals = [self._interval(piece)]
+                if intervals[0] is None:  # an And over several directions: one interval a conjunct
+                    intervals = [self._interval(part) for part in _conjuncts(piece)]
+                if None in intervals:
                     return
+                self.held += [(node.index, interval) for interval in intervals]
                 continue
             quants = _quantifiers(node) or []
             kinds = [universal for universal, _ in quants]

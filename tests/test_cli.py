@@ -12,12 +12,15 @@ from cardmso.cli import run
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 P3 = "p 3 2\ne 1 2\ne 2 3\n"
 P4 = "p 4 3\ne 1 2\ne 2 3\ne 3 4\n"
+# every part a disjoint union of cliques: three universal vertex variables
+# keep it off the rows path, so partition decides it on shapes
+CLUSTER = "forall u. forall v. forall w. ((adj(u, v) & adj(v, w) & !(u = w)) -> adj(u, w))\n"
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in [("c4.g", C4), ("p3.g", P3), ("p4.g", P4)]:
+    for name, text in [("c4.g", C4), ("p3.g", P3), ("p4.g", P4), ("cluster.cms", CLUSTER)]:
         (tmp_path / name).write_text(text)
         paths[name] = str(tmp_path / name)
     for name, builder in corpus.CORPUS_FILES.items():
@@ -138,8 +141,16 @@ def test_json_field_order_is_stable(files, capsys):
     assert (doc["status"], doc["witness"], doc["alpha"], doc["cut_value"]) == ("holds", None, None, None)
     assert sorted(doc["parts"]) == [["1", "3"], ["2", "4"]]
     assert list(doc["stats"].keys()) == STATS_KEYS
-    assert doc["stats"]["shapes"] > doc["stats"]["satisfying_shapes"] > 0
+    # independence takes the rows path, which lists no shape
+    assert doc["stats"]["shapes"] == doc["stats"]["satisfying_shapes"] == 0
     assert doc["budget"] is None
+    assert run([
+        "partition", "--graph", files["c4.g"], "--formula", files["cluster.cms"],
+        "-r", "2", "--json",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["stats"].keys()) == STATS_KEYS
+    assert doc["stats"]["shapes"] > doc["stats"]["satisfying_shapes"] > 0
 
     assert run(["cbalance", "--graph", files["p4.g"], "-c", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -406,10 +417,11 @@ def test_unexpected_error_exits_four(files, capsys, monkeypatch, error):
     # equitable_connected_3 keeps the enumeration path, whose typed
     # evaluator memoises its set-quantified conjuncts
     (["check"], "equitable_connected_3.cms", 1000),
-    # partition keeps one evaluator, and its memo, for all of a query's
-    # shapes, so the budget adds up across them: here no one of the 108
-    # shapes stores more than 19 weighted entries, all of them 1,004
-    (["partition", "-r", "2"], "independence.cms", 100),
+    # on the shape path partition keeps one evaluator, and its memo, for
+    # all of a query's shapes, so the budget adds up across them: here no
+    # one of the 144 shapes stores more than 86 weighted entries, all of
+    # them 5,314
+    (["partition", "-r", "2"], "cluster.cms", 100),
 ])
 def test_memo_budget_refuses_with_exit_three(files, tmp_path, command, formula, limit):
     # with the memo limited, a 12-vertex planted cover refuses early, in a

@@ -5,16 +5,22 @@ import random
 import numpy as np
 import pytest
 
-from cardmso import corpus, oracle, partitioning, table_eval
+from cardmso import corpus, formula, ilp, oracle, partitioning, solver, table_eval
 from cardmso.errors import BudgetExceeded
-from cardmso.formula import FormulaStats, analyze, parse_formula
-from cardmso.graph import Graph, TypePartition, min_vertex_cover, nd_partition, type_partition
+from cardmso.formula import (
+    And, Iff, Implies, Member, Not, Or, FormulaStats, Quant, analyze, parse_formula,
+)
+from cardmso.graph import (
+    DEFAULT_K_MAX, Graph, TypePartition, min_vertex_cover, nd_partition, type_partition,
+)
 from cardmso.mso_eval import mso_check
 from cardmso.partitioning import (
     PartitionInstance, enumerate_shapes, mso_partition, shape_satisfies,
 )
+from cardmso.solver import SolveStats
 from conftest import (
-    cycle_graph, path_graph, planted_cover, random_graph, star_graph, twin_class_graph,
+    complete_graph, cycle_graph, path_graph, planted_cover, random_graph, star_graph,
+    twin_class_graph,
 )
 
 INDEP = parse_formula(corpus.independence_body())
@@ -24,6 +30,34 @@ DOMINATING = parse_formula("exists u. forall v. (u = v | adj(u, v))")
 INDUCED_P3 = parse_formula(
     "exists u. exists v. exists w. (adj(u, v) & adj(v, w) & !(u = w) & !adj(u, w))"
 )
+# outside the rows fragment: three universal vertex variables
+TRIANGLE_FREE = parse_formula("forall u. forall v. forall w. !(adj(u, v) & adj(v, w) & adj(u, w))")
+# in it: forall-exists
+NO_ISOLATED = parse_formula("forall u. exists v. adj(u, v)")
+
+
+def shape_verdict(g: Graph, inst: PartitionInstance, mode: str, allow_empty: bool):
+    """mso_partition forced onto the shape path, its parts validated."""
+    tp, cover_size = solver._types(g, mode, DEFAULT_K_MAX)
+    stats = SolveStats(cover_size=cover_size, type_count=tp.count)
+    verdict = partitioning._shape_partition(
+        g, inst, tp, stats, allow_empty, ilp.DEFAULT_NODE_BUDGET, None,
+    )
+    if verdict.holds:
+        partitioning._validate_parts(g, inst, verdict.parts, allow_empty)
+    return verdict
+
+
+def cover_colourable(g: Graph, k: int, r: int) -> bool:
+    """Does g, whose vertices 0..k-1 cover it, split into r independent
+    sets? Some proper r-colouring of the cover leaves every other vertex a
+    colour its cover neighbours do not use."""
+    cover = range(k)
+    return any(
+        all(colour[u] != colour[w] for u in cover for w in cover if g.has_edge(u, w))
+        and all(len({colour[u] for u in cover if g.has_edge(u, x)}) < r for x in range(k, g.n))
+        for colour in itertools.product(range(r), repeat=k)
+    )
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -198,14 +232,23 @@ class TestMsoPartition:
         assert mso_partition(cycle_graph(4), PartitionInstance(INDEP, 2)).holds
 
     def test_stats_report_the_shapes(self):
-        g = cycle_graph(4)
-        verdict = mso_partition(g, PartitionInstance(INDEP, 2))
+        # three universal vertex variables keep a sentence off the rows
+        # path: K4's parts must be triangle-free, which its shapes with
+        # three vertices are not
+        g = complete_graph(4)
+        verdict = mso_partition(g, PartitionInstance(TRIANGLE_FREE, 2))
         tp = type_partition(g, min_vertex_cover(g))
-        fstats = analyze(INDEP)
+        fstats = analyze(TRIANGLE_FREE)
         shapes = enumerate_shapes(tp, fstats)
-        satisfying = sum(shape_satisfies(g, tp, s, INDEP, fstats) for s in map(tuple, shapes.tolist()))
+        satisfying = sum(
+            shape_satisfies(g, tp, s, TRIANGLE_FREE, fstats) for s in map(tuple, shapes.tolist())
+        )
         assert verdict.holds
         assert verdict.stats.shapes == len(shapes) > satisfying == verdict.stats.satisfying_shapes > 0
+        # independence takes the rows path, which lists no shape
+        rows = mso_partition(cycle_graph(4), PartitionInstance(INDEP, 2))
+        assert rows.holds and rows.stats.ilp_solves == 1
+        assert rows.stats.shapes == rows.stats.satisfying_shapes == 0
 
     def test_stats_report_no_reduction_or_prefix_assignments(self):
         # partition checks one representative per shape: it neither reduces
@@ -240,21 +283,21 @@ class TestMsoPartition:
             assert v.stats.ilp_nodes >= 1
 
     def test_three_colouring_no_instance_closes_at_the_root(self):
-        # vertices 0..2 cover the graph; its tiling program has 708
-        # variables, and branch and bound alone took 591,141 nodes on it
+        # vertices 0..2 cover the graph. The rows path closes it in a few
+        # nodes. Its tiling program on the shape path has 708 variables:
+        # branch and bound alone took 591,141 nodes on it, and the root LP
+        # refutes it
         g = planted_cover(random.Random(7), 3, 16)
-        v = mso_partition(g, PartitionInstance(INDEP, 3))
+        inst = PartitionInstance(INDEP, 3)
+        v = mso_partition(g, inst)
         assert not v.holds
-        assert v.stats.ilp_nodes <= 10 and v.stats.ilp_lp_refutations == 1
+        assert v.stats.shapes == 0 and v.stats.ilp_nodes <= 20
+        shapes = shape_verdict(g, inst, "vertex-cover", True)
+        assert not shapes.holds and shapes.stats.satisfying_shapes == 708
+        assert shapes.stats.ilp_nodes <= 10 and shapes.stats.ilp_lp_refutations == 1
         # independent check: a proper 3-colouring of the cover that leaves
         # every other vertex a colour its cover neighbours do not use
-        cover = range(3)
-        colourable = any(
-            all(colour[u] != colour[w] for u in cover for w in cover if g.has_edge(u, w))
-            and all(len({colour[u] for u in cover if g.has_edge(u, x)}) < 3 for x in range(3, g.n))
-            for colour in itertools.product(range(3), repeat=3)
-        )
-        assert not colourable
+        assert not cover_colourable(g, 3, 3)
 
     def test_chromatic_consistency(self, rng):
         for _ in range(12):
@@ -325,3 +368,99 @@ class TestMsoPartition:
     def test_rejects_bad_r(self):
         with pytest.raises(ValueError):
             PartitionInstance(INDEP, 0)
+
+
+# ------------------------------------------------- the relativised sentence
+
+def rows_shape_mismatches() -> list:
+    """A seeded family at n 9-14, planted covers and random graphs, in both
+    modes, with empty parts allowed and not: the cases where mso_partition,
+    on the rows path, and the shape path answer differently."""
+    rng = random.Random(2027)
+    out = []
+    for i in range(16):
+        n = rng.randint(9, 14)
+        if i % 8 < 5:
+            g, phis = planted_cover(rng, rng.randint(1, 3), n), (INDEP, CLIQUE, NO_ISOLATED)
+        else:
+            # forall-exists keeps off random graphs: its shape path takes
+            # up to a minute there
+            g, phis = random_graph(rng, n, rng.uniform(0.2, 0.8)), (INDEP, CLIQUE)
+        for mode, phi, r, allow_empty in itertools.product(
+            ("vertex-cover", "neighborhood-diversity"), phis, (2, 3), (True, False),
+        ):
+            inst = PartitionInstance(phi, r)
+            rows = mso_partition(g, inst, mode=mode, allow_empty=allow_empty)
+            assert rows.stats.shapes == 0 and rows.stats.ilp_solves == 1
+            if rows.holds != shape_verdict(g, inst, mode, allow_empty).holds:
+                out.append((i, mode, phi, r, allow_empty))
+    return out
+
+
+def colouring_mismatches() -> list:
+    """Independence with r in {2, 3} on planted covers with k = 3 at n 30 and
+    400: the cases where mso_partition and cover_colourable differ. Every
+    "yes" must be r disjoint independent sets covering the vertices."""
+    out = []
+    for seed, n, r in itertools.product((1, 2, 3), (30, 400), (2, 3)):
+        g = planted_cover(random.Random(seed), 3, n)
+        verdict = mso_partition(g, PartitionInstance(INDEP, r))
+        assert verdict.stats.shapes == 0
+        if verdict.holds:
+            assert len(verdict.parts) == r and sum(map(len, verdict.parts)) == n
+            assert set().union(*verdict.parts) == set(range(n))
+            assert not any(g.has_edge(u, v) for p in verdict.parts for u in p for v in p if u < v)
+        if verdict.holds != cover_colourable(g, 3, r):
+            out.append((seed, n, r))
+    return out
+
+
+def relativise_without_forall_guard(node, set_name):
+    """A mutant of formula.relativise: forall x. psi keeps ranging over
+    every vertex."""
+    if isinstance(node, Quant):
+        child = relativise_without_forall_guard(node.child, set_name)
+        if node.quantifier == "exists":
+            child = And(Member(node.var, set_name), child)
+        return Quant(node.quantifier, node.var, node.sort, child)
+    if isinstance(node, Not):
+        return Not(relativise_without_forall_guard(node.child, set_name))
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return type(node)(
+            relativise_without_forall_guard(node.left, set_name),
+            relativise_without_forall_guard(node.right, set_name),
+        )
+    return node
+
+
+class TestRowsPath:
+    def test_relativise_guards_each_vertex_quantifier(self):
+        phi = parse_formula("forall u. exists v. (adj(u, v) | true)").body
+        assert formula.relativise(phi, "P") == Quant("forall", "u", "vertex", Implies(
+            Member("u", "P"),
+            Quant("exists", "v", "vertex", And(Member("v", "P"), phi.child.child)),
+        ))
+        with pytest.raises(ValueError):
+            formula.relativise(parse_formula("forall X. true").body, "P")
+
+    def test_rows_and_shape_paths_agree(self):
+        assert rows_shape_mismatches() == []
+
+    def test_independence_past_brute_force_matches_a_cover_colouring(self):
+        assert colouring_mismatches() == []
+
+    def test_a_missing_forall_guard_is_caught(self, monkeypatch):
+        monkeypatch.setattr(partitioning, "relativise", relativise_without_forall_guard)
+        assert rows_shape_mismatches() and colouring_mismatches()
+
+    def test_outside_the_fragment_or_past_the_cell_budget_shapes_decide(self, monkeypatch):
+        g = cycle_graph(5)
+        for phi in (TRIANGLE_FREE, DOMINATING):
+            assert mso_partition(g, PartitionInstance(phi, 2)).stats.shapes > 0
+        # C5's five types take 2 * (5 << 2)^2 cells at r = 2
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 2 * (5 << 2) ** 2 - 1)
+        verdict = mso_partition(g, PartitionInstance(INDEP, 2))
+        assert not verdict.holds and verdict.stats.shapes > 0
+        monkeypatch.setattr(table_eval, "DEFAULT_CELL_BUDGET", 2 * (5 << 2) ** 2)
+        verdict = mso_partition(g, PartitionInstance(INDEP, 2))
+        assert not verdict.holds and verdict.stats.shapes == 0

@@ -10,7 +10,8 @@ one entry per query: the answer, the witness, every work-pair list
 returns tuples or columns), every rows-path program solved
 (solver._Rows.decide, in trees that have it: its variable and row counts
 and the solved count row) and the solve counters of every pipeline, rows
-program and partition the query made (elapsed times left out).
+program and partition the query made, each counter object once (elapsed
+times left out).
 
 Examples:
   python scripts/replay_pairs.py record --root . --seed 1 --rounds 2 --out change.json
@@ -66,13 +67,19 @@ def record(root: Path, seed: int, rounds: int) -> list[dict]:
         made["pairs"].append(_pair_list(pairs))
         return pairs
 
+    def note(stats):
+        # partition's rows path hands its own stats to _Rows.decide, so
+        # one object can reach two spies: list it once
+        if not any(seen is stats for seen in made["stats"]):
+            made["stats"].append(stats)
+
     def spy_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        made["stats"].append(self.stats)
+        note(self.stats)
 
     def spy_partition(*args, **kwargs):
         verdict = partition(*args, **kwargs)
-        made["stats"].append(verdict.stats)
+        note(verdict.stats)
         return verdict
 
     if rows_class is not None:
@@ -83,7 +90,7 @@ def record(root: Path, seed: int, rounds: int) -> list[dict]:
             program = self.program
             solved = self.solved if verdict.holds else None
             made["rows"].append([len(program.names), len(program.rows), _plain(solved)])
-            made["stats"].append(verdict.stats)
+            note(verdict.stats)
             return verdict
 
         rows_class.decide = spy_decide
